@@ -2,9 +2,9 @@
 
 A :class:`repro.ShardedSampler` hash-partitions a stream across N
 independent sampler instances (built from a registry spec), ingests each
-partition through the vectorized batch kernels — optionally on a thread or
-process pool — and answers queries by reducing the shards through a binary
-merge tree of pure ``a | b`` unions.  Because adaptive threshold samples
+partition through the shard's vectorized batch kernel, and answers queries
+by reducing the shards through a binary merge tree of pure ``a | b``
+unions.  Because adaptive threshold samples
 stay mergeable (Ting, SIGMOD 2022, §3.5), the reduced sample estimates
 exactly what a single giant sampler would.
 

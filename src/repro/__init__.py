@@ -5,7 +5,7 @@ The package mirrors the paper's structure:
 * :mod:`repro.api` - the unified :class:`StreamSampler` protocol, the
   sampler registry/factory (``make_sampler``/``SamplerSpec``), and the
   ``to_state``/``from_state`` checkpoint machinery.
-* :mod:`repro.engine` - the sharded parallel ingestion engine
+* :mod:`repro.engine` - the sharded ingestion engine
   (:class:`ShardedSampler`): hash-partitioned fan-out over mergeable
   samplers with merge-tree reduction.
 * :mod:`repro.serve` - the async streaming serving runtime

@@ -16,7 +16,9 @@ now do) share one canonical surface:
 * ``estimate(kind=..., predicate=..., **kw)`` — one facade over the
   per-sampler ``estimate_*`` methods;
 * ``to_state()`` / ``from_state()`` — plain-dict round-trip serialization
-  for checkpointing and cross-process shipping.
+  for checkpointing and cross-process shipping, stamped with
+  :data:`STATE_VERSION` (older checkpoints go through
+  :func:`upgrade_state`).
 
 Concrete samplers register themselves under a config-friendly name with
 :func:`repro.api.registry.register_sampler`, which is what makes
@@ -36,7 +38,6 @@ from __future__ import annotations
 import abc
 import functools
 import inspect
-import warnings
 from typing import ClassVar, Mapping
 
 import numpy as np
@@ -57,6 +58,8 @@ __all__ = [
     "family_from_name",
     "rng_to_state",
     "rng_from_state",
+    "STATE_VERSION",
+    "upgrade_state",
 ]
 
 #: The aggregates the declarative query layer (:mod:`repro.query`) knows
@@ -208,6 +211,58 @@ def rng_from_state(state: dict) -> np.random.Generator:
     return rng
 
 
+#: Schema version :meth:`StreamSampler.to_state` stamps on checkpoints.
+#: Version 2 dropped the sharded engine's ``parallel``/``max_workers``
+#: params; :func:`upgrade_state` carries version-1 checkpoints forward.
+STATE_VERSION = 2
+
+
+def upgrade_state(state: dict) -> dict:
+    """Bring a :meth:`StreamSampler.to_state` checkpoint to
+    :data:`STATE_VERSION`.
+
+    Every restore path runs this first, and each schema bump adds one
+    explicit step here.  A checkpoint from a newer release raises a
+    ``ValueError`` naming its version instead of misloading; a current
+    one is returned as-is.
+    """
+    version = state.get("version", 1)
+    if version == STATE_VERSION:
+        return state
+    if version > STATE_VERSION:
+        raise ValueError(
+            f"checkpoint version {version} is newer than this release, "
+            f"which restores versions up to {STATE_VERSION}"
+        )
+    return _upgrade_v1(state)
+
+
+def _upgrade_v1(node):
+    """Version 1 -> 2 over a whole checkpoint tree.
+
+    Drops ``parallel``/``max_workers`` wherever a sharded engine is
+    described — its own checkpoint, engines nested as shards or tenants,
+    and ``{"name", "params"}`` specs naming one — and stamps every nested
+    checkpoint current.
+    """
+    if isinstance(node, list):
+        return [_upgrade_v1(item) for item in node]
+    if not isinstance(node, dict):
+        return node
+    out = {key: _upgrade_v1(value) for key, value in node.items()}
+    if "sampler" in out and "state" in out:
+        out["version"] = STATE_VERSION
+    params = out.get("params")
+    if "sharded" in (out.get("sampler"), out.get("name")) and isinstance(
+        params, dict
+    ):
+        out["params"] = {
+            name: value for name, value in params.items()
+            if name not in ("parallel", "max_workers")
+        }
+    return out
+
+
 class StreamSampler(abc.ABC):
     """Abstract base class for every streaming sampler and sketch.
 
@@ -227,9 +282,6 @@ class StreamSampler(abc.ABC):
     mergeable: ClassVar[bool] = False
     #: The ``estimate()`` facade's default ``kind``.
     default_estimate_kind: ClassVar[str] = "total"
-    #: When set, ``estimate(<non-kind>)`` is interpreted as a legacy call
-    #: passing this parameter positionally (e.g. ``sketch.estimate(key)``).
-    legacy_estimate_param: ClassVar[str | None] = None
     #: Per-aggregate capability table for the declarative query layer —
     #: every :data:`QUERY_AGGREGATES` name maps to ``True`` (supported) or
     #: a reason string for the gap.  Declare with :func:`query_support`;
@@ -314,16 +366,6 @@ class StreamSampler(abc.ABC):
                 time=None if times is None else float(times[i]),
             )
 
-    def extend(self, keys, weights=None, values=None) -> None:
-        """Deprecated alias of :meth:`update_many`."""
-        warnings.warn(
-            f"{type(self).__name__}.extend() is deprecated; use "
-            "update_many(keys, weights=..., values=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.update_many(keys, weights=weights, values=values)
-
     def sample(self):
         """Finalize into a :class:`repro.core.sample.Sample`."""
         raise NotImplementedError(
@@ -388,45 +430,12 @@ class StreamSampler(abc.ABC):
         no arguments the sampler's natural estimator
         (:attr:`default_estimate_kind`) runs.  Extra keyword arguments are
         forwarded (e.g. ``estimate("count", key="x")`` on a top-k sampler).
+        A ``kind`` outside :meth:`estimate_kinds` raises ``ValueError``.
         """
-        explicit = kind is not None
         if kind is None:
             kind = self.default_estimate_kind
-        kinds = self.estimate_kinds()
-        resolved = isinstance(kind, str) and kind in kinds
-        if resolved and explicit and self.legacy_estimate_param is not None:
-            # A legacy key may collide with a kind name ("count", ...); if
-            # the kind's estimator cannot even be called with the provided
-            # arguments, the caller meant the legacy positional key.  The
-            # probe must include the predicate (it is forwarded below), or
-            # estimate("subset_sum", predicate=...) would misroute to the
-            # legacy path whenever the estimator requires its predicate.
-            fn = getattr(self, f"estimate_{kind}")
-            probe = dict(kw)
-            if (
-                predicate is not None
-                and "predicate" in inspect.signature(fn).parameters
-            ):
-                probe["predicate"] = predicate
-            try:
-                inspect.signature(fn).bind(**probe)
-            except TypeError:
-                resolved = False
-        if not resolved:
-            if self.legacy_estimate_param is not None:
-                warnings.warn(
-                    f"{type(self).__name__}.estimate({kind!r}) with a "
-                    f"positional {self.legacy_estimate_param} is deprecated; "
-                    f"use estimate_{self.default_estimate_kind}"
-                    f"({self.legacy_estimate_param}=...) or "
-                    f"estimate(kind, {self.legacy_estimate_param}=...)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                kw[self.legacy_estimate_param] = kind
-                kind = self.default_estimate_kind
-            else:
-                raise ValueError(self._unknown_kind_message(kind))
+        if not isinstance(kind, str) or kind not in self.estimate_kinds():
+            raise ValueError(self._unknown_kind_message(kind))
         fn = getattr(self, f"estimate_{kind}")
         if predicate is not None:
             if "predicate" not in inspect.signature(fn).parameters:
@@ -610,14 +619,16 @@ class StreamSampler(abc.ABC):
         """
         return {
             "sampler": self.sampler_name or type(self).__name__,
-            "version": 1,
+            "version": STATE_VERSION,
             "params": self._config(),
             "state": self._get_state(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "StreamSampler":
-        """Rebuild a sampler from :meth:`to_state` output."""
+        """Rebuild a sampler from :meth:`to_state` output (a checkpoint
+        of an older version is upgraded first, see :func:`upgrade_state`)."""
+        state = upgrade_state(state)
         obj = cls(**state["params"])
         obj._set_state(state["state"])
         return obj

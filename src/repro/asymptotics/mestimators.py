@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import estimators
 from ..core.sample import Sample
 
 __all__ = [
@@ -29,11 +30,7 @@ __all__ = [
 
 def weighted_mean(values, ht_weights) -> float:
     """Minimizer of the HT-weighted squared loss (the Hájek mean)."""
-    values = np.asarray(values, dtype=float)
-    ht_weights = np.asarray(ht_weights, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty sample")
-    return float(np.sum(values * ht_weights) / np.sum(ht_weights))
+    return estimators.hajek_mean(values, 1.0 / np.asarray(ht_weights, dtype=float))
 
 
 def weighted_quantile(values, ht_weights, q: float) -> float:
@@ -43,19 +40,9 @@ def weighted_quantile(values, ht_weights, q: float) -> float:
     M-estimator that the substitution theory alone cannot license but the
     Donsker results do.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must be in (0, 1)")
-    values = np.asarray(values, dtype=float)
-    ht_weights = np.asarray(ht_weights, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty sample")
-    order = np.argsort(values)
-    v = values[order]
-    w = ht_weights[order]
-    cum = np.cumsum(w)
-    target = q * cum[-1]
-    idx = int(np.searchsorted(cum, target, side="left"))
-    return float(v[min(idx, v.size - 1)])
+    return estimators.weighted_quantile(
+        values, 1.0 / np.asarray(ht_weights, dtype=float), q
+    )
 
 
 def weighted_least_squares(X, y, ht_weights) -> np.ndarray:

@@ -45,7 +45,6 @@ class FrequentItemsSketch(StreamSampler):
 
     LOAD_FACTOR = 0.75
     default_estimate_kind = "count"
-    legacy_estimate_param = "key"
     _DETERMINISTIC_REASON = (
         "deterministic undercount sketch (biased by design); no inclusion "
         "probabilities for HT estimation"
@@ -283,11 +282,7 @@ class FrequentItemsSketch(StreamSampler):
         return len(self.counts)
 
     def estimate_count(self, key: object) -> int:
-        """Upper-bound estimate ``count + offset`` (0 for untracked keys).
-
-        The legacy spelling ``estimate(key)`` still works through the
-        protocol facade (with a deprecation warning).
-        """
+        """Upper-bound estimate ``count + offset`` (0 for untracked keys)."""
         if key not in self.counts:
             return 0
         return self.counts[key] + self.offset

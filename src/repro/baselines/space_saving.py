@@ -305,7 +305,6 @@ class SpaceSavingSketch(StreamSampler):
     """Deterministic Space-Saving: guaranteed error <= n / m."""
 
     default_estimate_kind = "count"
-    legacy_estimate_param = "key"
     _DETERMINISTIC_REASON = (
         "deterministic upper-bound counter (biased by design); no "
         "inclusion probabilities for HT estimation"
@@ -354,11 +353,7 @@ class SpaceSavingSketch(StreamSampler):
         return len(self._store)
 
     def estimate_count(self, key: object) -> int:
-        """Upper-bound count estimate (0 for untracked keys).
-
-        The legacy spelling ``estimate(key)`` still works through the
-        protocol facade (with a deprecation warning).
-        """
+        """Upper-bound count estimate (0 for untracked keys)."""
         return self._store.counts.get(key, 0)
 
     def guaranteed(self, key: object) -> int:
@@ -403,7 +398,6 @@ class UnbiasedSpaceSavingSketch(StreamSampler):
     """
 
     default_estimate_kind = "count"
-    legacy_estimate_param = "key"
     #: Counter values are unbiased per-label count estimates on
     #: probability-1 rows: sums over labels are unbiased (Ting 2018), but
     #: nothing probability-weighted survives.
@@ -477,11 +471,7 @@ class UnbiasedSpaceSavingSketch(StreamSampler):
         return len(self._store)
 
     def estimate_count(self, key: object) -> int:
-        """Unbiased count estimate of ``key`` (0 when untracked).
-
-        The legacy spelling ``estimate(key)`` still works through the
-        protocol facade (with a deprecation warning).
-        """
+        """Unbiased count estimate of ``key`` (0 when untracked)."""
         return self._store.counts.get(key, 0)
 
     def estimate_subset_sum(self, predicate: Callable[[object], bool]) -> float:

@@ -12,8 +12,6 @@ Everything else in the library builds on these primitives:
 * :mod:`repro.core.distinct_sums` / :mod:`repro.core.pseudo_ht` —
   pseudo-HT estimators (central moments, Kendall's tau).
 * :mod:`repro.core.sample` — the sample container all samplers emit.
-* :mod:`repro.core.windowed` — mergeable windowed moments (merge/delete
-  identities, exponential-histogram sketch) behind windowed queries.
 * :mod:`repro.core.pathology` — counterexample rules from Section 2.3.
 """
 
@@ -59,12 +57,6 @@ from .recalibration import (
 from .estimators import canonical_times, decay_factors, time_window_mask
 from .rng import RngFactory, as_generator, spawn_generators
 from .sample import Sample, SampledItem
-from .windowed import (
-    ExponentialHistogram,
-    Moments,
-    deleted_moments,
-    merged_moments,
-)
 from .thresholds import (
     BottomK,
     BudgetPrefix,
@@ -125,11 +117,6 @@ __all__ = [
     "canonical_times",
     "time_window_mask",
     "decay_factors",
-    # windowed moments
-    "Moments",
-    "merged_moments",
-    "deleted_moments",
-    "ExponentialHistogram",
     # pseudo-HT
     "kendall_tau_population",
     "kendall_tau_estimate",

@@ -1,4 +1,4 @@
-"""Multi-instance execution layer: sharded parallel ingestion.
+"""Multi-instance execution layer: sharded ingestion.
 
 :class:`ShardedSampler` (registered as ``"sharded"``) hash-partitions a
 stream across N mergeable sampler instances and reduces them through a

@@ -1,4 +1,4 @@
-"""Sharded parallel ingestion with merge-tree reduction.
+"""Sharded ingestion with merge-tree reduction.
 
 The execution layer that turns the paper's central property — adaptive
 threshold samples stay mergeable, with unbiased estimation surviving
@@ -6,9 +6,9 @@ arbitrary composition (Ting, SIGMOD 2022, §3.5) — into horizontal
 scale-out.  A :class:`ShardedSampler` hash-partitions the key space across
 ``n_shards`` independent sampler instances built from a registry
 :class:`~repro.api.SamplerSpec`, ingests each partition through the
-vectorized ``update_many`` kernels (serially, or on a thread/process
-pool), and reduces the shards through a deterministic binary merge tree of
-pure ``a | b`` unions whenever a query arrives.
+shard's vectorized ``update_many`` kernel, and reduces the shards through
+a deterministic binary merge tree of pure ``a | b`` unions whenever a
+query arrives.
 
 Soundness rests on two invariants:
 
@@ -32,7 +32,6 @@ revives a full engine (per-shard RNG streams included) bit-exactly.
 
 from __future__ import annotations
 
-import concurrent.futures
 import inspect
 from typing import Any, ClassVar
 
@@ -49,8 +48,6 @@ __all__ = ["ShardedSampler", "mergeable_samplers"]
 #: disjoint from any other stream derived from the same user seed.
 _ENGINE_SEED_DOMAIN = 0x454E47494E45  # ASCII "ENGINE"
 
-_PARALLEL_MODES = ("serial", "thread", "process")
-
 
 def mergeable_samplers() -> tuple[str, ...]:
     """Registry names whose classes declare ``mergeable = True``."""
@@ -61,20 +58,6 @@ def mergeable_samplers() -> tuple[str, ...]:
         for name in available_samplers()
         if getattr(get_sampler_class(name), "mergeable", False)
     )
-
-
-def _ingest_shard_task(state: dict, columns: dict) -> dict:
-    """Process-pool worker: revive a shard, ingest its partition, return
-    the updated state.
-
-    Module-level so it pickles; the state dicts are the same plain-dict
-    checkpoints ``to_state`` produces, which makes the process path exactly
-    a checkpoint/resume round-trip and therefore bit-identical to serial
-    ingestion.
-    """
-    shard = sampler_from_state(state)
-    shard.update_many(**columns)
-    return shard.to_state()
 
 
 def _take(column, positions: np.ndarray):
@@ -106,12 +89,6 @@ class ShardedSampler(StreamSampler):
         Partition-hash salt.  Engines that must agree on key routing (e.g.
         to merge shard-wise) must share it; it is domain-separated from
         sampler priority salts, so reusing the same integer is safe.
-    parallel:
-        ``"serial"`` (default), ``"thread"``, or ``"process"`` dispatch for
-        ``update_many``.  All three produce bit-identical state; the pools
-        only help when batches are large enough to amortize dispatch.
-    max_workers:
-        Pool size for the parallel modes (default: ``n_shards``).
 
     Examples
     --------
@@ -144,8 +121,8 @@ class ShardedSampler(StreamSampler):
     )
 
     #: The class every shard is an instance of; the estimator-facade
-    #: attributes (``default_estimate_kind``, ``legacy_estimate_param``,
-    #: ``estimate_kinds``) are mirrored from it onto each engine instance.
+    #: attributes (``default_estimate_kind``, ``estimate_kinds``) are
+    #: mirrored from it onto each engine instance.
     _shard_cls: type
 
     def __init__(
@@ -155,21 +132,13 @@ class ShardedSampler(StreamSampler):
         *,
         seed: int = 0,
         salt: int = 0,
-        parallel: str = "serial",
-        max_workers: int | None = None,
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be a positive integer")
-        if parallel not in _PARALLEL_MODES:
-            raise ValueError(
-                f"parallel must be one of {_PARALLEL_MODES}, got {parallel!r}"
-            )
         self.spec = self._normalize_spec(spec)
         self.n_shards = int(n_shards)
         self.seed = int(seed)
         self.salt = int(salt)
-        self.parallel = parallel
-        self.max_workers = int(max_workers) if max_workers else self.n_shards
 
         self._shard_cls = get_sampler_class(self.spec.name)
         if not getattr(self._shard_cls, "mergeable", False):
@@ -184,7 +153,6 @@ class ShardedSampler(StreamSampler):
         # ShardedSampler itself still yields the protocol defaults instead
         # of property objects or unbound methods.
         self.default_estimate_kind = self._shard_cls.default_estimate_kind
-        self.legacy_estimate_param = self._shard_cls.legacy_estimate_param
         self.estimate_kinds = self._shard_cls.estimate_kinds
         # The declarative query surface mirrors the shard class too:
         # planning reads these instance attributes, and execution runs
@@ -196,7 +164,6 @@ class ShardedSampler(StreamSampler):
         self.resizable = bool(getattr(self._shard_cls, "resizable", False))
         self._shards = [self._build_shard(i) for i in range(self.n_shards)]
         self._reduced_cache: StreamSampler | None = None
-        self._executor: concurrent.futures.Executor | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -292,9 +259,7 @@ class ShardedSampler(StreamSampler):
 
         The partition comes from :meth:`partition_batch`; each shard then
         receives its sub-batch through the shard's own vectorized
-        ``update_many``.  With ``parallel="thread"``/``"process"`` the
-        per-shard calls run on a pool; all modes leave bit-identical
-        state.  Extra keyword columns (per-item sequences) are
+        ``update_many``.  Extra keyword columns (per-item sequences) are
         partitioned alongside and forwarded.
         """
         work = self.partition_batch(
@@ -303,51 +268,8 @@ class ShardedSampler(StreamSampler):
         if not work:
             return
         self._invalidate()
-
-        if self.parallel == "serial" or len(work) <= 1:
-            for s, cols in work:
-                self._shards[s].update_many(**cols)
-        elif self.parallel == "thread":
-            futures = {
-                self._pool().submit(self._shards[s].update_many, **cols): s
-                for s, cols in work
-            }
-            for future in futures:
-                future.result()
-        else:  # process: ship state out, ingest remotely, adopt the result
-            futures = [
-                (s, self._pool().submit(
-                    _ingest_shard_task, self._shards[s].to_state(), cols
-                ))
-                for s, cols in work
-            ]
-            for s, future in futures:
-                self._shards[s] = sampler_from_state(future.result())
-
-    def _pool(self) -> concurrent.futures.Executor:
-        if self._executor is None:
-            if self.parallel == "thread":
-                self._executor = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.max_workers
-                )
-            else:
-                self._executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.max_workers
-                )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the dispatch pool (idempotent; pools are lazily
-        recreated if the engine keeps ingesting)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __del__(self):  # best-effort pool cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
+        for s, cols in work:
+            self._shards[s].update_many(**cols)
 
     # ------------------------------------------------------------------
     # Reduction
@@ -452,8 +374,6 @@ class ShardedSampler(StreamSampler):
             "n_shards": self.n_shards,
             "seed": self.seed,
             "salt": self.salt,
-            "parallel": self.parallel,
-            "max_workers": self.max_workers,
         }
 
     def _get_state(self) -> dict:

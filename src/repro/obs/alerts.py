@@ -307,11 +307,22 @@ class AlertEngine:
         return event
 
 
-def _window_values(prev: ServiceMetrics, curr: ServiceMetrics,
+def _window_values(prev: ServiceMetrics | None, curr: ServiceMetrics,
                    interval: float, queue_size: int) -> dict:
-    """One flat service window: ``derive_signals`` plus direct gauges."""
-    signals = derive_signals(prev, curr, interval, queue_size)
-    values = signals.to_dict()
+    """One flat service window: ``derive_signals`` plus direct gauges.
+
+    Without an earlier snapshot, or with no time elapsed since it, there
+    is no window yet: only the gauges and the backlog they imply.
+    """
+    if prev is None or interval <= 0:
+        values = {
+            "backlog": float(curr.queue_depth),
+            "queue_occupancy": (
+                curr.queue_depth / queue_size if queue_size else 0.0
+            ),
+        }
+    else:
+        values = derive_signals(prev, curr, interval, queue_size).to_dict()
     values["queue_depth"] = float(curr.queue_depth)
     values["checkpoint_lag"] = float(curr.checkpoint_lag)
     values["restarts"] = float(curr.restarts)
@@ -338,20 +349,8 @@ class ServiceWatcher:
         now = self.clock() if now is None else float(now)
         curr = ServiceMetrics.from_dict(self.service.metrics.to_dict())
         queue_size = int(getattr(self.service, "queue_size", 0))
-        if self._prev is None or now <= self._prev_at:
-            values = {
-                "queue_depth": float(curr.queue_depth),
-                "checkpoint_lag": float(curr.checkpoint_lag),
-                "restarts": float(curr.restarts),
-                "backlog": float(curr.queue_depth),
-                "queue_occupancy": (
-                    curr.queue_depth / queue_size if queue_size else 0.0
-                ),
-            }
-        else:
-            values = _window_values(
-                self._prev, curr, now - self._prev_at, queue_size
-            )
+        interval = 0.0 if self._prev is None else now - self._prev_at
+        values = _window_values(self._prev, curr, interval, queue_size)
         self._prev, self._prev_at = curr, now
         return values
 
@@ -383,20 +382,8 @@ class ClusterWatcher:
         now = self.clock() if now is None else float(now)
         curr = self.cluster.metrics().total
         queue_size = self._queue_size()
-        if self._prev is None or now <= self._prev_at:
-            values = {
-                "queue_depth": float(curr.queue_depth),
-                "checkpoint_lag": float(curr.checkpoint_lag),
-                "restarts": float(curr.restarts),
-                "backlog": float(curr.queue_depth),
-                "queue_occupancy": (
-                    curr.queue_depth / queue_size if queue_size else 0.0
-                ),
-            }
-        else:
-            values = _window_values(
-                self._prev, curr, now - self._prev_at, queue_size
-            )
+        interval = 0.0 if self._prev is None else now - self._prev_at
+        values = _window_values(self._prev, curr, interval, queue_size)
         self._prev, self._prev_at = curr, now
         values["workers_down"] = float(len(self.cluster.down_services()))
         values["circuits_open"] = float(

@@ -3,21 +3,22 @@
 One module per application section of the paper.  Every streaming sampler
 here implements the unified :class:`repro.api.StreamSampler` protocol:
 
-* ``update(key, weight=1.0, *, value=None, time=None)`` offers one item
-  (samplers with extra per-item columns add keyword-only parameters:
-  ``size=`` for :class:`BudgetSampler`, ``group=`` for
-  :class:`GroupedDistinctSketch`, ``strata=`` for
+* ``update(key, weight=1.0, *, value=None, time=None)`` offers one item.
+  Samplers with a required per-item column take it keyword-only and
+  raise ``TypeError`` without it: ``time=`` for
+  :class:`SlidingWindowSampler` and :class:`ExponentialDecaySampler`,
+  ``group=`` for :class:`GroupedDistinctSketch`, ``strata=`` for
   :class:`MultiStratifiedSampler`, ``weights=`` for
-  :class:`MultiObjectiveSampler`);
+  :class:`MultiObjectiveSampler` (:class:`BudgetSampler`'s ``size=``
+  defaults to 1);
 * ``update_many(keys, weights=None, values=None, times=None)`` ingests a
-  batch — vectorized with numpy for :class:`BottomKSampler`,
-  :class:`PoissonSampler`, :class:`WeightedDistinctSketch` and
-  :class:`AdaptiveDistinctSketch`;
+  batch through the class's vectorized kernel, with the same resulting
+  state as the per-item loop;
 * ``sample()`` finalizes into a :class:`repro.core.sample.Sample`;
 * ``merge(other)`` merges in place and returns ``self``; ``a | b`` (or
   :func:`repro.api.merged`) is the pure form;
 * ``estimate(kind=..., ...)`` fronts the per-sampler ``estimate_*``
-  methods;
+  methods; an unknown ``kind`` raises ``ValueError``;
 * ``to_state()`` / ``from_state()`` round-trip the full sampler state as a
   plain dict.
 
@@ -60,20 +61,8 @@ __all__ = [
     "solve_stopping_threshold",
     "PriorityLayoutTable",
     "MultiObjectiveLayout",
-    "QueryResult",
     "ScanResult",
     "ExponentialDecaySampler",
     "VarOptSampler",
     "ConditionalPoissonSampler",
 ]
-
-
-def __getattr__(name: str):
-    """Forward the deprecated ``QueryResult`` alias to :mod:`.aqp`,
-    which emits the :class:`DeprecationWarning` (lazy, so plain package
-    import stays warning-free)."""
-    if name == "QueryResult":
-        from . import aqp
-
-        return aqp.QueryResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,26 +20,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..api import query_support, register_sampler
-from ..api.protocol import family_from_name, family_to_name
+from ..api.protocol import (
+    STATE_VERSION,
+    family_from_name,
+    family_to_name,
+    upgrade_state,
+)
 from ..core.hashing import hash_array_to_unit
 from ..core.priorities import InverseWeightPriority, PriorityFamily
 
 __all__ = [
     "PriorityLayoutTable",
     "ScanResult",
-    "QueryResult",
     "MultiObjectiveLayout",
 ]
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Outcome of an early-stopping scan.
-
-    (Formerly named ``QueryResult``; renamed to avoid colliding with the
-    declarative query layer's :class:`repro.query.QueryResult` — the old
-    name remains importable as a deprecated alias.)
-    """
+    """Outcome of an early-stopping scan."""
 
     estimate: float
     stderr: float
@@ -52,25 +51,6 @@ class ScanResult:
         """Fraction of the physical table the scan had to read."""
         return self.rows_read / max(self.rows_total, 1)
 
-
-def __getattr__(name: str):
-    """Deprecated alias: ``QueryResult`` is :class:`ScanResult` now.
-
-    Lazy so importing the module stays warning-free; touching the old
-    name warns once per call site, matching the repo's other shims.
-    """
-    if name == "QueryResult":
-        import warnings
-
-        warnings.warn(
-            "repro.samplers.aqp.QueryResult was renamed to ScanResult "
-            "(the declarative query layer owns the name repro.QueryResult "
-            "now); update the import",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ScanResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Shared capability-row reason for the offline physical layouts.
 _LAYOUT_REASON = (
@@ -340,7 +320,7 @@ class PriorityLayoutTable:
         self._flush_pending()
         return {
             "sampler": "priority_layout",
-            "version": 1,
+            "version": STATE_VERSION,
             "params": {
                 "values": self._input_values.tolist(),
                 "weights": (
@@ -357,7 +337,7 @@ class PriorityLayoutTable:
     @classmethod
     def from_state(cls, state: dict) -> "PriorityLayoutTable":
         """Rebuild the layout from :meth:`to_state` output."""
-        return cls(**state["params"])
+        return cls(**upgrade_state(state)["params"])
 
 
 @register_sampler("multi_objective_layout")
@@ -513,7 +493,7 @@ class MultiObjectiveLayout:
         """Serialize the layout's construction inputs to a plain dict."""
         return {
             "sampler": "multi_objective_layout",
-            "version": 1,
+            "version": STATE_VERSION,
             "params": {
                 "metrics": {m: v.tolist() for m, v in self.metrics.items()},
                 "k": self.k,
@@ -525,7 +505,7 @@ class MultiObjectiveLayout:
     @classmethod
     def from_state(cls, state: dict) -> "MultiObjectiveLayout":
         """Rebuild the layout from :meth:`to_state` output."""
-        params = dict(state["params"])
+        params = dict(upgrade_state(state)["params"])
         params["metrics"] = {
             m: np.asarray(v, dtype=float) for m, v in params["metrics"].items()
         }

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..api import query_support, register_sampler
+from ..api.protocol import STATE_VERSION, upgrade_state
 from ..core.rng import as_generator
 
 __all__ = ["ConditionalPoissonSampler"]
@@ -204,7 +205,7 @@ class ConditionalPoissonSampler:
         """Serialize the design to a plain dict (params only)."""
         return {
             "sampler": "cps",
-            "version": 1,
+            "version": STATE_VERSION,
             "params": {"working_probs": self.p.tolist(), "k": self.k},
             "state": {},
         }
@@ -212,4 +213,4 @@ class ConditionalPoissonSampler:
     @classmethod
     def from_state(cls, state: dict) -> "ConditionalPoissonSampler":
         """Rebuild the design from :meth:`to_state` output."""
-        return cls(**state["params"])
+        return cls(**upgrade_state(state)["params"])

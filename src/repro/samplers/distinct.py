@@ -30,7 +30,6 @@ path.
 from __future__ import annotations
 
 import heapq
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -451,17 +450,6 @@ class AdaptiveDistinctSketch(StreamSampler):
                 merged_entries[key] = (h, tau)
         self._admission_cap = min(own_threshold, other_threshold)
         return self
-
-    def merge_in_place(self, other: "AdaptiveDistinctSketch") -> "AdaptiveDistinctSketch":
-        """Deprecated alias of :meth:`merge` (which is now in-place)."""
-        warnings.warn(
-            "AdaptiveDistinctSketch.merge_in_place() is deprecated; merge() "
-            "is in-place under the StreamSampler protocol (use a | b for a "
-            "pure union)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.merge(other)
 
     def resize(self, k: int) -> "AdaptiveDistinctSketch":
         """Change the budget mid-stream; the fold is :meth:`trim`'s.

@@ -21,7 +21,6 @@ trade the paper spells out).  Mechanics on a new item of group ``g``:
 
 from __future__ import annotations
 
-import warnings
 from typing import Hashable
 
 import numpy as np
@@ -33,9 +32,6 @@ from ..core.priorities import Uniform01Priority
 from ..core.sample import Sample
 
 __all__ = ["GroupedDistinctSketch"]
-
-# Sentinel distinguishing "weight omitted" from a legacy positional key.
-_UNSET = object()
 
 
 class _GroupSketch:
@@ -85,7 +81,6 @@ class GroupedDistinctSketch(StreamSampler):
     """
 
     default_estimate_kind = "distinct"
-    legacy_estimate_param = "group"
     #: Rows are retained ``(group, key)`` pairs under their governing
     #: threshold — group-by queries over ``gk[0]`` are the native shape.
     query_capabilities = query_support(
@@ -117,35 +112,17 @@ class GroupedDistinctSketch(StreamSampler):
     def update(
         self,
         key: object,
-        weight: float = _UNSET,
+        weight: float = 1.0,
         *,
         value=None,
         time=None,
         group: Hashable | None = None,
     ) -> None:
-        """Offer one (group, item) observation.
-
-        Canonical form: ``update(key, group=...)`` (the sketch is
-        unweighted, so ``weight`` is accepted only for protocol
-        uniformity).  The legacy positional form ``update(group, key)`` is
-        detected — the second positional used to be the key, which lands in
-        ``weight`` — and still works with a :class:`DeprecationWarning`,
-        but only when that value cannot be a weight (non-numeric); numeric
-        ambiguity raises instead of silently swapping key and group.
-        """
+        """Offer one ``(group, key)`` observation: ``update(key,
+        group=...)``, with ``group=`` required (the sketch is unweighted,
+        so ``weight`` is accepted only for protocol uniformity)."""
         if group is None:
-            if weight is _UNSET or isinstance(weight, (int, float, np.number)):
-                raise TypeError("update() requires a group= keyword")
-            warnings.warn(
-                "GroupedDistinctSketch.update(group, key) is deprecated; "
-                "use update(key, group=group)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            group, key = key, weight
-        self._update(group, key)
-
-    def _update(self, group: Hashable, key: object) -> None:
+            raise TypeError("update() requires a group= keyword")
         self.items_seen += 1
         h = hash_to_unit((group, key), self.salt)
         sketch = self.dedicated.get(group)

@@ -15,7 +15,6 @@ function of weight correlation (design-choice ablation A2 in DESIGN.md).
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -75,27 +74,10 @@ class MultiObjectiveSampler(StreamSampler):
         time=None,
         weights: Mapping[str, float] | None = None,
     ) -> None:
-        """Offer an item with one weight per objective.
-
-        Canonical form: ``update(key, weights={"profit": ..., ...})``.  The
-        legacy positional form ``update(key, weights_dict)`` is detected
-        (the mapping lands in ``weight``) and still works with a
-        :class:`DeprecationWarning`.
-        """
+        """Offer an item with one weight per objective: ``update(key,
+        weights={"profit": ..., ...})``, with ``weights=`` required."""
         if weights is None:
-            if not isinstance(weight, Mapping):
-                raise TypeError("update() requires a weights= mapping")
-            warnings.warn(
-                "MultiObjectiveSampler.update(key, weights_dict) as a "
-                "positional argument is deprecated; use "
-                "update(key, weights=weights_dict)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            weights = weight
-        self._update(key, weights)
-
-    def _update(self, key: object, weights: Mapping[str, float]) -> None:
+            raise TypeError("update() requires a weights= mapping")
         self.items_seen += 1
         u = hash_to_unit(key, self.salt)
         for name in self.objectives:

@@ -35,7 +35,6 @@ plus list maintenance.
 from __future__ import annotations
 
 import bisect
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -197,64 +196,24 @@ class SlidingWindowSampler(StreamSampler):
 
     advance._bumps_state_version = True  # self-managed: bumps only on expiry
 
-    def update(self, *args, **kwargs) -> bool:
-        """Offer one arrival; returns True when it was stored.
+    def update(
+        self, key, weight: float = 1.0, *, value=None, time=None
+    ) -> bool:
+        """Offer one arrival at ``time``; returns True when it was stored.
 
-        Canonical form: ``update(key, weight=1.0, *, value=None, time=...)``
-        with ``time`` required (the sampler is time-indexed; ``weight`` is
-        accepted for protocol uniformity but must be 1 — the window sample
-        is uniform).  The legacy positional form ``update(time, key,
-        value=1.0)`` still works but emits a :class:`DeprecationWarning`.
+        ``time`` is required (the sampler is time-indexed).  ``weight`` is
+        accepted for protocol uniformity and ignored: the window sample is
+        uniform.
         """
-        if "time" in kwargs:
-            time = float(kwargs.pop("time"))
-            value = kwargs.pop("value", None)
-            kwargs.pop("weight", None)
-            if args:
-                key = args[0]
-                if len(args) > 2:
-                    raise TypeError("too many positional arguments to update()")
-            else:
-                key = kwargs.pop("key")
-            if kwargs:
-                raise TypeError(f"unexpected arguments {sorted(kwargs)}")
-            value = 1.0 if value is None else float(value)
-        else:
-            params = list(args)
-            if "t" not in kwargs:
-                # A call with no time at all — keyword-only, or a leading
-                # positional that cannot be a legacy time — is a missing
-                # required argument, not a KeyError('t') or a
-                # float-conversion ValueError.
-                legacy_time = False
-                if params:
-                    try:
-                        float(params[0])
-                        legacy_time = True
-                    except (TypeError, ValueError):
-                        pass
-                if not legacy_time:
-                    raise TypeError(
-                        "time= is required: every SlidingWindowSampler "
-                        "arrival needs a time (update(key, value=..., "
-                        "time=...))"
-                    )
-            warnings.warn(
-                "SlidingWindowSampler.update(time, key, value) is "
-                "deprecated; use update(key, value=..., time=...)",
-                DeprecationWarning,
-                stacklevel=2,
+        if time is None:
+            raise TypeError(
+                "time= is required: every SlidingWindowSampler arrival "
+                "needs a time (update(key, value=..., time=...))"
             )
-            time = float(params.pop(0)) if params else float(kwargs.pop("t"))
-            key = params.pop(0) if params else kwargs.pop("key")
-            value = float(params.pop(0)) if params else float(kwargs.pop("value", 1.0))
-            if params or kwargs:
-                raise TypeError("too many arguments to update()")
-        return self._update(time, key, value)
-
-    def _update(self, time: float, key: object, value: float) -> bool:
+        time = float(time)
+        value = 1.0 if value is None else float(value)
         self.advance(time)
-        self.last_time = max(self.last_time, float(time))
+        self.last_time = max(self.last_time, time)
         self.items_seen += 1
         self._seq += 1
         r = float(self.rng.random())
@@ -296,7 +255,8 @@ class SlidingWindowSampler(StreamSampler):
         which is write-only during ingestion.  The batch path pre-draws all
         uniforms (identical generator consumption), locates expiry
         boundaries by searchsorted on the time column (times must be
-        non-decreasing; otherwise the per-item path runs), scans runs with
+        non-decreasing; otherwise the protocol's per-item loop runs), scans
+        runs with
         a plain-float comparison loop, and materializes the batch's stack
         effect at the end by walking the segments backwards under the
         running minimum — segments whose clamp floor is already at or
@@ -311,7 +271,7 @@ class SlidingWindowSampler(StreamSampler):
         t_arr = _as_optional_array(times, n, "times")
         v = _as_optional_array(values, n, "values")
         if n > 1 and not bool(np.all(t_arr[1:] >= t_arr[:-1])):
-            self._update_many_seq(keys, v, t_arr)
+            super().update_many(keys, weights, values, times)
             return
 
         u_arr = self.rng.random(n)
@@ -348,8 +308,9 @@ class SlidingWindowSampler(StreamSampler):
         while pos < n:
             # Event gate: the first position where the scalar loop's lazy
             # advance() would fire (stale head, due expiry, or due drop).
-            # Stores never change the heads, so the gate is recomputed only
-            # after an advance() or a head eviction.
+            # A store changes the heads only when it creates the first
+            # one, so the gate is recomputed only after an advance(), a
+            # head eviction, or a store into an empty arrival order.
             if gate < 0:
                 if order:
                     rec0 = records_get(order[0])
@@ -378,6 +339,8 @@ class SlidingWindowSampler(StreamSampler):
                     1.0 if v_l is None else v_l[pos],
                     float(t_arr[pos]), u[pos], seq0 + pos + 1, 1.0,
                 )
+                if not order:
+                    gate = -1  # this store creates the head: re-gate
                 order.append(rid)
                 idx = bisect_left(pri, u[pos])
                 pri.insert(idx, u[pos])
@@ -459,95 +422,6 @@ class SlidingWindowSampler(StreamSampler):
         last = float(t_arr[-1]) if n else self.last_time
         if last > self.last_time:
             self.last_time = last
-
-    def _update_many_seq(self, keys, v, t_arr) -> None:
-        """Per-item bulk path for unsorted time columns.
-
-        Pre-draws the batch's uniforms (identical stream consumption),
-        skips the scalar path's keyword parsing, and only enters
-        :meth:`advance` when an expiry or lazy eviction is pending.
-        """
-        keys = _as_key_list(keys)
-        n = len(keys)
-        t_col = t_arr.tolist()
-        v_col = None if v is None else v.tolist()
-        u = self.rng.random(n).tolist()
-
-        records = self._records
-        order = self._arrival_order
-        pri = self._cur_pri
-        ids = self._cur_ids
-        expired = self._expired
-        updates = self._updates
-        k = self.k
-        window = self.window
-        seq = self._seq
-        next_id = self._next_id
-        last_time = self.last_time
-        max_current = self.max_current
-        bisect_left = bisect.bisect_left
-
-        for i in range(n):
-            ti = t_col[i]
-            # Enter the expiry path only when it has work to do (advance is
-            # a no-op otherwise, so lazily skipping it is state-identical).
-            if order:
-                rec0 = records.get(order[0])
-                if rec0 is None or rec0.time <= ti - window or (
-                    expired and expired[0][0] <= ti - 2.0 * window
-                ):
-                    self.advance(ti)
-            elif expired and expired[0][0] <= ti - 2.0 * window:
-                self.advance(ti)
-            if ti > last_time:
-                last_time = ti
-            seq += 1
-            r = u[i]
-
-            cur_len = len(pri)
-            if cur_len < k:
-                rid = next_id
-                next_id += 1
-                records[rid] = _Record(keys[i], 1.0 if v_col is None else v_col[i],
-                                       ti, r, seq, 1.0)
-                order.append(rid)
-                idx = bisect_left(pri, r)
-                pri.insert(idx, r)
-                ids.insert(idx, rid)
-                if cur_len + 1 > max_current:
-                    max_current = cur_len + 1
-                continue
-
-            c_km1 = pri[-2]
-            c_k = pri[-1]
-            t_n = r
-            if t_n < c_km1:
-                t_n = c_km1
-            if t_n > c_k:
-                t_n = c_k
-            if r < t_n:
-                pri.pop()
-                evict_id = ids.pop()
-                del records[evict_id]
-                rid = next_id
-                next_id += 1
-                records[rid] = _Record(keys[i], 1.0 if v_col is None else v_col[i],
-                                       ti, r, seq, t_n)
-                order.append(rid)
-                idx = bisect_left(pri, r)
-                pri.insert(idx, r)
-                ids.insert(idx, rid)
-            while updates and updates[-1][1] >= t_n:
-                updates.pop()
-            updates.append((seq, t_n))
-            if cur_len > max_current:
-                max_current = cur_len
-
-        self.items_seen += n
-        self._seq = seq
-        self._next_id = next_id
-        self.last_time = last_time
-        self.max_current = max_current
 
     def _store(
         self, key: object, value: float, time: float, priority: float, threshold: float

@@ -24,7 +24,6 @@ move down, so no discarded item could have been needed.
 from __future__ import annotations
 
 import heapq
-import warnings
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -125,36 +124,20 @@ class MultiStratifiedSampler(StreamSampler):
         time=None,
         strata: Sequence[Hashable] | None = None,
     ) -> None:
-        """Offer an item with one stratum label per dimension.
-
-        Canonical form: ``update(key, strata=(...), value=...)``.  The
-        legacy positional form ``update(key, strata, value)`` is detected
-        (the tuple lands in ``weight``) and still works with a
-        :class:`DeprecationWarning`.
-        """
+        """Offer an item with one stratum label per dimension:
+        ``update(key, strata=(...), value=...)``, with ``strata=``
+        required."""
         if strata is None:
-            if not isinstance(weight, (tuple, list)):
-                raise TypeError("update() requires a strata= sequence")
-            warnings.warn(
-                "MultiStratifiedSampler.update(key, strata, value) is "
-                "deprecated; use update(key, strata=strata, value=value)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            strata = weight
-        value = 1.0 if value is None else float(value)
-        self._update(key, strata, value)
-
-    def _update(
-        self, key: object, strata: Sequence[Hashable], value: float
-    ) -> None:
+            raise TypeError("update() requires a strata= sequence")
         if len(strata) != self.n_dims:
             raise ValueError(f"expected {self.n_dims} stratum labels")
         self.items_seen += 1
         if key in self._items:
             return
         r = hash_to_unit(key, self.salt)
-        self._items[key] = (tuple(strata), r, float(value))
+        self._items[key] = (
+            tuple(strata), r, 1.0 if value is None else float(value)
+        )
         for dim, label in enumerate(strata):
             state = self._strata.get((dim, label))
             if state is None:

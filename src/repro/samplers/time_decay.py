@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -88,64 +87,18 @@ class ExponentialDecaySampler(StreamSampler):
         self.items_seen = 0
         self._last_time = -math.inf
 
-    def update(self, *args, **kwargs) -> bool:
-        """Offer an item arriving at ``time`` (non-decreasing).
-
-        Canonical form: ``update(key, weight=1.0, *, value=None, time=...)``
-        with ``time`` required.  The legacy positional form
-        ``update(time, key, weight, value)`` still works but emits a
-        :class:`DeprecationWarning`.
-        """
-        if "time" in kwargs:
-            time = float(kwargs.pop("time"))
-            value = kwargs.pop("value", None)
-            weight = kwargs.pop("weight", None)
-            params = list(args)
-            key = params.pop(0) if params else kwargs.pop("key")
-            if params:
-                weight = params.pop(0)
-            weight = 1.0 if weight is None else float(weight)
-            if params or kwargs:
-                raise TypeError("too many arguments to update()")
-        else:
-            params = list(args)
-            if "t" not in kwargs:
-                # A call with no time at all — keyword-only, or a leading
-                # positional that cannot be a legacy time — is a missing
-                # required argument, and it deserves a clear TypeError,
-                # not a KeyError('t') or a float-conversion ValueError.
-                legacy_time = False
-                if params:
-                    try:
-                        float(params[0])
-                        legacy_time = True
-                    except (TypeError, ValueError):
-                        pass
-                if not legacy_time:
-                    raise TypeError(
-                        "time= is required: every ExponentialDecaySampler "
-                        "item needs an arrival time (update(key, weight, "
-                        "value=..., time=...))"
-                    )
-            warnings.warn(
-                "ExponentialDecaySampler.update(time, key, weight, value) "
-                "is deprecated; use update(key, weight, value=..., time=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            time = float(params.pop(0)) if params else float(kwargs.pop("t"))
-            key = params.pop(0) if params else kwargs.pop("key")
-            weight = (
-                float(params.pop(0)) if params else float(kwargs.pop("weight", 1.0))
-            )
-            value = params.pop(0) if params else kwargs.pop("value", None)
-            if params or kwargs:
-                raise TypeError("too many arguments to update()")
-        return self._update(time, key, weight, value)
-
-    def _update(
-        self, time: float, key: object, weight: float, value: float | None
+    def update(
+        self, key, weight: float = 1.0, *, value=None, time=None
     ) -> bool:
+        """Offer an item arriving at ``time`` (required, non-decreasing)."""
+        if time is None:
+            raise TypeError(
+                "time= is required: every ExponentialDecaySampler item "
+                "needs an arrival time (update(key, weight, value=..., "
+                "time=...))"
+            )
+        time = float(time)
+        weight = float(weight)
         if weight <= 0:
             raise ValueError("weight must be positive")
         if time < self._last_time:

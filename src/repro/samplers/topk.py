@@ -101,7 +101,6 @@ class AdaptiveTopKSampler(StreamSampler):
     """
 
     default_estimate_kind = "count"
-    legacy_estimate_param = "key"
     #: Sample rows are per-key *estimates* (values already unbiased, rows
     #: at probability 1), so only sum-style aggregates over those
     #: estimates make sense.

@@ -72,6 +72,9 @@ import os
 import struct
 from collections import OrderedDict
 
+import numpy as np
+
+from ...api.protocol import _as_key_list
 from .metrics import FrontendMetrics
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 from .tenants import TokenBucket
@@ -101,6 +104,11 @@ assert _HEADER.unpack(_HTTP_GET)[0] > MAX_FRAME
 _QUERY_OPTIONS = (
     "aggregate", "k", "q", "ci", "window", "last", "decay", "now",
 )
+
+
+def _plain(value):
+    """A numpy scalar as the Python number ``json`` can encode."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 class FrameError(RuntimeError):
@@ -831,13 +839,13 @@ class ClusterClient:
         makes a blocking admission conditional on the tenant's frontier
         (a non-retryable ``StaleFrontier`` error reply otherwise)."""
         request = {
-            "verb": "ingest", "tenant": tenant, "key": key,
-            "weight": weight, "block": block,
+            "verb": "ingest", "tenant": tenant, "key": _plain(key),
+            "weight": _plain(weight), "block": block,
         }
         if value is not None:
-            request["value"] = value
+            request["value"] = _plain(value)
         if time is not None:
-            request["time"] = time
+            request["time"] = _plain(time)
         if expect_frontier is not None:
             request["expect_frontier"] = int(expect_frontier)
         if request_id is None and self.retry is not None:
@@ -857,17 +865,17 @@ class ClusterClient:
         makes a blocking admission conditional on the tenant's frontier
         (a non-retryable ``StaleFrontier`` error reply otherwise)."""
         request = {
-            "verb": "ingest_many", "tenant": tenant, "keys": list(keys),
-            "block": block,
+            "verb": "ingest_many", "tenant": tenant,
+            "keys": _as_key_list(keys), "block": block,
         }
         if expect_frontier is not None:
             request["expect_frontier"] = int(expect_frontier)
         if weights is not None:
-            request["weights"] = list(weights)
+            request["weights"] = _as_key_list(weights)
         if values is not None:
-            request["values"] = list(values)
+            request["values"] = _as_key_list(values)
         if times is not None:
-            request["times"] = list(times)
+            request["times"] = _as_key_list(times)
         if request_id is None and self.retry is not None:
             request_id = self.next_request_id()
         if request_id is not None:

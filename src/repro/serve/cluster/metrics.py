@@ -64,10 +64,6 @@ class FrontendMetrics:
             "trace_reads": self.trace_reads,
         }
 
-    def as_dict(self) -> dict:
-        """Alias of :meth:`to_dict`."""
-        return self.to_dict()
-
 
 @dataclass
 class ClusterMetrics:
@@ -140,7 +136,3 @@ class ClusterMetrics:
                 for name, row in sorted(self.services_down.items())
             },
         }
-
-    def as_dict(self) -> dict:
-        """Alias of :meth:`to_dict` (mirrors ``ServiceMetrics.as_dict``)."""
-        return self.to_dict()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...api.protocol import StreamSampler, query_support
+from ...api.protocol import StreamSampler, query_support, upgrade_state
 from ...api.registry import SamplerSpec, register_sampler, sampler_from_state
 
 __all__ = [
@@ -162,6 +162,8 @@ class TenantMuxSampler(StreamSampler):
         a destination still holding an earlier, uncommitted copy.
         """
         self._check_tenant_id(tenant)
+        # Upgrade here too: the spec kept below reads the state's params.
+        state = upgrade_state(state)
         self._children[tenant] = sampler_from_state(state)
         self._specs[tenant] = {
             "name": state["sampler"], "params": dict(state.get("params", {}))

@@ -365,7 +365,3 @@ class ServiceMetrics:
             "wal_bytes": self.wal_bytes,
             "restarts": self.restarts,
         }
-
-    def as_dict(self) -> dict:
-        """Alias of :meth:`to_dict` (the cluster aggregation entry point)."""
-        return self.to_dict()

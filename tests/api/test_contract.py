@@ -8,7 +8,8 @@ protocol across the whole registry:
 * merge semantics: in-place ``merge`` returns self, ``|`` is pure, and
   merging is associative-in-distribution on disjoint streams;
 * ``to_state`` / ``from_state`` round-trips, including resuming a stream
-  from a checkpoint with bit-identical results.
+  from a checkpoint with bit-identical results, and every restore path
+  reading the checkpoint's ``version`` field.
 
 Each sampler declares its capabilities in a :class:`Case` row — e.g. the
 offline CPS design supports construction and serialization only.
@@ -16,6 +17,7 @@ offline CPS design supports construction and serialization only.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +33,7 @@ from repro.api import (
     make_sampler,
     merged,
 )
+from repro.api.protocol import STATE_VERSION
 
 N = 400
 
@@ -223,6 +226,30 @@ def _build(case: Case) -> StreamSampler:
 _sample_signature = sample_signature
 
 
+def _at_version(state: dict, version: int) -> dict:
+    """A copy of ``state`` with every checkpoint in its tree stamped
+    ``version``.  At version 1 a sharded engine also carries the dispatch
+    params version-1 code wrote (``parallel="serial"``, ``max_workers`` =
+    ``n_shards``)."""
+    def stamp(node):
+        if isinstance(node, list):
+            return [stamp(item) for item in node]
+        if not isinstance(node, dict):
+            return copy.deepcopy(node)
+        out = {key: stamp(value) for key, value in node.items()}
+        if "sampler" in out and "state" in out:
+            out["version"] = version
+            if version == 1 and out["sampler"] == "sharded":
+                out["params"] = {
+                    **out["params"],
+                    "parallel": "serial",
+                    "max_workers": out["params"]["n_shards"],
+                }
+        return out
+
+    return stamp(state)
+
+
 class TestRegistryCoverage:
     def test_every_registered_sampler_has_a_case(self):
         covered = {c.name for c in CASES} | {name for name, _ in OFFLINE_CASES}
@@ -250,6 +277,18 @@ class TestRegistryCoverage:
         assert state["sampler"] == name
         revived = repro.sampler_from_state(state)
         assert type(revived) is type(obj)
+
+    @pytest.mark.parametrize("name,params", OFFLINE_CASES)
+    def test_offline_constructs_read_the_checkpoint_version(self, name, params):
+        """The offline constructs restore through their own ``from_state``;
+        it upgrades a version-1 checkpoint and refuses a newer one."""
+        state = make_sampler(name, **params).to_state()
+        assert state["version"] == STATE_VERSION
+        upgraded = repro.sampler_from_state(_at_version(state, 1))
+        assert upgraded.to_state() == state
+        newer = STATE_VERSION + 1
+        with pytest.raises(ValueError, match=f"version {newer}"):
+            repro.sampler_from_state(_at_version(state, newer))
 
     @pytest.mark.parametrize("name", [name for name, _ in OFFLINE_CASES])
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
@@ -356,6 +395,23 @@ class TestStreamingContract:
         case.feed(resumed, keys[half:], weights[half:])
         assert _sample_signature(resumed) == _sample_signature(straight)
 
+    def test_restore_reads_the_checkpoint_version(self, case):
+        """Both restore paths take a version-1 checkpoint through the
+        upgrade to the sampler the current checkpoint restores, and refuse
+        a newer version by name instead of misloading it."""
+        sampler = _build(case)
+        case.feed(sampler, _keys(), _weights())
+        state = sampler.to_state()
+        assert state["version"] == STATE_VERSION
+        newer = STATE_VERSION + 1
+        for restore in (type(sampler).from_state, repro.sampler_from_state):
+            current = restore(copy.deepcopy(state))
+            upgraded = restore(_at_version(state, 1))
+            assert upgraded.to_state() == current.to_state()
+            assert _sample_signature(upgraded) == _sample_signature(sampler)
+            with pytest.raises(ValueError, match=f"version {newer}"):
+                restore(_at_version(state, newer))
+
     def test_merge_in_place_and_pure(self, case):
         if not case.supports_merge:
             pytest.skip("sampler does not support merging")
@@ -399,10 +455,31 @@ class TestStreamingContract:
         else:
             value = sampler.estimate()
         assert np.isfinite(float(value))
-        if sampler.legacy_estimate_param is None:
-            with pytest.raises(ValueError):
-                sampler.estimate("no_such_kind_registered")
-        else:
-            # Unknown kinds route to the legacy positional-key path.
-            with pytest.deprecated_call():
-                sampler.estimate("no_such_kind_registered")
+        with pytest.raises(ValueError):
+            sampler.estimate("no_such_kind_registered")
+
+
+@pytest.mark.parametrize("name,params,column,positional", [
+    ("sliding_window", {"k": 8, "window": 1.0}, "time=", (0.5, "item")),
+    ("time_decay", {"k": 8, "decay_rate": 0.1}, "time=", (1.0, "item")),
+    ("grouped_distinct", {"m": 2, "k": 4}, "group=", ("g", "item")),
+    ("multi_stratified", {"n_dims": 1, "k": 4}, "strata=", ("item", ("s",))),
+    ("multi_objective", {"k": 4, "objectives": ["a"]}, "weights=",
+     ("item", {"a": 2.0})),
+], ids=["sliding_window", "time_decay", "grouped_distinct",
+        "multi_stratified", "multi_objective"])
+def test_missing_required_column_is_a_clear_typeerror(
+    name, params, column, positional
+):
+    """A sampler with a required per-item column names it when a call
+    leaves it out — keyword-only, or with the column's value passed
+    positionally, where it lands in ``weight``."""
+    sampler = make_sampler(name, **params)
+    for args, kwargs in (
+        (("item",), {}),
+        ((), {"key": "item", "weight": 2.0}),
+        (positional, {}),
+    ):
+        with pytest.raises(TypeError, match=column):
+            sampler.update(*args, **kwargs)
+    assert sampler.items_seen == 0

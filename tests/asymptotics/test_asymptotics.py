@@ -42,6 +42,23 @@ class TestMEstimators:
         with pytest.raises(ValueError):
             weighted_quantile(np.array([]), np.array([]), 0.5)
 
+    def test_ht_weighted_definitions(self, rng):
+        """At HT weights ``w = 1/p`` the mean is ``sum(w x) / sum(w)`` and
+        the quantile the smallest value whose cumulative weight reaches
+        ``q`` of the total, ties in the values included."""
+        values = rng.integers(0, 20, 200).astype(float)
+        weights = 1.0 / rng.uniform(0.05, 1.0, 200)
+        assert weighted_mean(values, weights) == pytest.approx(
+            np.sum(values * weights) / np.sum(weights)
+        )
+        order = np.argsort(values, kind="stable")
+        cum = np.cumsum(weights[order])
+        for q in (0.1, 0.25, 0.5, 0.9):
+            expected = values[order][np.searchsorted(cum, q * cum[-1])]
+            assert weighted_quantile(values, weights, q) == expected
+        with pytest.raises(ValueError):
+            weighted_mean(np.array([]), np.array([]))
+
     def test_wls_recovers_coefficients(self, rng):
         n = 2000
         X = np.column_stack([np.ones(n), rng.normal(size=n)])

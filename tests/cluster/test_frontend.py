@@ -20,6 +20,7 @@ from repro.serve.cluster.frontend import MAX_FRAME
 from tests.cluster.common import (
     control_signature,
     run_async,
+    sig_of,
     tenant_spec,
     tenant_stream,
 )
@@ -226,6 +227,47 @@ class TestVerbs:
                 for _ in range(5):
                     reply = await read_frame(client._reader)
                     assert reply == {"ok": True, "admitted": True}
+
+        run_async(body())
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint64", "float64"])
+    def test_numpy_inputs_match_inprocess_ingest(self, dtype):
+        """The client sends numpy arrays and scalars as they come — key
+        arrays of any numeric dtype, float64/float32 columns, numpy
+        scalars on the scalar verb — and the tenant ends in the same
+        sample as in-process ingestion of the same events."""
+        import numpy as np
+
+        rng = np.random.default_rng(21)
+        keys = rng.integers(0, 5000, 300).astype(dtype)
+        weights = rng.lognormal(0.0, 0.6, 300)
+        values = (weights * 3.0).astype(np.float32)
+        times = np.sort(rng.uniform(0.0, 10.0, 300))
+        spec = {"name": "bottom_k", "params": {"k": 32, "rng": 9}}
+
+        def rows(sample):
+            return sorted(zip(map(repr, sample.keys), sample.times.tolist()))
+
+        async def body():
+            async with Cluster(services=1) as local:
+                await local.create_tenant("t", spec)
+                await local.ingest_many("t", keys, weights=weights,
+                                        values=values, times=times)
+                await local.ingest("t", keys[0].item(), float(weights[0]),
+                                   value=float(values[0]), time=10.0)
+                await local.flush()
+                expected = await local.sample("t")
+            async with served() as (cluster, client):
+                await client.create_tenant("t", spec)
+                await client.ingest_many("t", keys, weights=weights,
+                                         values=values, times=times)
+                await client.ingest("t", keys[0], weights[0],
+                                    value=values[0], time=np.float64(10.0),
+                                    block=True)
+                await client.admin("flush")
+                got = await cluster.sample("t")
+            assert sig_of(got) == sig_of(expected)
+            assert rows(got) == rows(expected)
 
         run_async(body())
 

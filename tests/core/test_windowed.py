@@ -1,6 +1,5 @@
-"""Mergeable windowed moments and the exponential histogram
-(repro.core.windowed) plus the shared time helpers in
-repro.core.estimators."""
+"""The shared time helpers in repro.core.estimators behind windowed
+and decayed queries."""
 
 from __future__ import annotations
 
@@ -9,15 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import (
-    ExponentialHistogram,
-    Moments,
-    canonical_times,
-    decay_factors,
-    deleted_moments,
-    merged_moments,
-    time_window_mask,
-)
+from repro.core import canonical_times, decay_factors, time_window_mask
 
 
 # ----------------------------------------------------------------------
@@ -52,93 +43,3 @@ class TestTimeHelpers:
     def test_decay_factors_reject_negative_rate(self):
         with pytest.raises(ValueError):
             decay_factors(np.array([1.0]), -0.5, 2.0)
-
-
-# ----------------------------------------------------------------------
-# Moments algebra
-# ----------------------------------------------------------------------
-class TestMoments:
-    def test_of_matches_numpy(self):
-        x = np.random.default_rng(0).normal(3.0, 2.0, 100)
-        m = Moments.of(x)
-        assert m.n == 100
-        assert m.mean == pytest.approx(x.mean())
-        assert m.variance == pytest.approx(x.var())
-        assert m.total == pytest.approx(x.sum())
-
-    def test_merge_equals_whole(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(0, 1, 57), rng.normal(5, 3, 43)
-        merged = merged_moments(Moments.of(a), Moments.of(b))
-        whole = Moments.of(np.concatenate([a, b]))
-        assert merged.n == whole.n
-        assert merged.mean == pytest.approx(whole.mean)
-        assert merged.m2 == pytest.approx(whole.m2)
-
-    def test_merge_with_empty_is_identity(self):
-        m = Moments.of(np.arange(10.0))
-        assert merged_moments(m, Moments.empty()) == m
-        assert merged_moments(Moments.empty(), m) == m
-
-    def test_delete_inverts_merge(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.normal(0, 1, 60), rng.normal(2, 2, 40)
-        whole = Moments.of(np.concatenate([a, b]))
-        recovered = deleted_moments(whole, Moments.of(b))
-        expected = Moments.of(a)
-        assert recovered.n == expected.n
-        assert recovered.mean == pytest.approx(expected.mean)
-        assert recovered.m2 == pytest.approx(expected.m2, abs=1e-8)
-
-    def test_delete_more_than_whole_raises(self):
-        with pytest.raises(ValueError):
-            deleted_moments(Moments.of(np.arange(3.0)),
-                            Moments.of(np.arange(5.0)))
-
-
-# ----------------------------------------------------------------------
-# Exponential histogram
-# ----------------------------------------------------------------------
-class TestExponentialHistogram:
-    def _fill(self, n=500, eps=0.05, seed=3):
-        rng = np.random.default_rng(seed)
-        values = rng.normal(10.0, 4.0, n)
-        times = np.sort(rng.uniform(0.0, 100.0, n))
-        eh = ExponentialHistogram(eps=eps)
-        for v, t in zip(values, times):
-            eh.add(float(v), float(t))
-        return eh, values, times
-
-    def test_times_must_be_nondecreasing(self):
-        eh = ExponentialHistogram()
-        eh.add(1.0, 5.0)
-        with pytest.raises(ValueError):
-            eh.add(1.0, 4.0)
-
-    def test_full_range_moments_are_exact(self):
-        eh, values, _ = self._fill()
-        m = eh.window_moments(-math.inf)
-        assert m.n == len(values)
-        assert m.total == pytest.approx(values.sum())
-        assert m.variance == pytest.approx(values.var(), rel=1e-9)
-
-    def test_windowed_count_within_eps(self):
-        eh, values, times = self._fill()
-        for lo in (10.0, 50.0, 90.0):
-            true_n = int((times > lo).sum())
-            approx = eh.window_moments(lo)
-            # The boundary bucket may straddle lo: count error is
-            # bounded by the eps fraction of the true suffix count.
-            assert abs(approx.n - true_n) <= max(1, 2 * eh.eps * true_n + 1)
-
-    def test_state_is_sublinear(self):
-        eh, _, _ = self._fill(n=5000)
-        assert len(eh) < 400  # O(log n / eps) buckets, not O(n)
-
-    def test_expire_drops_old_buckets(self):
-        eh, _, times = self._fill()
-        before = len(eh)
-        eh.expire(horizon=50.0)
-        assert 0 < len(eh) < before
-        after = eh.window_moments(60.0)
-        assert after.n > 0

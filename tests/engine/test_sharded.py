@@ -3,12 +3,14 @@
 The StreamSampler contract (construction, batch equivalence, chunking,
 checkpointing, merge algebra) is exercised by the registry-wide suite in
 ``tests/api/test_contract.py``; this module covers what is specific to the
-engine: hash routing, parallel dispatch equivalence, merge-tree reduction
-semantics, capability rejection, and composition (engine-of-engine,
-engine-to-engine merges).
+engine: hash routing, merge-tree reduction semantics, capability
+rejection, composition (engine-of-engine, engine-to-engine merges), and
+restoring checkpoints of the earlier state version.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 import repro
 from repro import ShardedSampler, make_sampler, mergeable_samplers
 from repro.core.hashing import batch_shard_indices, shard_of
+from repro.serve.cluster.mux import TenantMuxSampler, install_op
 
 from tests.helpers import sample_signature
 
@@ -90,43 +93,6 @@ class TestRouting:
         assert engine.partition_batch([]) == []
         with pytest.raises(ValueError, match="same length"):
             engine.partition_batch(keys, weights=weights[:-1])
-
-
-class TestParallelDispatch:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_parallel_modes_are_bit_identical_to_serial(self, mode):
-        keys, weights = _stream()
-        serial = _engine()
-        serial.update_many(keys, weights)
-        parallel = _engine(parallel=mode)
-        try:
-            # Two calls so the pool path also covers mid-stream state.
-            parallel.update_many(keys[: N // 2], weights[: N // 2])
-            parallel.update_many(keys[N // 2:], weights[N // 2:])
-        finally:
-            parallel.close()
-        # Per-shard equality, not just post-reduction equality: dispatch
-        # must leave every shard exactly as serial ingestion would (heap
-        # order inside the serialized state may differ, samples may not).
-        for shard_p, shard_s in zip(parallel.shards, serial.shards):
-            assert sample_signature(shard_p) == sample_signature(shard_s)
-            assert shard_p.items_seen == shard_s.items_seen
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="parallel"):
-            _engine(parallel="fibers")
-
-    def test_close_is_idempotent_and_pool_recovers(self):
-        keys, weights = _stream()
-        engine = _engine(parallel="thread")
-        engine.update_many(keys[:100], weights[:100])
-        engine.close()
-        engine.close()
-        engine.update_many(keys[100:200], weights[100:200])
-        engine.close()
-        reference = _engine()
-        reference.update_many(keys[:200], weights[:200])
-        assert sample_signature(engine) == sample_signature(reference)
 
 
 class TestReduction:
@@ -321,7 +287,6 @@ class TestInputValidation:
         class itself must still expose the protocol defaults (plain
         values, not property objects or unbound methods)."""
         assert ShardedSampler.default_estimate_kind == "total"
-        assert ShardedSampler.legacy_estimate_param is None
         assert ShardedSampler.estimate_kinds() == ()
         engine = _engine(name="kmv", params={"k": 16, "salt": 0})
         assert engine.default_estimate_kind == "distinct"
@@ -350,3 +315,78 @@ class TestInputValidation:
             for inner_engine in again.shards
             for leaf in inner_engine.shards
         ] == draws
+
+
+#: A 2-shard KMV engine checkpoint exactly as version-1 code wrote it
+#: (keys 0-9 ingested, thread dispatch configured).
+V1_ENGINE_STATE = {
+    "sampler": "sharded", "version": 1,
+    "params": {
+        "spec": {"name": "kmv", "params": {"k": 3, "salt": 0}},
+        "n_shards": 2, "seed": 0, "salt": 0,
+        "parallel": "thread", "max_workers": 2,
+    },
+    "state": {"shards": [
+        {"sampler": "kmv", "version": 1, "params": {"k": 3, "salt": 0},
+         "state": {"hashes": [0.034011701304346456, 0.11772953082026642,
+                              0.4995499327207215],
+                   "exact": 4, "cap": 1.0}},
+        {"sampler": "kmv", "version": 1, "params": {"k": 3, "salt": 0},
+         "state": {"hashes": [0.24491767505262285, 0.39354525252110645,
+                              0.8927182021782565],
+                   "exact": 3, "cap": 1.0}},
+    ]},
+}
+
+
+class TestCheckpointVersion:
+    @staticmethod
+    def _current() -> ShardedSampler:
+        engine = ShardedSampler(
+            {"name": "kmv", "params": {"k": 3, "salt": 0}}, n_shards=2
+        )
+        engine.update_many(list(range(10)))
+        return engine
+
+    def test_version_1_engine_restores_bit_exactly(self):
+        """The upgrade drops the dispatch params and nothing else: the
+        revived engine equals one the current code built and fed, and
+        keeps ingesting in step with it."""
+        revived = repro.sampler_from_state(copy.deepcopy(V1_ENGINE_STATE))
+        current = self._current()
+        assert revived.to_state() == current.to_state()
+        revived.update_many(list(range(10, 40)))
+        current.update_many(list(range(10, 40)))
+        assert revived.to_state() == current.to_state()
+
+    def test_version_1_engine_inside_a_tenant_mux_restores(self):
+        """Serve and cluster checkpoints nest engine states; here one is a
+        tenant whose spec carries the version-1 params too."""
+        engine_state = copy.deepcopy(V1_ENGINE_STATE)
+        mux_state = {
+            "sampler": "tenant_mux", "version": 1,
+            "params": {"tenants": {"acme": {
+                "name": "sharded", "params": engine_state["params"],
+            }}},
+            "state": {"children": {"acme": engine_state},
+                      "applied": {"acme": 10}, "order": ["acme"]},
+        }
+        mux = repro.sampler_from_state(mux_state)
+        assert (mux.tenant_sampler("acme").to_state()
+                == self._current().to_state())
+        again = repro.sampler_from_state(mux.to_state())
+        assert again.to_state() == mux.to_state()
+        # A rebalance handoff logged by version-1 code replays the same way.
+        replayed = TenantMuxSampler()
+        replayed.update(install_op("acme", copy.deepcopy(V1_ENGINE_STATE)))
+        assert replayed.to_state()["params"] == mux.to_state()["params"]
+
+    def test_newer_version_is_refused_by_name(self):
+        state = self._current().to_state()
+        state["version"] = 99
+        with pytest.raises(ValueError, match="version 99"):
+            repro.sampler_from_state(state)
+        nested = self._current().to_state()
+        nested["state"]["shards"][1]["version"] = 99
+        with pytest.raises(ValueError, match="version 99"):
+            repro.sampler_from_state(nested)

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import (
     MetricFamily,
@@ -201,6 +201,16 @@ finite_floats = st.floats(
 label_dicts = st.dictionaries(label_names, label_values, max_size=4)
 
 
+def _strip_raw_trailing_whitespace(text: str) -> str:
+    """``text`` minus the trailing whitespace a line strip removes from
+    its rendered HELP line.  A newline renders as the two characters
+    ``\\n``, which are not whitespace, so it ends the strip."""
+    end = len(text)
+    while end and text[end - 1].isspace() and text[end - 1] != "\n":
+        end -= 1
+    return text[:end]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     name=metric_names,
@@ -210,6 +220,7 @@ label_dicts = st.dictionaries(label_names, label_values, max_size=4)
         st.tuples(label_dicts, finite_floats), min_size=1, max_size=5
     ),
 )
+@example(name="m", kind="gauge", help_text="\n", rows=[({}, 0.0)])
 def test_scalar_samples_round_trip(name, kind, help_text, rows):
     """Names, labels (any text), HELP, and values survive render→parse."""
     family = MetricFamily(name, kind, help_text)
@@ -223,8 +234,8 @@ def test_scalar_samples_round_trip(name, kind, help_text, rows):
     assert parsed[name]["type"] == kind
     # The parser strips each physical line, so raw trailing whitespace
     # in HELP (never produced by our own adapters) is not preserved;
-    # everything else must round-trip exactly.
-    assert parsed[name]["help"] == help_text.rstrip()
+    # everything else, escaped newlines included, must round-trip exactly.
+    assert parsed[name]["help"] == _strip_raw_trailing_whitespace(help_text)
     got = [(labels, value) for _, labels, value in parsed[name]["samples"]]
     assert len(got) == len(rows)
     for (labels, value), (got_labels, got_value) in zip(rows, got):

@@ -133,17 +133,9 @@ def test_unknown_kind_message_lists_both_surfaces(case):
     """The unknown-kind error enumerates exactly the advertised kinds and
     (when the sampler answers queries) exactly the supported aggregates."""
     sampler = case.build()
-    if sampler.legacy_estimate_param is not None:
-        # Unknown kinds route down the legacy positional-key path for
-        # these samplers (with a deprecation warning), so the message is
-        # checked at its source instead.
-        with pytest.warns(DeprecationWarning):
-            sampler.estimate("definitely_not_a_kind")
-        message = sampler._unknown_kind_message("definitely_not_a_kind")
-    else:
-        with pytest.raises(ValueError) as err:
-            sampler.estimate("definitely_not_a_kind")
-        message = str(err.value)
+    with pytest.raises(ValueError) as err:
+        sampler.estimate("definitely_not_a_kind")
+    message = str(err.value)
     for kind in sampler.estimate_kinds():
         assert kind in message
     supported = sampler.supported_aggregates()

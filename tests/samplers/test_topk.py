@@ -139,3 +139,17 @@ class TestHTReanchoring:
         revived = AdaptiveTopKSampler.from_state(state)
         assert all(e.carry == 0.0 for e in revived.table.values())
         assert set(revived.table) == set(s.table)
+
+
+def test_estimate_kind_with_predicate_dispatches_to_that_kind():
+    """Regression: ``estimate("subset_sum", predicate=...)`` on a sampler
+    whose default kind takes a key must run ``estimate_subset_sum``, not
+    read the kind name as a key."""
+    from repro import make_sampler
+
+    sampler = make_sampler("top_k", k=8, rng=0)
+    sampler.update_many(list(range(64)) * 3)
+    predicate = lambda key: key % 2 == 0  # noqa: E731
+    assert sampler.estimate("subset_sum", predicate=predicate) == (
+        sampler.estimate_subset_sum(predicate)
+    )

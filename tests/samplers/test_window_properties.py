@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.samplers.sliding_window import SlidingWindowSampler
@@ -84,3 +84,63 @@ class TestWeightedDistinctValues:
             values[i] = float(i)
         est = s.estimate_subset_sum(lambda key: key < 10, values=values)
         assert est == pytest.approx(sum(range(10)))  # underfull: exact
+
+
+# Inter-arrival gaps for window=1.0: mostly dense, with some longer than
+# two windows, so a batch also empties its arrival order (and its expired
+# pool) midway.
+arrival_gaps = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=0.3, allow_nan=False),
+        st.floats(min_value=2.1, max_value=5.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+@given(arrival_gaps, st.integers(min_value=2, max_value=8),
+       st.integers(0, 3), st.lists(st.integers(0, 200), max_size=5))
+@settings(max_examples=60, deadline=None)
+@example([0.0, 0.1, 3.0], 2, 0, [])
+def test_batch_per_item_and_chunked_states_agree(gaps, k, seed, cuts):
+    """One ``update_many`` call, the per-item loop and arbitrary chunk
+    splits end in the same state, starting from a fresh sampler."""
+    times = np.cumsum(gaps)
+    keys = np.arange(len(times))
+
+    def fresh():
+        return SlidingWindowSampler(k=k, window=1.0, rng=seed)
+
+    per_item = fresh()
+    for key, t in zip(keys.tolist(), times.tolist()):
+        per_item.update(key, time=t)
+    batch = fresh()
+    batch.update_many(keys, times=times)
+    chunked = fresh()
+    bounds = sorted({0, len(times), *(c for c in cuts if c < len(times))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunked.update_many(keys[lo:hi], times=times[lo:hi])
+    assert batch.to_state() == per_item.to_state()
+    assert chunked.to_state() == per_item.to_state()
+
+
+@given(arrival_batches, st.integers(min_value=2, max_value=8),
+       st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+@example([0.5, 0.2, 3.0, 0.1], 2, 0)
+def test_unsorted_batch_matches_per_item_loop(times, k, seed):
+    """A batch whose times are not sorted takes the per-item path: it ends
+    in the per-item loop's state, values column included."""
+    keys = np.arange(len(times))
+    values = keys * 0.5
+
+    def fresh():
+        return SlidingWindowSampler(k=k, window=1.0, rng=seed)
+
+    per_item = fresh()
+    for key, value, t in zip(keys.tolist(), values.tolist(), times):
+        per_item.update(key, value=value, time=t)
+    batch = fresh()
+    batch.update_many(keys, values=values, times=np.asarray(times))
+    assert batch.to_state() == per_item.to_state()

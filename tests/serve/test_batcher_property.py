@@ -49,7 +49,7 @@ def ingestion_plans(draw):
     # Weights are a function of the key (drawn as a per-key table):
     # duplicate occurrences of a key must agree, which is the
     # distinct-sketch ingestion contract (same rule as the engine
-    # checkpoint-fuzz battery and bench_engine streams).
+    # checkpoint-fuzz battery and perfbench's ingest_engine stream).
     weight_table = draw(st.lists(
         st.floats(min_value=0.1, max_value=8.0, allow_nan=False,
                   allow_infinity=False),
