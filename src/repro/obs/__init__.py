@@ -15,8 +15,9 @@ The operational surface over the serving stack (PR 5–8):
 - :mod:`~repro.obs.trace` — bounded-ring ingest-path spans with
   per-stage durations (queued → WAL → apply, checkpoints separately).
 - :mod:`~repro.obs.alerts` — declarative windowed alert rules with
-  symmetric hysteresis, evaluated on the supervisor cadence via
-  ``derive_signals``-style snapshot differencing.
+  symmetric hysteresis, evaluated on the supervisor cadence over the
+  adaptive controller's own
+  :class:`~repro.serve.control.MetricsWindow`.
 """
 
 from .adapters import (

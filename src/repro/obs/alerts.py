@@ -1,9 +1,10 @@
 """Windowed alert rules over the serving stack's metric deltas.
 
-The engine reuses the control plane's observation model
-(:func:`repro.serve.control.derive_signals`): two metric snapshots are
-differenced into one window of rates/shares, a watcher adds the gauges
-that only exist at the cluster level (``workers_down``,
+The engine reuses the control plane's observation model: a watcher
+feeds its metrics through a :class:`repro.serve.control.MetricsWindow`,
+the same one the adaptive controller reads, which differences each
+source's snapshots into one window of rates/shares.  The watcher adds
+the direct gauges (and, for a cluster, ``workers_down`` and
 ``circuits_open``), and every :class:`AlertRule` is evaluated against
 that flat value map.  Rules are declarative — ``"metric op threshold"``
 over the fixed :data:`ALERT_METRICS` vocabulary — so a typo'd metric
@@ -31,9 +32,9 @@ import operator
 import time
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from ..serve.control import derive_signals
+from ..serve.control import ControlSignals, MetricsWindow
 from ..serve.metrics import ServiceMetrics
 
 __all__ = [
@@ -46,20 +47,13 @@ __all__ = [
     "default_rules",
 ]
 
+#: The direct gauges every watcher adds to a window.
+_GAUGES = ("queue_depth", "checkpoint_lag", "restarts")
+
 #: Metrics from one service-level observation window (the
-#: ``derive_signals`` vocabulary plus the direct gauges).
+#: :class:`ControlSignals` fields plus the direct gauges).
 SERVICE_WINDOW_METRICS = (
-    "interval",
-    "ingest_rate",
-    "drop_rate",
-    "queue_occupancy",
-    "deadline_share",
-    "flush_latency_p99",
-    "avg_flush_duration",
-    "backlog",
-    "queue_depth",
-    "checkpoint_lag",
-    "restarts",
+    tuple(f.name for f in fields(ControlSignals)) + _GAUGES
 )
 
 #: Cluster-only gauges the :class:`ClusterWatcher` adds.
@@ -307,60 +301,61 @@ class AlertEngine:
         return event
 
 
-def _window_values(prev: ServiceMetrics | None, curr: ServiceMetrics,
-                   interval: float, queue_size: int) -> dict:
-    """One flat service window: ``derive_signals`` plus direct gauges.
+def _flat_window(window: MetricsWindow, sources: dict, now: float,
+                 queue_size: int) -> dict:
+    """One flat window over ``sources``: the signals plus direct gauges.
 
-    Without an earlier snapshot, or with no time elapsed since it, there
-    is no window yet: only the gauges and the backlog they imply.
+    Before the window has a start, or with no time elapsed since it,
+    there are no signals: only the gauges and the backlog they imply.
     """
-    if prev is None or interval <= 0:
-        values = {
-            "backlog": float(curr.queue_depth),
-            "queue_occupancy": (
-                curr.queue_depth / queue_size if queue_size else 0.0
-            ),
-        }
-    else:
-        values = derive_signals(prev, curr, interval, queue_size).to_dict()
-    values["queue_depth"] = float(curr.queue_depth)
-    values["checkpoint_lag"] = float(curr.checkpoint_lag)
-    values["restarts"] = float(curr.restarts)
+    total = ServiceMetrics()
+    for metrics in sources.values():
+        total.merge(metrics)
+    signals = window.observe(sources, now, queue_size)
+    values = {
+        "backlog": float(total.queue_depth),
+        "queue_occupancy": (
+            total.queue_depth / queue_size if queue_size else 0.0
+        ),
+    }
+    if signals is not None:
+        values.update(signals.to_dict())
+    for gauge in _GAUGES:
+        values[gauge] = float(getattr(total, gauge))
     return values
 
 
 @dataclass
 class ServiceWatcher:
-    """Snapshot-differencing window source for one ``StreamService``.
+    """Window source for one ``StreamService``.
 
-    Each :meth:`sample` diffs the service's metrics against the previous
-    call (``derive_signals`` style) and returns the flat value map
+    Each :meth:`sample` runs the service's metrics through a
+    :class:`MetricsWindow` and returns the flat value map
     :meth:`AlertEngine.observe` consumes.  The first call has no window
     yet and returns only the direct gauges.
     """
 
     service: object
     clock: object = time.monotonic
-    _prev: ServiceMetrics | None = field(default=None, repr=False)
-    _prev_at: float | None = field(default=None, repr=False)
+    _window: MetricsWindow = field(default_factory=MetricsWindow, repr=False)
 
     def sample(self, now: float | None = None) -> dict:
         """The current observation window's flat value map."""
         now = self.clock() if now is None else float(now)
-        curr = ServiceMetrics.from_dict(self.service.metrics.to_dict())
-        queue_size = int(getattr(self.service, "queue_size", 0))
-        interval = 0.0 if self._prev is None else now - self._prev_at
-        values = _window_values(self._prev, curr, interval, queue_size)
-        self._prev, self._prev_at = curr, now
-        return values
+        return _flat_window(
+            self._window, {"service": self.service.metrics}, now,
+            int(getattr(self.service, "queue_size", 0)),
+        )
 
 
 @dataclass
 class ClusterWatcher:
-    """Window source over a cluster's merged worker pool.
+    """Window source over a cluster's worker pool, one source per worker.
 
-    Adds the cluster-only gauges: ``workers_down`` (the outage map size)
-    and ``circuits_open`` (an optional callable — e.g. counting open
+    A worker that joins, leaves, or restarts between two samples adds
+    nothing to that window (see :class:`MetricsWindow`).  Adds the
+    cluster-only gauges: ``workers_down`` (the outage map size) and
+    ``circuits_open`` (an optional callable — e.g. counting open
     client-side :class:`~repro.serve.cluster.retry.CircuitBreaker`s —
     since breakers live with the clients, not the cluster).
     """
@@ -368,23 +363,18 @@ class ClusterWatcher:
     cluster: object
     circuits: object = None
     clock: object = time.monotonic
-    _prev: ServiceMetrics | None = field(default=None, repr=False)
-    _prev_at: float | None = field(default=None, repr=False)
-
-    def _queue_size(self) -> int:
-        return sum(
-            int(worker.queue_size)
-            for worker in self.cluster._workers.values()
-        )
+    _window: MetricsWindow = field(default_factory=MetricsWindow, repr=False)
 
     def sample(self, now: float | None = None) -> dict:
         """The current cluster-wide observation window's value map."""
         now = self.clock() if now is None else float(now)
-        curr = self.cluster.metrics().total
-        queue_size = self._queue_size()
-        interval = 0.0 if self._prev is None else now - self._prev_at
-        values = _window_values(self._prev, curr, interval, queue_size)
-        self._prev, self._prev_at = curr, now
+        workers = self.cluster._workers
+        values = _flat_window(
+            self._window,
+            {name: worker.metrics for name, worker in workers.items()},
+            now,
+            sum(int(worker.queue_size) for worker in workers.values()),
+        )
         values["workers_down"] = float(len(self.cluster.down_services()))
         values["circuits_open"] = float(
             self.circuits() if callable(self.circuits) else 0

@@ -45,6 +45,7 @@ from .control import (
     CONTROLLER_MODES,
     ControllerConfig,
     ControlSignals,
+    MetricsWindow,
     derive_signals,
 )
 from .metrics import ServiceMetrics
@@ -81,6 +82,7 @@ __all__ = [
     "ControllerConfig",
     "ControlSignals",
     "CONTROLLER_MODES",
+    "MetricsWindow",
     "derive_signals",
     "CheckpointStore",
     "WriteAheadLog",

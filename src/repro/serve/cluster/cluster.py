@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ...api.registry import SamplerSpec
-from ..service import ServiceCrashed, StreamService
+from ..service import _CONFIG_KEYS, ServiceCrashed, StreamService
 from .metrics import ClusterMetrics
 from .mux import compose_rows, create_op, drop_op
 from .ring import HashRing
@@ -71,17 +71,6 @@ class StaleFrontier(RuntimeError):
     guard, a batch retried after a frontier rollback would be admitted
     at the wrong position, silently corrupting the at-least-once
     stream."""
-
-#: Per-worker ``StreamService`` constructor keywords the cluster fans out.
-_SERVICE_KEYS = (
-    "queue_size",
-    "batch_size",
-    "max_latency",
-    "checkpoint_every_events",
-    "segment_max_bytes",
-    "retain_checkpoints",
-    "fsync",
-)
 
 
 @dataclass
@@ -252,6 +241,14 @@ class Cluster:
             fault_hook=_named_hook(self.fault_hook, name),
             trace=self._trace or None,
             **self._service_config,
+        )
+
+    def _recover_worker(self, name: str) -> StreamService:
+        """Worker ``name`` rebuilt (not started) from its own directory."""
+        return StreamService.recover(
+            self.dir / name,
+            fault_hook=_named_hook(self.fault_hook, name),
+            trace=self._trace or None,
         )
 
     # ------------------------------------------------------------------
@@ -928,12 +925,12 @@ class Cluster:
         whatever is left of it, rebuilds it via
         :meth:`StreamService.recover` — newest valid checkpoint plus
         WAL-tail replay, identical to an uninterrupted run over its
-        durable frontier — starts the replacement, and reconciles its
-        resident tenants (in-flight counters reset to the applied
-        frontier; tenants whose create row never became durable are
-        recreated fresh from their spec).  On an in-memory cluster there
-        is nothing durable: residents restart from zero (enqueued and
-        rejection counters reset), which is the documented best effort.
+        durable frontier — starts the replacement, and reconciles it with
+        :meth:`_reconcile_worker`, the same per-worker step cold recovery
+        runs.  On an in-memory cluster there is nothing durable: the
+        replacement starts empty, so that step recreates every resident
+        from its spec with its counters reset (the documented best
+        effort).
 
         On failure the worker *stays marked down* (degraded serving
         continues) and the error propagates — the supervisor retries on
@@ -944,71 +941,54 @@ class Cluster:
             raise KeyError(f"unknown service {name!r}")
         self.mark_service_down(name, reason)
         await self._workers[name].abort()
-        if self.dir is None:
-            fresh = self._build_worker(name)
-            fresh.metrics.restarts += 1
-            await fresh.start()
-            self._workers[name] = fresh
-            residents = [
-                self.registry.get(tenant)
-                for tenant in self.registry.tenants()
-                if self.registry.get(tenant).service == name
-            ]
-            if residents:
-                await fresh.ingest_many([
-                    create_op(record.tenant, record.spec)
-                    for record in residents
-                ])
-                await fresh.flush()
-            for record in residents:
-                record.events_enqueued = 0
-                record.rejected = {why: 0 for why in REJECT_REASONS}
-        else:
-            recovered = StreamService.recover(
-                self.dir / name,
-                fault_hook=_named_hook(self.fault_hook, name),
-                trace=self._trace or None,
-            )
-            recovered.metrics.restarts += 1
-            await recovered.start()
-            self._workers[name] = recovered
-            await self._reconcile_worker(name)
+        worker = (
+            self._build_worker(name) if self.dir is None
+            else self._recover_worker(name)
+        )
+        worker.metrics.restarts += 1
+        await worker.start()
+        self._workers[name] = worker
+        await self._reconcile_worker(name)
         self.mark_service_up(name)
         self._save_meta()
 
     async def _reconcile_worker(self, name: str) -> None:
-        """Scoped post-restart reconciliation for one recovered worker.
+        """Align one started worker's tenants with the registry.
 
         The worker's WAL is authoritative for *state*; the registry for
         *membership*: residents missing from the mux (create row lost
-        with the crash) are recreated fresh, stray mux tenants the
-        registry does not place here (a handoff's drop row lost) are
-        dropped, and each resident's in-flight counter resets to its
-        applied frontier — events admitted but never logged are the
-        producer's to re-send, exactly as on a single service.
+        with the crash, or the whole directory lost) are recreated fresh
+        from their spec with their admission and rejection counters
+        reset — they described a stream history that no longer exists —
+        and stray mux tenants the registry does not place here (a
+        handoff's or a drop's drop row lost) are dropped.  Each
+        resident's in-flight counter resets to its applied frontier:
+        events admitted but never logged are the producer's to re-send,
+        exactly as on a single service.  Shared by hot restarts
+        (:meth:`restart_service`) and cold recovery (:meth:`_reconcile`).
         """
         worker = self._workers[name]
         mux = worker.sampler
         residents = [
-            tenant for tenant in self.registry.tenants()
+            self.registry.get(tenant) for tenant in self.registry.tenants()
             if self.registry.get(tenant).service == name
         ]
-        ops = [
-            create_op(tenant, self.registry.get(tenant).spec)
-            for tenant in residents if not mux.has_tenant(tenant)
-        ]
+        recreated = [r for r in residents if not mux.has_tenant(r.tenant)]
+        ops = [create_op(r.tenant, r.spec) for r in recreated]
         ops.extend(
             drop_op(tenant) for tenant in mux.tenants()
             if tenant not in self.registry
             or self.registry.get(tenant).service != name
         )
+        for record in recreated:
+            record.rejected = {why: 0 for why in REJECT_REASONS}
         if ops:
             await worker.ingest_many(ops)
         await worker.flush()
-        for tenant in residents:
-            self.registry.get(tenant).events_enqueued = (
-                mux.events_applied_for(tenant)
-                if mux.has_tenant(tenant) else 0
+        for record in residents:
+            record.events_enqueued = (
+                mux.events_applied_for(record.tenant)
+                if mux.has_tenant(record.tenant) else 0
             )
 
     async def rehome_service(self, name: str, *,
@@ -1091,7 +1071,7 @@ class Cluster:
             fault_hook=fault_hook,
             clock=clock,
             trace=trace,
-            **{key: config[key] for key in _SERVICE_KEYS if key in config},
+            **{key: config[key] for key in _CONFIG_KEYS if key in config},
         )
         cluster.registry = TenantRegistry.from_dict(
             meta.get("tenants", {}), clock=clock
@@ -1099,11 +1079,7 @@ class Cluster:
         workers: dict[str, StreamService] = {}
         for name in ring.nodes:
             if (root / name / "service.pkl").exists():
-                workers[name] = StreamService.recover(
-                    root / name,
-                    fault_hook=_named_hook(fault_hook, name),
-                    trace=trace or None,
-                )
+                workers[name] = cluster._recover_worker(name)
             else:
                 # The worker's directory is gone entirely (disk lost).
                 # Its durable state is unrecoverable; stand up a fresh
@@ -1121,19 +1097,17 @@ class Cluster:
         The rebalance protocol makes a move durable on the destination
         *before* dropping the source or persisting the new placement, so
         after a crash a tenant can be (a) on both workers — the
-        registry's placement wins, the other copy is dropped; (b) only on
-        a worker the registry does not point at — the move never
-        committed or the meta write was lost, so the placement repoints
-        to the actual holder; (c) nowhere — its create row was admitted
-        but never WAL-logged, *or its worker's directory was lost
-        entirely* — so it is recreated fresh from its spec, with its
-        admission and rejection counters reset: the counters described a
-        stream history that no longer exists, and a recreated tenant's
-        operational story restarts from zero.  Stray mux tenants missing
-        from the registry (a drop whose meta update persisted but whose
-        drop row did not) are dropped.  In-flight counters reset to each
-        holder's applied frontier — events admitted but never logged are
-        the producer's to re-send, exactly as on a single service.
+        registry's placement wins; (b) only on a worker the registry
+        does not point at — the move never committed or the meta write
+        was lost, so the placement repoints to the actual holder; or
+        (c) nowhere — its create row was admitted but never WAL-logged,
+        or its worker's directory was lost entirely — so it stays put
+        (or, if its worker left the pool, goes to its ring owner).  Then
+        :meth:`_reconcile_worker` runs on every worker, exactly as after
+        a hot restart: it drops each copy the registry does not place
+        there (and strays the registry no longer lists) and recreates
+        case (c) fresh.  Only this cold path reopens every ingest gate,
+        since no handoff survives a full restart.
         """
         holders: dict[str, list[str]] = {}
         for name, worker in self._workers.items():
@@ -1141,34 +1115,13 @@ class Cluster:
                 holders.setdefault(tenant, []).append(name)
         for tenant in self.registry.tenants():
             record = self.registry.get(tenant)
-            where = holders.pop(tenant, [])
-            if record.service in where:
-                for name in where:
-                    if name != record.service:
-                        await self._workers[name].ingest_many([drop_op(tenant)])
-            elif where:
+            where = holders.get(tenant, [])
+            if where and record.service not in where:
                 record.service = sorted(where)[0]
-                for name in where:
-                    if name != record.service:
-                        await self._workers[name].ingest_many([drop_op(tenant)])
-            else:
-                if record.service not in self._workers:
-                    record.service = self.ring.node_for(tenant)
-                await self._workers[record.service].ingest_many(
-                    [create_op(tenant, record.spec)]
-                )
-                record.rejected = {
-                    reason: 0 for reason in REJECT_REASONS
-                }
-        for tenant, where in holders.items():
-            for name in where:
-                await self._workers[name].ingest_many([drop_op(tenant)])
-        await self.flush()
+            elif record.service not in self._workers:
+                record.service = self.ring.node_for(tenant)
+        for name in self._workers:
+            await self._reconcile_worker(name)
         for tenant in self.registry.tenants():
-            record = self.registry.get(tenant)
-            mux = self._workers[record.service].sampler
-            record.events_enqueued = (
-                mux.events_applied_for(tenant) if mux.has_tenant(tenant) else 0
-            )
-            record.migrating = False
+            self.registry.get(tenant).migrating = False
         self._save_meta()

@@ -3,9 +3,8 @@
 Workers already maintain :class:`~repro.serve.metrics.ServiceMetrics`
 inline; the cluster layer never re-derives a counter.  ``collect`` takes
 one consistent pass over the pool: each worker's metrics snapshot keyed
-by service name, a single merged total (via ``ServiceMetrics.merge``,
-the satellite this PR extracted exactly for this), and a per-tenant
-table joining the registry's admission/rejection counters with the
+by service name, a single merged total (both via
+``ServiceMetrics.merge``), and a per-tenant table joining the registry's admission/rejection counters with the
 worker-side applied counts and per-tenant drop attribution.
 """
 
@@ -93,7 +92,7 @@ class ClusterMetrics:
         down = down or {}
         out.services_down = {name: dict(row) for name, row in down.items()}
         for name in sorted(workers):
-            snapshot = ServiceMetrics.from_dict(workers[name].metrics.to_dict())
+            snapshot = ServiceMetrics().merge(workers[name].metrics)
             out.services[name] = snapshot
             out.total.merge(snapshot)
         for tenant in registry.tenants():

@@ -5,9 +5,10 @@ A :class:`StreamService` exposes three tuning knobs — ``batch_size``,
 and a :class:`~repro.serve.metrics.ServiceMetrics` instance that says how
 the current settings are doing.  This module closes the loop: an
 :class:`AdaptiveController` runs on the service's own event loop,
-periodically diffs metric snapshots into windowed :class:`ControlSignals`
-(ingest rate, queue occupancy, drop rate, deadline-flush share, windowed
-p99 flush latency), feeds them through one of five policy *modes*, and
+periodically diffs metric snapshots (one :class:`MetricsWindow`, which
+the alert watchers share) into windowed :class:`ControlSignals` (ingest
+rate, queue occupancy, drop rate, deadline-flush share, windowed p99
+flush latency), feeds them through one of five policy *modes*, and
 actuates the resulting deltas via :meth:`StreamService.retune` — which
 applies them at a flush boundary and WAL-logs them, so recovery replays
 the exact same tuning trajectory and stays bit-exact.
@@ -45,7 +46,7 @@ import asyncio
 import math
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 from .metrics import ServiceMetrics
@@ -58,6 +59,7 @@ __all__ = [
     "ControllerConfig",
     "AdaptiveController",
     "CONTROLLER_MODES",
+    "MetricsWindow",
     "derive_signals",
 ]
 
@@ -69,26 +71,6 @@ CONTROLLER_MODES = (
     "surge",
     "low_noise",
 )
-
-
-def _window_quantile(buckets: dict[int, int], q: float) -> float:
-    """Quantile in seconds from a pow2-millisecond bucket delta.
-
-    Same conservative upper-bound convention as
-    :meth:`ServiceMetrics.flush_latency_quantile`, applied to a windowed
-    histogram difference instead of the lifetime histogram.
-    """
-    total = sum(buckets.values())
-    if total == 0:
-        return 0.0
-    rank = q * total
-    seen = 0
-    upper_ms = 1
-    for upper_ms, count in sorted(buckets.items()):
-        seen += count
-        if seen >= rank:
-            break
-    return upper_ms / 1000.0
 
 
 @dataclass(frozen=True)
@@ -112,16 +94,7 @@ class ControlSignals:
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering for trajectories and dashboards."""
-        return {
-            "interval": self.interval,
-            "ingest_rate": self.ingest_rate,
-            "drop_rate": self.drop_rate,
-            "queue_occupancy": self.queue_occupancy,
-            "deadline_share": self.deadline_share,
-            "flush_latency_p99": self.flush_latency_p99,
-            "avg_flush_duration": self.avg_flush_duration,
-            "backlog": self.backlog,
-        }
+        return asdict(self)
 
 
 def derive_signals(
@@ -161,10 +134,64 @@ def derive_signals(
             curr.queue_depth / queue_size if queue_size > 0 else 0.0
         ),
         deadline_share=deadline / flushes if flushes > 0 else 0.0,
-        flush_latency_p99=_window_quantile(delta_buckets, 0.99),
+        flush_latency_p99=ServiceMetrics(
+            flush_latency_buckets=delta_buckets
+        ).flush_latency_quantile(0.99),
         avg_flush_duration=duration / flushes if flushes > 0 else 0.0,
         backlog=int(curr.queue_depth),
     )
+
+
+#: The counters a window differences.  One going backwards means its
+#: source restarted (or was replaced) since the previous snapshot.
+_WINDOW_COUNTERS = (
+    "events_enqueued", "events_dropped", "flushes_size",
+    "flushes_deadline", "flushes_drain", "flush_duration_sum",
+)
+
+
+class MetricsWindow:
+    """The one "before" snapshot behind every windowed metrics reader.
+
+    :meth:`observe` diffs each source's live ``ServiceMetrics`` against
+    that source's own snapshot from the previous call, so the adaptive
+    controller (one service) and the alert watchers (one service, or one
+    source per cluster worker) derive their windows the same way.  A
+    source that is new, gone, or restarted since that call (its
+    ``restarts`` moved or a counter went backwards) adds nothing to the
+    window, so no rate can be negative; gauges read every current source.
+    """
+
+    def __init__(self) -> None:
+        self._before: dict = {}
+        self._at: float | None = None
+
+    def observe(self, sources: dict, now: float,
+                queue_size: int) -> ControlSignals | None:
+        """The window since the previous call, as :class:`ControlSignals`.
+
+        ``sources`` maps a stable source name to its live metrics and
+        ``queue_size`` is their combined buffer bound.  Returns ``None``
+        on the first call, and when no time has passed since the previous
+        one (whose snapshot is then kept, so the next window still covers
+        every event).
+        """
+        if self._at is not None and now <= self._at:
+            return None
+        before, after, snapshots = ServiceMetrics(), ServiceMetrics(), {}
+        for name, metrics in sources.items():
+            curr = snapshots[name] = ServiceMetrics().merge(metrics)
+            prev = self._before.get(name, curr)  # new: diffs to nothing
+            restarted = curr.restarts != prev.restarts or any(
+                getattr(curr, counter) < getattr(prev, counter)
+                for counter in _WINDOW_COUNTERS
+            )
+            before.merge(curr if restarted else prev)
+            after.merge(curr)
+        start, self._before, self._at = self._at, snapshots, now
+        if start is None:
+            return None
+        return derive_signals(before, after, now - start, queue_size)
 
 
 @dataclass(frozen=True)
@@ -257,12 +284,12 @@ class AdaptiveController:
     """Periodic observe→decide→actuate loop over one :class:`StreamService`.
 
     The controller runs as a task on the service's event loop.  Each
-    tick it snapshots ``service.metrics``, diffs against the previous
-    snapshot into :class:`ControlSignals`, asks the mode policy for a
-    retune proposal (:meth:`propose` — pure, unit-testable), and applies
-    any non-empty proposal with ``await service.retune(...)``.  Applied
-    retunes take effect at the service's next flush boundary and are
-    WAL-logged, so a recovered service replays the controller's exact
+    tick its :class:`MetricsWindow` turns ``service.metrics`` into the
+    window's :class:`ControlSignals`; the controller asks the mode policy
+    for a retune proposal (:meth:`propose` — pure, unit-testable) and
+    applies any non-empty proposal with ``await service.retune(...)``.
+    Applied retunes take effect at the service's next flush boundary and
+    are WAL-logged, so a recovered service replays the controller's exact
     decisions without the controller being present.
 
     ``history`` keeps the last 256 ``(signals, applied)`` pairs for
@@ -287,8 +314,7 @@ class AdaptiveController:
         self.history: deque = deque(maxlen=256)
         self.baseline: dict | None = None
         self._task: asyncio.Task | None = None
-        self._prev: ServiceMetrics | None = None
-        self._prev_time: float | None = None
+        self._window = MetricsWindow()
         self._calm_streak = 0
 
     # ------------------------------------------------------------------
@@ -348,24 +374,18 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     async def step(self) -> ControlSignals | None:
         """Observe one window, decide, and actuate.  Returns the window's
-        signals (``None`` on the priming call that has no previous
-        snapshot to diff against)."""
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        curr = ServiceMetrics.from_dict(self.service.metrics.to_dict())
-        if self._prev is None:
-            self._prev, self._prev_time = curr, now
-            return None
-        interval = max(now - self._prev_time, 1e-9)
-        signals = derive_signals(
-            self._prev, curr, interval, self.service.queue_size
+        signals (``None`` on the priming call, and on a call that finds
+        no time elapsed since the previous one)."""
+        signals = self._window.observe(
+            {"service": self.service.metrics},
+            asyncio.get_running_loop().time(),
+            self.service.queue_size,
         )
+        if signals is None:
+            return None
         changes = self.propose(signals)
-        applied: dict = {}
-        if changes:
-            applied = await self.service.retune(**changes)
+        applied = await self.service.retune(**changes) if changes else {}
         self.history.append((signals, applied))
-        self._prev, self._prev_time = curr, now
         return signals
 
     # ------------------------------------------------------------------

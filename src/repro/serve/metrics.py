@@ -228,6 +228,8 @@ class ServiceMetrics:
     def merge(self, other: "ServiceMetrics") -> "ServiceMetrics":
         """Fold ``other``'s counters into this instance (returns ``self``).
 
+        ``ServiceMetrics().merge(m)`` is therefore a deep copy of ``m``:
+        the snapshot idiom of the windowed readers and cluster metrics.
         Counters and histograms sum label-wise.  Gauges accumulate
         conservatively: ``queue_depth`` sums (total buffered events
         across the merged services) and ``queue_high_watermark`` sums,

@@ -78,6 +78,15 @@ _CONFIG_KEYS = (
 )
 
 
+def _update_kwargs(columns: dict) -> dict:
+    """A batch's (or WAL record's) ``update_many`` keywords: its keys
+    plus every optional column that is not ``None``."""
+    return {
+        name: column for name, column in columns.items()
+        if name == "keys" or column is not None
+    }
+
+
 def _cancel_requests(task: asyncio.Task) -> int:
     """Pending external cancel requests on ``task``.
 
@@ -191,7 +200,8 @@ class StreamService:
     --------
     >>> import asyncio, repro.serve
     >>> async def demo():
-    ...     service = repro.serve.StreamService("bottom_k")
+    ...     service = repro.serve.StreamService(
+    ...         {"name": "bottom_k", "params": {"k": 64, "rng": 7}})
     ...     await service.start()
     ...     await service.ingest_many(range(1000))
     ...     await service.flush()
@@ -714,7 +724,8 @@ class StreamService:
         """Apply validated retune changes to the live config + sampler.
 
         Shared by the consumer (live path) and :meth:`recover` (replay
-        of WAL admin records) so both walk the exact same code.
+        of WAL admin records, then its keyword overrides) so both walk
+        the exact same code.
         """
         if "batch_size" in changes:
             self.batch_size = min(int(changes["batch_size"]), self.queue_size)
@@ -773,16 +784,16 @@ class StreamService:
                 try:
                     await asyncio.wait_for(self._wake.wait(), timeout)
                 except (TimeoutError, asyncio.TimeoutError):
-                    # asyncio.TimeoutError != TimeoutError before 3.11.
-                    # On 3.11 ``wait_for`` can swallow an *external*
-                    # ``Task.cancel()`` that races its internal timeout:
-                    # the cancellation is converted into the TimeoutError
-                    # we catch here and the consumer would keep running
-                    # as if nothing happened.  ``cancelling()`` still
-                    # records the lost request — re-raise it.
-                    task = asyncio.current_task()
-                    if task is not None and _cancel_requests(task):
-                        raise asyncio.CancelledError()
+                    pass  # asyncio.TimeoutError != TimeoutError before 3.11
+                # On 3.11 ``wait_for`` can swallow an *external*
+                # ``Task.cancel()`` that races its internal timeout or the
+                # wake itself: the cancellation turns into the TimeoutError
+                # above or a normal return, and the consumer would keep
+                # running as if nothing happened.  ``cancelling()`` still
+                # records the lost request — re-raise it.
+                task = asyncio.current_task()
+                if task is not None and _cancel_requests(task):
+                    raise asyncio.CancelledError()
                 self._wake.clear()
         except asyncio.CancelledError:
             raise
@@ -871,10 +882,6 @@ class StreamService:
         trace = self.trace_log
         spans = self._batcher.pop_spans() if trace is not None else ()
         t_flush = trace.clock() if trace is not None else 0.0
-        kwargs = {
-            name: column for name, column in columns.items()
-            if name == "keys" or column is not None
-        }
         async with self._state_lock:
             if self._wal is not None:
                 frame = self._wal.append(self._durable, n, columns)
@@ -884,7 +891,7 @@ class StreamService:
             self._durable += n
             t_wal = trace.clock() if trace is not None else 0.0
             await self._hook("apply.before")
-            self._sampler.update_many(**kwargs)
+            self._sampler.update_many(**_update_kwargs(columns))
             self._applied += n
             if trace is not None:
                 t_apply = trace.clock()
@@ -961,13 +968,16 @@ class StreamService:
         Loads the newest *valid* checkpoint (corrupt/truncated ones are
         skipped in favor of older ones), revives the sampler from it via
         the registry, and replays the write-ahead-log tail after the
-        checkpoint through ``update_many``.  The result equals — to the
-        bit, RNG streams included — an uninterrupted run over the first
-        :attr:`events_durable` events; events admitted but never logged
-        at the crash are the producer's to re-send from that offset.
+        checkpoint the way the consumer applied it: batches through
+        ``update_many``, retunes through the live retune step.  The
+        result equals — to the bit, RNG streams included — an
+        uninterrupted run over the first :attr:`events_durable` events;
+        events admitted but never logged at the crash are the producer's
+        to re-send from that offset.
 
         Keyword overrides replace persisted config values (e.g. a larger
-        ``queue_size``); the returned service is not started.
+        ``queue_size``) and win over replayed retunes; the returned
+        service is not started.
         """
         root = pathlib.Path(dir)
         meta_path = root / _META_NAME
@@ -1000,70 +1010,46 @@ class StreamService:
             sampler = sampler_from_state(meta["initial_state"])
         admin_seq = int(payload.get("admin_seq", 0)) if payload else 0
 
+        config.update(overrides)
+        service = cls(sampler, dir=root, **config)
+        # Operational counters survive the crash: restore the snapshot
+        # the checkpoint carried, then count the records appended after
+        # it into the WAL and retune counters as the consumer did (their
+        # batches are not re-counted in the histograms — they were
+        # counted when first applied).
+        if payload is not None and "metrics" in payload:
+            service.metrics = ServiceMetrics.from_dict(payload["metrics"])
+        metrics = service.metrics
         durable = offset
-        replayed_records = replayed_bytes = 0
-        retunes: list[dict] = []
         for record in replay_records(root, from_offset=offset):
             if record.offset != durable:
                 break  # non-contiguous tail: not durable
             admin = record.columns.get("admin")
-            if admin is not None:
+            if admin is None:
+                sampler.update_many(**_update_kwargs(record.columns))
+                durable += record.n
+            elif int(admin.get("seq", 0)) <= admin_seq:
+                continue  # the checkpoint's snapshots hold its effect
+            else:
                 # A zero-event admin record: re-apply the retune at the
                 # exact stream position it originally took effect, so
                 # the replayed sampler walks the same resize/fold path.
-                # Records the checkpoint already covers (seq <= the
-                # checkpointed admin_seq) are skipped — the state and
-                # config snapshots hold their effect.
-                seq = int(admin.get("seq", 0))
-                if seq > admin_seq:
-                    # Only post-checkpoint admin records count toward the
-                    # WAL metrics delta; re-yielded ones are already in
-                    # the checkpoint's metrics snapshot.
-                    replayed_records += 1
-                    replayed_bytes += record.nbytes
-                    admin_seq = seq
-                    changes = dict(admin.get("retune", {}))
-                    retunes.append(changes)
-                    if "k" in changes:
-                        sampler.resize(int(changes["k"]))
-                    for key in ("batch_size", "max_latency"):
-                        if key in changes:
-                            config[key] = changes[key]
-                continue
-            kwargs = {
-                name: column for name, column in record.columns.items()
-                if name == "keys" or column is not None
-            }
-            sampler.update_many(**kwargs)
-            durable += record.n
-            replayed_records += 1
-            replayed_bytes += record.nbytes
-
-        config.update(overrides)
-        service = cls(sampler, dir=root, **config)
+                admin_seq = int(admin["seq"])
+                service._apply_retune(admin.get("retune", {}))
+                metrics.record_retune()
+            metrics.wal_records += 1
+            metrics.wal_bytes += record.nbytes
+        service._apply_retune(overrides)  # overrides beat replayed retunes
         service._recovered = True
         service._admin_seq = admin_seq
         service._enqueued = service._durable = service._applied = durable
-        # Operational counters survive the crash: restore the snapshot
-        # the checkpoint carried, then bring the event counters up to the
-        # replayed frontier (replayed batches are not re-counted in the
-        # histograms — they were counted when first applied).
-        if payload is not None and "metrics" in payload:
-            service.metrics = ServiceMetrics.from_dict(payload["metrics"])
-        service.metrics.events_enqueued = durable
-        service.metrics.events_logged = durable
-        service.metrics.events_applied = durable
+        metrics.events_enqueued = durable
+        metrics.events_logged = durable
+        metrics.events_applied = durable
         # The buffer is empty and no flush is in flight right after
         # recovery: zero the volatile gauges (queue_depth, last_flush_*)
         # the snapshot restored, or a controller would read a phantom
         # backlog and mis-retune.
-        service.metrics.reset_volatile()
-        service.metrics.last_checkpoint_offset = offset
-        # Records appended after the checkpoint snapshot are exactly the
-        # replayed ones — fold them in so the WAL counters match disk.
-        # Replayed admin records are retunes the snapshot predates, so
-        # they count toward retunes_applied the same way.
-        service.metrics.wal_records += replayed_records
-        service.metrics.wal_bytes += replayed_bytes
-        service.metrics.retunes_applied += len(retunes)
+        metrics.reset_volatile()
+        metrics.last_checkpoint_offset = offset
         return service

@@ -15,6 +15,7 @@ import pytest
 
 from repro.serve import ServiceCrashed
 from repro.serve.cluster import Cluster, Supervisor
+from repro.serve.cluster.tenants import REJECT_REASONS
 from repro.serve.cluster.health import (
     UNHEALTHY_VERDICTS,
     VERDICT_CRASHED,
@@ -332,6 +333,32 @@ class TestSupervisorFailover:
                     assert len(sample.keys) == 0
                     await cluster.ingest_many("acme", tenant_stream(0, 50))
                     await cluster.flush()
+
+        run_async(body())
+
+    @pytest.mark.parametrize("durable", [True, False],
+                             ids=["disk", "in-memory"])
+    def test_restart_resets_counters_of_a_recreated_tenant(
+            self, tmp_path, durable):
+        # The create row is still buffered (max_latency=5s) when the
+        # worker dies, so the restart recreates the tenant from its
+        # spec.  Its counters described a history that no longer
+        # exists: both restart paths reset them.
+        async def body():
+            async with Cluster(services=2, max_latency=5.0,
+                               dir=tmp_path if durable else None) as cluster:
+                await cluster.create_tenant(
+                    "acme", tenant_spec(0),
+                    quota={"events_per_sec": 1, "burst": 1},
+                )
+                assert not cluster.try_ingest_many("acme", list(range(50)))
+                record = cluster.registry.get("acme")
+                assert record.rejected["rate"] == 50
+                await cluster.service(record.service).abort()
+                await cluster.restart_service(record.service)
+                assert record.rejected == {why: 0 for why in REJECT_REASONS}
+                assert record.events_enqueued == 0
+                assert len((await cluster.sample("acme")).keys) == 0
 
         run_async(body())
 

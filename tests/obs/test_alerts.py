@@ -16,7 +16,6 @@ from repro.obs import (
     ServiceWatcher,
     default_rules,
 )
-from repro.obs.alerts import _window_values
 from repro.serve import ServiceMetrics
 
 pytestmark = [pytest.mark.obs, pytest.mark.timeout(120)]
@@ -151,7 +150,15 @@ class TestDefaultRules:
     QUEUE_SIZE = 100
 
     def window(self, prev: ServiceMetrics, curr: ServiceMetrics, **extra):
-        values = _window_values(prev, curr, 1.0, self.QUEUE_SIZE)
+        """The one-second window from ``prev`` to ``curr``, as a
+        :class:`ServiceWatcher` samples it."""
+        clock = FakeClock(0.0)
+        service = type("S", (), {})()
+        service.metrics, service.queue_size = prev, self.QUEUE_SIZE
+        watcher = ServiceWatcher(service, clock=clock)
+        watcher.sample()
+        service.metrics, clock.now = curr, 1.0
+        values = watcher.sample()
         values.setdefault("workers_down", 0.0)
         values.setdefault("circuits_open", 0.0)
         values.update(extra)
@@ -273,4 +280,53 @@ class TestWatchers:
                 second = watcher.sample()
                 assert second["workers_down"] == 1.0
                 assert second["interval"] == pytest.approx(1.0)
+        asyncio.run(body())
+
+    def test_cluster_watcher_windows_survive_rehome_and_restart(
+            self, tmp_path):
+        import asyncio
+        from repro.serve.cluster import Cluster
+
+        async def body():
+            async with Cluster(services=2, dir=tmp_path) as cluster:
+                tenants = [f"t{i}" for i in range(8)]
+                await cluster.create_tenants({
+                    t: {"name": "bottom_k", "params": {"k": 16, "rng": i}}
+                    for i, t in enumerate(tenants)
+                })
+                for tenant in tenants:
+                    await cluster.ingest_many(tenant, range(5000))
+                await cluster.flush()
+                victim = cluster.registry.get("t0").service
+                survivor = next(n for n in cluster.services if n != victim)
+
+                def enqueued() -> int:
+                    return cluster.service(survivor).metrics.events_enqueued
+
+                clock = FakeClock(1.0)
+                watcher = ClusterWatcher(cluster, clock=clock)
+                watcher.sample()
+                start = enqueued()
+                for tenant in tenants:
+                    await cluster.ingest_many(tenant, range(100))
+                await cluster.flush()
+                await cluster.rehome_service(victim)
+                # The rehomed worker left the pool and adds nothing; the
+                # survivor's feeds and install rows are all counted.
+                clock.now = 2.0
+                window = watcher.sample()
+                assert window["ingest_rate"] == enqueued() - start > 0
+                # A restarted worker is a new lifetime: its window starts
+                # at the next sample.
+                await cluster.ingest_many("t0", range(100))
+                await cluster.flush()
+                await cluster.restart_service(survivor)
+                clock.now = 3.0
+                window = watcher.sample()
+                assert window["ingest_rate"] == 0.0
+                assert window["restarts"] == 1.0
+                await cluster.ingest_many("t0", range(50))
+                await cluster.flush()
+                clock.now = 4.0
+                assert watcher.sample()["ingest_rate"] == 50.0
         asyncio.run(body())

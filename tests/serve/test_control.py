@@ -4,7 +4,8 @@ Covers the full loop the control plane closes:
 
 - the new :class:`ServiceMetrics` gauges (flush latency / duration,
   quantiles, volatile reset) and their validation;
-- :func:`derive_signals` — pure snapshot-diff → windowed signals;
+- :func:`derive_signals` — pure snapshot-diff → windowed signals — and
+  the :class:`MetricsWindow` that feeds it per source;
 - the five :class:`AdaptiveController` policy modes, exercised through
   the pure ``propose`` seam with fabricated signals;
 - :meth:`StreamService.retune` — flush-boundary application, the
@@ -18,12 +19,14 @@ Covers the full loop the control plane closes:
 from __future__ import annotations
 
 import asyncio
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import make_sampler
 from repro.api.registry import SamplerSpec
+from repro.obs import ServiceWatcher
 from repro.serve import (
     AdaptiveController,
     Cluster,
@@ -31,6 +34,7 @@ from repro.serve import (
     CONTROLLER_MODES,
     ControllerConfig,
     ControlSignals,
+    MetricsWindow,
     ServiceCrashed,
     ServiceMetrics,
     StreamService,
@@ -203,6 +207,55 @@ class TestDeriveSignals:
 # ----------------------------------------------------------------------
 # Policy modes (pure propose seam)
 # ----------------------------------------------------------------------
+class TestMetricsWindow:
+    def test_primes_then_keeps_its_snapshot_through_a_zero_length_window(
+            self):
+        window, live = MetricsWindow(), ServiceMetrics()
+        assert window.observe({"svc": live}, 1.0, 100) is None
+        live.events_enqueued = 50  # the window holds a copy, not `live`
+        assert window.observe({"svc": live}, 1.0, 100) is None
+        signals = window.observe({"svc": live}, 2.0, 100)
+        assert signals.interval == 1.0
+        assert signals.ingest_rate == 50.0
+
+    def test_new_gone_and_restarted_sources_add_nothing(self):
+        window = MetricsWindow()
+        a = ServiceMetrics(events_enqueued=100)
+        b = ServiceMetrics(events_enqueued=1000, events_dropped=9)
+        window.observe({"a": a, "b": b}, 0.0, 10)
+        a.events_enqueued = 150
+        b_again = ServiceMetrics(events_enqueued=400)  # counters went back
+        c = ServiceMetrics(events_enqueued=7, queue_depth=3)  # new
+        signals = window.observe({"a": a, "b": b_again, "c": c}, 1.0, 10)
+        assert signals.ingest_rate == 50.0
+        assert signals.drop_rate == 0.0
+        assert signals.backlog == 3  # gauges read every current source
+        b_again.events_enqueued, b_again.restarts = 500, 1
+        signals = window.observe({"a": a, "b": b_again}, 2.0, 10)  # c gone
+        assert signals.ingest_rate == 0.0
+        assert signals.backlog == 0
+
+    def test_zero_length_window_is_gauges_only_for_controller_and_watcher(
+            self):
+        async def body():
+            service = _service()
+            await service.start()
+            ctl = _primed(service)
+            watcher = ServiceWatcher(service, clock=lambda: 5.0)
+            loop = asyncio.get_running_loop()
+            with mock.patch.object(loop, "time", return_value=5.0):
+                assert await ctl.step() is None  # priming tick
+                assert await ctl.step() is None  # no time has passed
+            watcher.sample()
+            stalled = watcher.sample()
+            assert not ctl.history
+            assert "interval" not in stalled
+            assert "ingest_rate" not in stalled
+            assert stalled["queue_depth"] == 0.0
+            await service.stop()
+        run_async(body())
+
+
 class TestPolicies:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown controller mode"):
@@ -536,6 +589,25 @@ class TestRetuneRecovery:
         "checkpoint_every", [10_000, 64],
         ids=["replayed-from-wal", "carried-by-checkpoint"],
     )
+    def test_recover_overrides_win_over_replayed_retunes(
+        self, tmp_path, checkpoint_every
+    ):
+        # The logged retunes moved batch_size to 64 and max_latency to
+        # 0.5; explicit keyword overrides still have the last word, and
+        # the replayed k (a sampler change, not config) stays replayed.
+        live = self._run_with_retunes(tmp_path, checkpoint_every)
+        recovered = StreamService.recover(
+            tmp_path, batch_size=16, max_latency=2.0
+        )
+        assert recovered.batch_size == 16
+        assert recovered.max_latency == 2.0
+        assert recovered.sampler.k == 128
+        assert signature(recovered.sampler) == live
+
+    @pytest.mark.parametrize(
+        "checkpoint_every", [10_000, 64],
+        ids=["replayed-from-wal", "carried-by-checkpoint"],
+    )
     def test_retunes_applied_counter_survives_recovery(
         self, tmp_path, checkpoint_every
     ):
@@ -552,9 +624,15 @@ class TestRetuneRecovery:
 # ----------------------------------------------------------------------
 class TestControllerLoop:
     def test_controller_retunes_overloaded_service(self):
+        # Every flush pays a fixed 4ms commit cost through the documented
+        # "flush.before" stall seam (as benchmarks/bench_adaptive.py
+        # does), so the windowed p99 breaks the 2ms SLO on any host.
+        def flush_cost(stage):
+            return asyncio.sleep(0.004) if stage == "flush.before" else None
+
         async def body():
             service = _service(batch_size=4, max_latency=0.01,
-                               queue_size=256)
+                               queue_size=256, fault_hook=flush_cost)
             await service.start()
             ctl = AdaptiveController(
                 service, mode="balanced",

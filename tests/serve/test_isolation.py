@@ -251,6 +251,30 @@ def test_stop_drains_immediately_despite_a_long_deadline():
     run_async(go())
 
 
+@pytest.mark.skipif(not hasattr(asyncio.Task, "cancelling"),
+                    reason="only Task.cancelling() records a lost cancel")
+def test_kill_racing_an_admission_still_kills_the_consumer():
+    """A ``Task.cancel()`` landing in the same loop turn as the wake of
+    an admission must still end the consumer.  Before Python 3.12,
+    ``wait_for`` answers such a cancel with the finished wake instead of
+    raising it, and the consumer would idle on with the kill lost."""
+    async def go():
+        service = _service(batch_size=1000, max_latency=30.0)
+        await service.start()
+        await service.ingest_many(list(range(10)))
+        while service.pending_events != len(service._batcher):
+            await asyncio.sleep(0)
+        for _ in range(3):  # let it park on the 30s batch deadline
+            await asyncio.sleep(0)
+        assert service.try_ingest(10)
+        service._task.cancel()
+        await asyncio.wait({service._task}, timeout=5.0)
+        assert service._task.done()
+        await service.abort()
+
+    run_async(go())
+
+
 def test_snapshot_view_is_invalid_outside_its_block():
     async def go():
         service = _service()
