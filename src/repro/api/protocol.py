@@ -151,11 +151,12 @@ def _bumps_state_version(fn):
 
 #: Mutators whose subclass overrides are auto-wrapped for version bumping.
 #: Beyond the protocol surface, this covers the sampler-specific public
-#: mutators (window advancement, sketch trimming) so every state change a
-#: caller can make invalidates cached query results.
+#: mutators (window advancement, sketch trimming, the tenant mux's admin
+#: ops) so every state change a caller can make invalidates cached query
+#: results.
 _VERSIONED_MUTATORS = (
     "update", "update_many", "merge", "_set_state", "advance", "trim",
-    "resize",
+    "resize", "apply_admin",
 )
 
 #: Cap on cached query results per sampler instance (FIFO eviction).

@@ -14,9 +14,18 @@ Chunks carry optional per-event columns (weights/values/times).  A flush
 never mixes chunks whose *set* of present columns differs: ``update_many``
 gives absent columns per-sampler defaults (weight 1, value = weight), so
 splicing a default-weight chunk into an explicit-weights batch would need
-fabricated filler values.  Instead the batcher reports a signature
-mismatch and the service drains the pending batch first — an extra flush
-boundary, which the invariance contract makes free.
+fabricated filler values.  Nor does it mix key containers: the key dtype
+of an array chunk (or "a list") is part of the signature too, because
+concatenating an int64 block with a float64, uint64 or str block would
+promote every key of the flush (``1`` becomes ``1.0``, or ``'1'``) and
+the sampler would hash different keys than it was sent.  On a mismatch
+the batcher reports it and the service drains the pending batch first —
+an extra flush boundary, which the invariance contract makes free.
+
+A chunk may be *routed*: tagged with the tenant whose block it is.  A
+routed flush also returns run-length ``routes`` — ``[(tenant, n), ...]``
+in admission order — so a tenant multiplexer hands each run's slice to
+that tenant's sampler without ever seeing a per-event tenant column.
 """
 
 from __future__ import annotations
@@ -28,18 +37,20 @@ __all__ = ["MicroBatcher", "chunk_of"]
 _OPTIONAL = ("weights", "values", "times")
 
 
-def chunk_of(keys, weights=None, values=None, times=None) -> dict:
+def chunk_of(keys, weights=None, values=None, times=None,
+             route=None) -> dict:
     """Normalize one ingestion call into a chunk dict.
 
     Keys stay in their caller-provided container (numpy array or list —
     arrays concatenate and pickle fastest); optional columns are
     validated for length here so errors surface at the ``ingest`` call
-    site, not inside the consumer task.
+    site, not inside the consumer task.  ``route`` tags the chunk with
+    its tenant (see the module docstring).
     """
     if not isinstance(keys, (np.ndarray, list, tuple)):
         keys = list(keys)
     n = len(keys)
-    chunk = {"n": n, "keys": keys}
+    chunk = {"n": n, "keys": keys, "route": route}
     for name, column in zip(_OPTIONAL, (weights, values, times)):
         if column is None:
             chunk[name] = None
@@ -53,7 +64,8 @@ def chunk_of(keys, weights=None, values=None, times=None) -> dict:
 
 def _slice_chunk(chunk: dict, lo: int, hi: int) -> dict:
     """A sub-chunk covering rows ``[lo, hi)`` (for queue-bound splitting)."""
-    out = {"n": hi - lo, "keys": chunk["keys"][lo:hi]}
+    out = {"n": hi - lo, "keys": chunk["keys"][lo:hi],
+           "route": chunk["route"]}
     for name in _OPTIONAL:
         column = chunk[name]
         out[name] = None if column is None else column[lo:hi]
@@ -83,7 +95,7 @@ class MicroBatcher:
         self._chunks: list[dict] = []
         self._pending = 0
         self._oldest: float | None = None
-        self._signature: tuple[bool, ...] | None = None
+        self._signature: tuple | None = None
         # Trace spans riding the pending chunks (observability only —
         # spans are chunk metadata, never part of the column signature).
         self._spans: list[dict] = []
@@ -93,12 +105,23 @@ class MicroBatcher:
         return self._pending
 
     @staticmethod
-    def signature(chunk: dict) -> tuple[bool, ...]:
-        """Which optional columns the chunk carries."""
-        return tuple(chunk[name] is not None for name in _OPTIONAL)
+    def signature(chunk: dict) -> tuple:
+        """Which optional columns the chunk carries, its key dtype
+        (``None`` for a list) and whether it is routed.
+
+        The dtype enters as its string form: a numpy dtype compares
+        equal to ``None`` (``np.dtype(None)`` is float64).
+        """
+        keys = chunk["keys"]
+        return (
+            *(chunk[name] is not None for name in _OPTIONAL),
+            keys.dtype.str if isinstance(keys, np.ndarray) else None,
+            chunk.get("route") is not None,
+        )
 
     def accepts(self, chunk: dict) -> bool:
-        """Whether ``chunk`` can join the pending batch (same columns)."""
+        """Whether ``chunk`` can join the pending batch (same columns,
+        key dtype and routing)."""
         return self._signature is None or self.signature(chunk) == self._signature
 
     def add(self, chunk: dict, now: float) -> None:
@@ -143,9 +166,9 @@ class MicroBatcher:
         """Merge and clear the pending chunks.
 
         Returns ``(columns, n)`` where ``columns`` are ``update_many``
-        keyword arguments: keys concatenated (numpy when every chunk
-        brought an array, else a flat list), optional columns
-        concatenated float arrays or ``None``.
+        keyword arguments: keys concatenated (one numpy dtype, or a flat
+        list), optional columns concatenated float arrays or ``None``,
+        and for a routed batch the run-length ``routes``.
         """
         if self._pending == 0:
             raise ValueError("nothing pending to drain")
@@ -159,16 +182,12 @@ class MicroBatcher:
 
         if len(chunks) == 1:
             keys = chunks[0]["keys"]
-        elif all(isinstance(c["keys"], np.ndarray) for c in chunks):
+        elif signature[len(_OPTIONAL)] is not None:  # one key dtype
             keys = np.concatenate([c["keys"] for c in chunks])
         else:
             keys = []
             for c in chunks:
-                keys.extend(
-                    c["keys"].tolist()
-                    if isinstance(c["keys"], np.ndarray)
-                    else c["keys"]
-                )
+                keys.extend(c["keys"])
         columns: dict = {"keys": keys}
         for name, present in zip(_OPTIONAL, signature):
             if not present:
@@ -177,6 +196,14 @@ class MicroBatcher:
                 columns[name] = chunks[0][name]
             else:
                 columns[name] = np.concatenate([c[name] for c in chunks])
+        if signature[-1]:
+            routes: list[tuple] = []
+            for c in chunks:
+                if routes and routes[-1][0] == c["route"]:
+                    routes[-1] = (c["route"], routes[-1][1] + c["n"])
+                else:
+                    routes.append((c["route"], c["n"]))
+            columns["routes"] = routes
         return columns, n
 
     def pop_spans(self) -> list[dict]:

@@ -18,6 +18,15 @@ Two crash-safety properties:
   the last ``retain`` checkpoints — and the log keeps the segments the
   oldest retained one needs — precisely so that fallback has somewhere
   to land.
+
+A retired checkpoint is recycled, not deleted: it is renamed to one
+spare name, and the next write overwrites that file under its ``.tmp``
+name before renaming it into place.  Unlinking a file that was fsynced
+moments ago is far from free — on a filesystem that discards freed
+blocks it can cost tens of milliseconds — while overwriting an existing
+file in place costs about as much as writing a fresh one.  The spare
+keeps its old length when the new body is shorter; the length-framed
+read ignores the stale bytes past the frame.
 """
 
 from __future__ import annotations
@@ -36,6 +45,9 @@ _HEADER = struct.Struct("<II")
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{16})\.pkl$")
 
+#: The retired checkpoint waiting to be overwritten by the next write.
+_SPARE = "spare.ckpt"
+
 
 class CheckpointStore:
     """Writer/loader for the ``ckpt-<offset:016d>.pkl`` files in a
@@ -46,8 +58,9 @@ class CheckpointStore:
     root:
         Service directory; checkpoints live in ``<root>/ckpt/``.
     retain:
-        How many newest checkpoints to keep (>= 1).  Older ones are
-        deleted after each successful write.
+        How many newest checkpoints to keep (>= 1).  After each
+        successful write the oldest one beyond that becomes the spare
+        the next write reuses; any further surplus is deleted.
     fault_hook:
         Test seam, called as ``fault_hook(stage)`` at
         ``"checkpoint.before"`` / ``"checkpoint.mid"`` (temp file partly
@@ -95,15 +108,22 @@ class CheckpointStore:
         """Atomically persist ``payload`` as the checkpoint at ``offset``.
 
         ``payload`` must be picklable (it is the service's
-        ``{"state": sampler.to_state(), ...}`` dict).  Retention pruning
-        runs after the rename, so a crash anywhere leaves at least the
-        previous checkpoints intact.
+        ``{"state": sampler.to_state(), ...}`` dict).  The body goes into
+        the spare file when there is one (a fresh file otherwise), is
+        fsynced, and is renamed into place; only then does the checkpoint
+        falling out of ``retain`` leave its final name, so a crash
+        anywhere leaves at least the previous checkpoints intact.
         """
         self._hook("checkpoint.before")
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         final = self._dir / f"ckpt-{int(offset):016d}.pkl"
         tmp = final.with_suffix(".pkl.tmp")
-        with open(tmp, "wb") as fh:
+        spare = self._dir / _SPARE
+        mode = "wb"
+        if spare.exists():
+            os.replace(spare, tmp)
+            mode = "r+b"
+        with open(tmp, mode) as fh:
             fh.write(_HEADER.pack(len(body), zlib.crc32(body)))
             fh.write(body[: len(body) // 2])
             fh.flush()
@@ -114,8 +134,12 @@ class CheckpointStore:
         os.replace(tmp, final)
         self._hook("checkpoint.after")
         for old, path in self._checkpoints()[: -self.retain]:
-            if old != offset:
+            if old == offset:
+                continue
+            if spare.exists():
                 path.unlink()
+            else:
+                os.replace(path, spare)
         for stray in self._dir.glob("*.tmp"):
             stray.unlink()
         return final

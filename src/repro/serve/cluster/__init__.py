@@ -9,9 +9,9 @@ to many tenants on a fixed worker pool:
 - :class:`~repro.serve.cluster.ring.HashRing` — deterministic
   virtual-node consistent hashing (``~1/n`` movement under churn).
 - :class:`~repro.serve.cluster.mux.TenantMuxSampler` — the registered
-  ``"tenant_mux"`` sampler each worker wraps: per-tenant children keyed
-  by composite ``(tenant, key)`` rows, membership changes as WAL-logged
-  admin rows.
+  ``"tenant_mux"`` sampler each worker wraps: per-tenant children fed
+  routed per-tenant key blocks, membership changes as WAL-logged admin
+  ops.
 - :class:`~repro.serve.cluster.tenants.TenantRegistry` /
   :class:`~repro.serve.cluster.tenants.TenantQuota` — namespace, token
   buckets, queue-share caps, counted per-reason rejections.

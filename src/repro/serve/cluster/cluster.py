@@ -15,7 +15,7 @@ routing, namespace, fairness, and rebalancing:
   the placement map disposes — rebalancing moves the map).
 - **Namespace** — ``create_tenant`` / ``describe_tenant`` /
   ``drop_tenant`` manage :class:`~repro.serve.cluster.tenants.TenantRecord`
-  entries; membership changes reach workers as WAL-logged admin rows in
+  entries; membership changes reach workers as WAL-logged admin ops in
   the event stream, so they are durable and ordered with the data.
 - **Fairness** — per-tenant token buckets and queue-share caps
   (:mod:`~repro.serve.cluster.tenants`) run *in front of* each worker's
@@ -45,7 +45,7 @@ from typing import Callable
 from ...api.registry import SamplerSpec
 from ..service import _CONFIG_KEYS, ServiceCrashed, StreamService
 from .metrics import ClusterMetrics
-from .mux import compose_rows, create_op, drop_op
+from .mux import create_op, drop_op, key_block
 from .ring import HashRing
 from .tenants import (
     REJECT_REASONS,
@@ -88,7 +88,7 @@ class _DownWorker:
     since: float
     loaded: bool = False
     snapshot: StreamService | None = None
-    #: Spec-built fallbacks for tenants whose create row never became
+    #: Spec-built fallbacks for tenants whose create op never became
     #: durable (their durable state is legitimately "empty").
     fresh: dict = field(default_factory=dict)
     degraded_reads: int = 0
@@ -360,7 +360,7 @@ class Cluster:
                 f"{record.service!r} is down and an in-memory cluster has "
                 "no durable snapshot to degrade to"
             )
-        # The tenant's create row never became durable: its durable
+        # The tenant's create op never became durable: its durable
         # state is a fresh sampler from its spec (cached so repeated
         # reads pin one object, hence one state_version).
         if tenant not in state.fresh:
@@ -437,7 +437,7 @@ class Cluster:
         """Register ``tenant`` and create its sampler on the ring's worker.
 
         The sampler materializes when the worker's consumer applies the
-        admin row — cheap enough to call thousands of times; reads
+        admin op — cheap enough to call thousands of times; reads
         flush-and-retry if they arrive first.
         """
         self._check_started()
@@ -450,7 +450,7 @@ class Cluster:
             tenant, spec, quota=quota, service=placed
         )
         try:
-            await self._workers[placed].ingest_many([create_op(tenant, spec)])
+            self._workers[placed].enqueue_admin(create_op(tenant, spec))
         except BaseException:
             self.registry.drop(tenant)
             raise
@@ -463,14 +463,15 @@ class Cluster:
         *,
         quotas: dict | None = None,
     ) -> list[TenantRecord]:
-        """Bulk-register tenants: one admin batch per worker, one meta save.
+        """Bulk-register tenants: one admin record per worker, one meta
+        save.
 
         ``create_tenant`` rewrites the cluster meta per call, which is
         quadratic when bootstrapping thousands of tenants; this path
-        groups the create rows by placement and persists once at the
+        groups the create ops by placement and persists once at the
         end.  All-or-nothing on validation: every tenant id and spec is
-        checked (and reserved in the registry) before any worker sees a
-        row.
+        checked (and reserved in the registry) before any worker sees an
+        op.
         """
         self._check_started()
         quotas = quotas or {}
@@ -495,7 +496,7 @@ class Cluster:
                 create_op(record.tenant, record.spec)
             )
         for name, ops in by_worker.items():
-            await self._workers[name].ingest_many(ops)
+            self._workers[name].enqueue_admin(*ops)
         self._save_meta()
         return records
 
@@ -526,18 +527,18 @@ class Cluster:
             await asyncio.sleep(0)
 
     async def drop_tenant(self, tenant: str) -> TenantRecord:
-        """Remove ``tenant``: quiesce its ingest, enqueue the drop row,
+        """Remove ``tenant``: quiesce its ingest, enqueue the drop op,
         forget the record.
 
         The gate-then-quiesce step guarantees no accepted event can trail
-        the drop row into the worker (a stray post-drop row would be an
+        the drop op into the worker (a stray post-drop block would be an
         unknown-tenant error in the mux)."""
         self._check_started()
         record, worker = self._locate(tenant)
         self._gate(tenant)
         try:
             await self._quiesce(tenant)
-            await worker.ingest_many([drop_op(tenant)])
+            worker.enqueue_admin(drop_op(tenant))
             self.registry.drop(tenant)
             self._conditional.pop(tenant, None)
         finally:
@@ -654,12 +655,12 @@ class Cluster:
         """
         self._check_started()
         record = self.registry.get(tenant)  # raise early on unknown tenants
-        rows = compose_rows(tenant, keys)
-        if not rows:
+        keys = key_block(keys)
+        if not len(keys):
             return True
         self._check_frontier(record, expect_frontier)
         if record.service in self._down:
-            self._shed(record, len(rows))
+            self._shed(record, len(keys))
             return False
         gate = self._migrating.get(tenant)
         if gate is not None:
@@ -669,18 +670,18 @@ class Cluster:
         # rebalance/drop quiesces on this counter with the gate closed,
         # and a producer suspended in the bucket without the token would
         # wake after the quiesce and ingest to a stale placement — its
-        # rows either erased by the drop row or rejected as an unknown
+        # block either erased by the drop op or rejected as an unknown
         # tenant.  Nothing awaits between the gate check above and this
         # increment, so the pair is atomic on the event loop.
         self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
         try:
             bucket = self.registry.bucket(tenant)
             if bucket is not None:
-                delay = bucket.acquire_delay(len(rows))
+                delay = bucket.acquire_delay(len(keys))
                 if delay > 0:
                     await asyncio.sleep(delay)
             if expect_frontier is None:
-                return await self._admit(tenant, rows, weights, values,
+                return await self._admit(tenant, keys, weights, values,
                                          times, None)
             # Conditional admissions serialize per tenant: the lock
             # spans the binding frontier check *and* the worker
@@ -689,22 +690,23 @@ class Cluster:
             # worker's buffer wait and then land at a stale position.
             lock = self._conditional.setdefault(tenant, asyncio.Lock())
             async with lock:
-                return await self._admit(tenant, rows, weights, values,
+                return await self._admit(tenant, keys, weights, values,
                                          times, expect_frontier)
         finally:
             self._inflight[tenant] -= 1
             if not self._inflight[tenant]:
                 del self._inflight[tenant]
 
-    async def _admit(self, tenant: str, rows, weights, values, times,
+    async def _admit(self, tenant: str, keys, weights, values, times,
                      expect_frontier: int | None) -> bool:
-        """Resolve placement and admit ``rows`` (inflight token held)."""
+        """Resolve placement and admit the block (inflight token held):
+        the worker gets ``keys`` as they are, tagged with ``tenant``."""
         # Resolve placement only now: a handoff that gated after our
         # increment is still quiescing on us, so the record's service
         # cannot move until this ingest completes.
         record = self.registry.get(tenant)
         if record.service in self._down:
-            self._shed(record, len(rows))
+            self._shed(record, len(keys))
             return False
         # The binding frontier check: between here and the worker
         # admission only the worker's own buffer wait can suspend us —
@@ -715,7 +717,8 @@ class Cluster:
         self._check_frontier(record, expect_frontier)
         worker = self._workers[record.service]
         try:
-            await worker.ingest_many(rows, weights, values, times)
+            await worker.ingest_many(keys, weights, values, times,
+                                     route=tenant)
         except ServiceCrashed:
             # The worker died while we were suspended in it.  Under
             # supervision the failover is already coming: mark the
@@ -726,9 +729,9 @@ class Cluster:
             if self._supervised <= 0 and record.service not in self._down:
                 raise
             self.mark_service_down(record.service, "crashed")
-            self._shed(record, len(rows))
+            self._shed(record, len(keys))
             return False
-        record.events_enqueued += len(rows)
+        record.events_enqueued += len(keys)
         return True
 
     def _shed(self, record: TenantRecord, n: int) -> None:
@@ -775,10 +778,10 @@ class Cluster:
         """
         self._check_started()
         record = self.registry.get(tenant)
-        rows = compose_rows(tenant, keys)
-        if not rows:
+        keys = key_block(keys)
+        n = len(keys)
+        if not n:
             return True
-        n = len(rows)
         if record.service in self._down:
             self._shed(record, n)
             return False
@@ -802,7 +805,7 @@ class Cluster:
                 return False
         try:
             admitted = worker.try_ingest_many(
-                rows, weights, values, times, label=tenant
+                keys, weights, values, times, route=tenant
             )
         except ServiceCrashed:
             if self._supervised <= 0:
@@ -822,7 +825,7 @@ class Cluster:
     async def _tenant_child(self, tenant: str):
         """The owning worker plus the tenant's live child sampler.
 
-        If the child has not materialized yet (its create row is still
+        If the child has not materialized yet (its create op is still
         queued), flush the worker once and retry before giving up.
         """
         record, worker = self._locate(tenant)
@@ -956,12 +959,12 @@ class Cluster:
         """Align one started worker's tenants with the registry.
 
         The worker's WAL is authoritative for *state*; the registry for
-        *membership*: residents missing from the mux (create row lost
+        *membership*: residents missing from the mux (create op lost
         with the crash, or the whole directory lost) are recreated fresh
         from their spec with their admission and rejection counters
         reset — they described a stream history that no longer exists —
         and stray mux tenants the registry does not place here (a
-        handoff's or a drop's drop row lost) are dropped.  Each
+        handoff's or a drop's drop op lost) are dropped.  Each
         resident's in-flight counter resets to its applied frontier:
         events admitted but never logged are the producer's to re-send,
         exactly as on a single service.  Shared by hot restarts
@@ -982,8 +985,7 @@ class Cluster:
         )
         for record in recreated:
             record.rejected = {why: 0 for why in REJECT_REASONS}
-        if ops:
-            await worker.ingest_many(ops)
+        worker.enqueue_admin(*ops)
         await worker.flush()
         for record in residents:
             record.events_enqueued = (
@@ -1100,7 +1102,7 @@ class Cluster:
         registry's placement wins; (b) only on a worker the registry
         does not point at — the move never committed or the meta write
         was lost, so the placement repoints to the actual holder; or
-        (c) nowhere — its create row was admitted but never WAL-logged,
+        (c) nowhere — its create op was admitted but never WAL-logged,
         or its worker's directory was lost entirely — so it stays put
         (or, if its worker left the pool, goes to its ring owner).  Then
         :meth:`_reconcile_worker` runs on every worker, exactly as after

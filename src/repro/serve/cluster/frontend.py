@@ -211,6 +211,7 @@ class ClusterFrontend:
     ...         await client.create_tenant(
     ...             "acme", {"name": "bottom_k", "params": {"k": 32, "rng": 3}})
     ...         await client.ingest_many("acme", list(range(100)))
+    ...         await client.admin("flush")  # reads see applied events
     ...         reply = await client.estimate("acme", "total")
     ...         await client.aclose()
     ...         await frontend.stop()

@@ -3,21 +3,35 @@
 A cluster worker is an ordinary :class:`~repro.serve.StreamService` — one
 bounded queue, one micro-batcher, one WAL, one checkpoint store — whose
 wrapped sampler is a :class:`TenantMuxSampler`: a registered
-``StreamSampler`` holding an independent child sampler per tenant.  Each
-event row carries a composite ``(tenant, key)`` key; ``update_many``
-groups a batch by tenant and feeds each child its sub-stream through the
-vectorized kernels, preserving per-tenant order, so the PR2
-chunking-invariance contract lifts directly: any flush/chunk boundaries
-produce bit-identical per-tenant states.
+``StreamSampler`` holding an independent child sampler per tenant.
 
-Tenant membership changes are **events in the stream**: creating,
-installing (rebalance handoff), and dropping a tenant are admin rows
-(:func:`create_op` / :func:`install_op` / :func:`drop_op`) ingested
-through the same queue as data.  That single decision buys the whole
-durability story for free — admin ops are WAL-logged and ordered
-relative to the tenant's own events, so ``StreamService.recover`` replays
-membership and data together and lands on a bit-exact multi-tenant state
-without any cluster-specific recovery code.
+Data arrives as *routed blocks*.  ``Cluster.ingest_many(tenant, keys)``
+hands the worker the caller's key block (normalized by :func:`key_block`)
+tagged with its tenant; the micro-batcher concatenates same-signature
+blocks and records run-length routes ``[(tenant, n), ...]``; and one
+``update_many(keys, weights, values, times, routes=...)`` per flush gives
+each tenant its rows through the child's vectorized kernel, in stream
+order.  A tenant's sampler is a function of its own sub-stream only, so
+by the chunking-invariance contract any flush or chunk boundaries produce
+bit-identical per-tenant states — no per-event tenant column ever exists.
+
+Tenant membership changes are **admin ops in the stream**: creating,
+installing (rebalance handoff) and dropping a tenant are op dicts
+(:func:`create_op` / :func:`install_op` / :func:`drop_op`) queued with
+:meth:`StreamService.enqueue_admin` behind the data already admitted.
+The consumer logs them as a zero-event WAL admin record and hands them to
+:meth:`TenantMuxSampler.apply_admin` between batches, so a create
+precedes the tenant's rows and a drop follows them, and
+``StreamService.recover`` replays membership and data together — landing
+on a bit-exact multi-tenant state without any cluster-specific recovery
+code.
+
+The protocol's composite-row form — ``update((tenant, key))`` and
+``update_many`` over ``(tenant, key)`` rows — stays for the sampler
+contract and for WAL tails written before routed blocks existed; rows are
+grouped per tenant and take the same per-tenant apply step.  Tenant ids
+starting with ``"__"`` are reserved, so an admin row of that older format
+is refused with a ``ValueError`` instead of being replayed as data.
 
 Because every child speaks ``to_state()``/``from_state()`` (the paper's
 mergeable-summary machinery), a tenant's entire sampler — RNG
@@ -33,19 +47,15 @@ import numpy as np
 
 from ...api.protocol import StreamSampler, query_support, upgrade_state
 from ...api.registry import SamplerSpec, register_sampler, sampler_from_state
+from .tenants import check_tenant_id
 
 __all__ = [
     "TenantMuxSampler",
-    "ADMIN_KEY",
-    "compose_rows",
+    "key_block",
     "create_op",
     "install_op",
     "drop_op",
 ]
-
-#: Reserved tenant field marking an admin row; real tenant ids must not
-#: start with ``"__"`` (enforced by the tenant registry).
-ADMIN_KEY = "__mux_admin__"
 
 _TENANT_SCOPED = (
     "tenant-scoped: query the tenant's child sampler "
@@ -53,35 +63,60 @@ _TENANT_SCOPED = (
 )
 
 
-def compose_rows(tenant: str, keys) -> list[tuple]:
-    """Composite ``(tenant, key)`` rows for one tenant's key batch."""
-    if isinstance(keys, np.ndarray):
-        keys = keys.tolist()
-    return [(tenant, key) for key in keys]
+def key_block(keys):
+    """One tenant's key block in the form its child sampler ingests.
+
+    A 1-D numeric block stays (or becomes) a numpy array — the kernels'
+    vectorized path.  Anything else (strings, tuple keys, mixed or
+    ragged input) becomes a plain list, so every key reaches the child
+    as one key, as on the scalar ``update`` path: equal-length numeric
+    tuple keys would coerce to a 2-D array misread as one row per tuple
+    *element*.  Python ints that overflow int64 (uint64 keys arriving
+    as JSON numbers) become uint64, never float64, so they hash as the
+    integers they are.
+    """
+    try:
+        block = np.asarray(keys)
+        if block.dtype.kind in "fO" and not isinstance(keys, np.ndarray) \
+                and len(keys) and all(type(k) is int for k in keys):
+            block = np.asarray(keys, dtype=np.uint64)
+    except (TypeError, ValueError, OverflowError):
+        block = None  # ragged tuple keys, or ints outside uint64
+    if block is not None and block.ndim == 1 and \
+            np.issubdtype(block.dtype, np.number):
+        return block
+    return keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
 
 
-def create_op(tenant: str, spec: SamplerSpec | dict) -> tuple:
-    """An admin row creating ``tenant`` with a fresh sampler from ``spec``."""
+def create_op(tenant: str, spec: SamplerSpec | dict) -> dict:
+    """An admin op creating ``tenant`` with a fresh sampler from ``spec``."""
     spec = spec.as_dict() if isinstance(spec, SamplerSpec) else dict(spec)
-    return (ADMIN_KEY, {"op": "create", "tenant": tenant, "spec": spec})
+    return {"op": "create", "tenant": tenant, "spec": spec}
 
 
-def install_op(tenant: str, state: dict, applied: int = 0) -> tuple:
-    """An admin row installing ``tenant`` from a checkpointed sampler state.
+def install_op(tenant: str, state: dict, applied: int = 0) -> dict:
+    """An admin op installing ``tenant`` from a checkpointed sampler state.
 
     ``applied`` carries the tenant's event count at extraction so the
     per-tenant applied counters continue across a rebalance handoff.
     """
-    return (
-        ADMIN_KEY,
-        {"op": "install", "tenant": tenant, "state": state,
-         "applied": int(applied)},
-    )
+    return {"op": "install", "tenant": tenant, "state": state,
+            "applied": int(applied)}
 
 
-def drop_op(tenant: str) -> tuple:
-    """An admin row removing ``tenant`` and its sampler state."""
-    return (ADMIN_KEY, {"op": "drop", "tenant": tenant})
+def drop_op(tenant: str) -> dict:
+    """An admin op removing ``tenant`` and its sampler state."""
+    return {"op": "drop", "tenant": tenant}
+
+
+def _take(column, runs: list[tuple[int, int]]):
+    """Rows ``[lo, hi)`` of every run, in order (one run: a slice)."""
+    if len(runs) == 1:
+        lo, hi = runs[0]
+        return column[lo:hi]
+    if isinstance(column, np.ndarray):
+        return np.concatenate([column[lo:hi] for lo, hi in runs])
+    return [key for lo, hi in runs for key in column[lo:hi]]
 
 
 @register_sampler("tenant_mux")
@@ -94,15 +129,16 @@ class TenantMuxSampler(StreamSampler):
         Optional initial membership: ``{tenant_id: spec}`` where each
         spec is a :class:`~repro.api.SamplerSpec` or its
         ``{"name", "params"}`` dict form.  Tenants are usually created
-        through admin rows in the event stream instead (see
+        through admin ops in the event stream instead (see
         :func:`create_op`), which is what makes membership durable under
         the serving runtime's WAL.
 
     Examples
     --------
     >>> mux = TenantMuxSampler({"acme": {"name": "bottom_k", "params": {"k": 8, "rng": 1}}})
-    >>> mux.update(("acme", "item-1"), 2.0)
-    True
+    >>> mux.update_many(np.arange(5), routes=[("acme", 5)])
+    >>> mux.events_applied_for("acme")
+    5
     >>> mux.tenants()
     ('acme',)
     """
@@ -130,22 +166,11 @@ class TenantMuxSampler(StreamSampler):
             self._admin_create(tenant, spec)
 
     # ------------------------------------------------------------------
-    # Membership (applied through admin rows in the stream)
+    # Membership (applied through admin ops in the stream)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _check_tenant_id(tenant) -> str:
-        """Validate a tenant id (a plain string outside the admin domain)."""
-        if not isinstance(tenant, str) or not tenant:
-            raise ValueError("tenant id must be a non-empty string")
-        if tenant.startswith("__"):
-            raise ValueError(
-                f"tenant id {tenant!r} uses the reserved '__' prefix"
-            )
-        return tenant
-
     def _admin_create(self, tenant: str, spec) -> None:
         """Create a fresh child sampler for ``tenant`` from ``spec``."""
-        self._check_tenant_id(tenant)
+        check_tenant_id(tenant)
         if tenant in self._children:
             raise ValueError(f"tenant {tenant!r} already exists")
         spec = spec if isinstance(spec, SamplerSpec) else SamplerSpec.from_dict(spec)
@@ -161,7 +186,7 @@ class TenantMuxSampler(StreamSampler):
         makes the op idempotent when a failed handoff is retried against
         a destination still holding an earlier, uncommitted copy.
         """
-        self._check_tenant_id(tenant)
+        check_tenant_id(tenant)
         # Upgrade here too: the spec kept below reads the state's params.
         state = upgrade_state(state)
         self._children[tenant] = sampler_from_state(state)
@@ -178,8 +203,10 @@ class TenantMuxSampler(StreamSampler):
         del self._specs[tenant]
         del self._applied[tenant]
 
-    def _apply_admin(self, op: dict) -> None:
-        """Apply one admin payload (the ``op`` dicts built by the helpers)."""
+    def apply_admin(self, op: dict) -> None:
+        """Apply one admin op (:func:`create_op`, :func:`install_op` or
+        :func:`drop_op`) — the serving runtime calls this between
+        batches, live and on WAL replay."""
         kind = op.get("op")
         if kind == "create":
             self._admin_create(op["tenant"], op["spec"])
@@ -217,8 +244,8 @@ class TenantMuxSampler(StreamSampler):
         return SamplerSpec.from_dict(self._specs[tenant])
 
     def events_applied_for(self, tenant: str) -> int:
-        """Data events applied to ``tenant``'s sampler (admin rows not
-        counted), continued across install handoffs."""
+        """Data events applied to ``tenant``'s sampler, continued across
+        install handoffs."""
         if tenant not in self._applied:
             raise KeyError(f"unknown tenant {tenant!r}")
         return self._applied[tenant]
@@ -231,82 +258,73 @@ class TenantMuxSampler(StreamSampler):
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
+    def _child(self, tenant) -> StreamSampler:
+        """``tenant``'s child sampler; a reserved id (the admin rows of
+        the older WAL format) raises ``ValueError``, any other unknown
+        tenant ``KeyError``."""
+        child = self._children.get(tenant)
+        if child is None:
+            check_tenant_id(tenant)
+            raise KeyError(f"unknown tenant {tenant!r}")
+        return child
+
+    def _feed(self, tenant, keys, columns) -> None:
+        """Apply one tenant's part of a batch through its child's kernel."""
+        self._child(tenant).update_many(keys, *columns)
+        self._applied[tenant] += len(keys)
+
     def update(self, key, weight: float = 1.0, *, value=None, time=None):
-        """Offer one composite ``(tenant, key)`` event (or admin row)."""
+        """Offer one composite ``(tenant, key)`` event."""
         tenant, inner = key
-        if tenant == ADMIN_KEY:
-            self._apply_admin(inner)
-            return None
-        try:
-            child = self._children[tenant]
-        except KeyError:
-            raise KeyError(f"unknown tenant {tenant!r}") from None
+        child = self._child(tenant)
         self._applied[tenant] += 1
         return child.update(inner, weight, value=value, time=time)
 
-    def update_many(self, keys, weights=None, values=None, times=None) -> None:
-        """Offer a batch of composite rows, grouped per tenant.
+    def update_many(self, keys, weights=None, values=None, times=None, *,
+                    routes=None) -> None:
+        """Apply a batch, each tenant's rows through its child's kernel.
 
-        Rows are partitioned by tenant and each child ingests its
-        sub-stream through its own vectorized ``update_many`` — in
-        stream order, so per-tenant state is chunking-invariant across
-        any batch boundaries.  Admin rows apply at their position
-        relative to *their* tenant's rows (a tenant's pending group is
-        flushed before its admin op applies); rows of other tenants
-        commute with the op, which is safe because children are fully
-        independent.
+        With ``routes`` — run-length ``[(tenant, n), ...]`` covering
+        ``keys`` in order — each run's rows (of the keys and of every
+        column present) belong to that run's tenant; a tenant's runs are
+        applied as one block, in stream order.  Without ``routes`` the
+        keys are composite ``(tenant, key)`` rows, grouped per tenant the
+        same way.  Either way per-tenant state is chunking-invariant
+        across any batch boundaries.
         """
         columns = [
             None if col is None else np.asarray(col, dtype=float)
             for col in (weights, values, times)
         ]
-        has_columns = any(col is not None for col in columns)
-        keys_by: dict[str, list] = {}
-        idx_by: dict[str, list[int]] = {}
+        if routes is None:
+            self._update_rows(keys, columns)
+            return
+        runs: dict = {}
+        lo = 0
+        for tenant, n in routes:
+            runs.setdefault(tenant, []).append((lo, lo + n))
+            lo += n
+        for tenant, at in runs.items():
+            self._feed(tenant, _take(keys, at), [
+                None if col is None else _take(col, at) for col in columns
+            ])
 
-        def apply_group(tenant: str) -> None:
-            sub_keys = keys_by.pop(tenant, None)
-            if not sub_keys:
-                return
-            child = self._children.get(tenant)
-            if child is None:
-                raise KeyError(f"unknown tenant {tenant!r}")
-            try:
-                batch = np.asarray(sub_keys)
-            except ValueError:  # ragged tuple keys refuse to coerce
-                batch = sub_keys
-            # Only 1-D numeric batches take the vectorized fast path.
-            # Equal-length numeric tuple keys coerce to a 2-D numeric
-            # array that would be misread as one row per tuple *element*;
-            # the list form feeds each tuple through as a single key,
-            # matching the scalar update() path.
-            if not (isinstance(batch, np.ndarray) and batch.ndim == 1
-                    and np.issubdtype(batch.dtype, np.number)):
-                batch = sub_keys
-            if has_columns:
-                at = np.asarray(idx_by.pop(tenant), dtype=np.intp)
-                child.update_many(batch, *(
-                    None if col is None else col[at] for col in columns
-                ))
-            else:
-                child.update_many(batch)
-            self._applied[tenant] += len(sub_keys)
-
-        for i, (tenant, inner) in enumerate(keys):
-            if tenant == ADMIN_KEY:
-                apply_group(inner.get("tenant", ""))
-                self._apply_admin(inner)
-                continue
+    def _update_rows(self, rows, columns) -> None:
+        """The composite-row form: group per tenant, then feed."""
+        keys_by: dict = {}
+        idx_by: dict = {}
+        for i, (tenant, inner) in enumerate(rows):
             group = keys_by.get(tenant)
             if group is None:
                 group = keys_by[tenant] = []
-                if has_columns:
-                    idx_by[tenant] = []
+                idx_by[tenant] = []
             group.append(inner)
-            if has_columns:
-                idx_by[tenant].append(i)
-        for tenant in list(keys_by):
-            apply_group(tenant)
+            idx_by[tenant].append(i)
+        for tenant, group in keys_by.items():
+            at = np.asarray(idx_by[tenant], dtype=np.intp)
+            self._feed(tenant, key_block(group), [
+                None if col is None else col[at] for col in columns
+            ])
 
     # ------------------------------------------------------------------
     # Reads

@@ -13,18 +13,18 @@ is what makes it safe:
 2. **Flush + extract**: flush each source worker (the barrier now covers
    all accepted events) and, under its snapshot lock, capture each moving
    tenant's child state and applied count.
-3. **Install durably**: enqueue install rows on the destinations and
+3. **Install durably**: enqueue install ops on the destinations and
    flush them — the moved state is in the destination WAL *before*
    anything is removed.
 4. **Commit placement**: repoint the registry and persist the cluster
    meta.
-5. **Drop sources**: enqueue drop rows on the sources and flush.
+5. **Drop sources**: enqueue drop ops on the sources and flush.
 6. **Ungate** (in ``finally``): suspended producers resume against the
    new placement.
 
 A crash between (3) and (5) leaves the tenant on two workers; recovery's
 reconciliation resolves by the persisted placement, and whichever copy
-survives is bit-exact at its WAL frontier — the install row and the
+survives is bit-exact at its WAL frontier — the install op and the
 source's original WAL each replay to the same state, because the state
 that moved *is* the flushed source state.  No step discards events that
 ever reached a WAL, so a mid-rebalance crash loses at most the
@@ -129,10 +129,10 @@ async def execute(cluster, plan: RebalancePlan) -> RebalancePlan:
         # *before* any source forgets anything.
         for destination, group in plan.by_destination().items():
             worker = cluster._workers[destination]
-            await worker.ingest_many([
+            worker.enqueue_admin(*(
                 install_op(move.tenant, *states[move.tenant])
                 for move in group
-            ])
+            ))
             installed[destination] = group
             await worker.flush()
 
@@ -147,9 +147,7 @@ async def execute(cluster, plan: RebalancePlan) -> RebalancePlan:
         # (5) Retire the source copies.
         for source, group in plan.by_source().items():
             worker = cluster._workers[source]
-            await worker.ingest_many(
-                [drop_op(move.tenant) for move in group]
-            )
+            worker.enqueue_admin(*(drop_op(move.tenant) for move in group))
             await worker.flush()
     except BaseException:
         if not committed:
@@ -165,7 +163,7 @@ async def execute(cluster, plan: RebalancePlan) -> RebalancePlan:
                     record.service = move.source
                     record.events_enqueued = states[move.tenant][1]
             # Then roll back uncommitted destination copies (best effort
-            # — the drop rows enqueue behind the install rows on each
+            # — the drop ops enqueue behind the install ops on each
             # worker's own queue, so they find the tenant present; a
             # worker too broken to accept them is resolved by cold
             # reconciliation).  Without this, a live retry would re-plan
@@ -173,8 +171,8 @@ async def execute(cluster, plan: RebalancePlan) -> RebalancePlan:
             for destination, group in installed.items():
                 worker = cluster._workers[destination]
                 with contextlib.suppress(Exception):
-                    await worker.ingest_many(
-                        [drop_op(move.tenant) for move in group]
+                    worker.enqueue_admin(
+                        *(drop_op(move.tenant) for move in group)
                     )
                     await worker.flush()
         raise
@@ -246,13 +244,13 @@ async def rehome_service(cluster, name: str, *,
        commits: a failed install must leave it discoverable, because
        both the supervisor's retry scan and a manual
        ``rehome_service(name)`` retry look workers up in the pool.
-    3. Per destination: enqueue install rows (tenants whose create
+    3. Per destination: enqueue install ops (tenants whose create
        never became durable get an install of a fresh spec-built state
        — they restart with counters reset; installs *overwrite*, so a
        retry against a survivor already holding a copy from an earlier
        failed attempt is idempotent) and flush, *then* repoint the
        registry.  FIFO worker queues order any racing post-repoint
-       ingest behind the install row, so no event meets an unknown
+       ingest behind the install op, so no event meets an unknown
        tenant.
     4. Retire the worker from the pool and persist the meta (its
        directory stays behind as an inert tombstone, exactly like
@@ -306,12 +304,12 @@ async def rehome_service(cluster, name: str, *,
             by_destination.setdefault(destination, []).append(record)
         for destination, group in by_destination.items():
             worker = cluster._workers[destination]
-            await worker.ingest_many([
+            worker.enqueue_admin(*(
                 install_op(record.tenant, *states[record.tenant])
                 if record.tenant in states
                 else install_op(record.tenant, _fresh_state(record.spec))
                 for record in group
-            ])
+            ))
             await worker.flush()
             for record in group:
                 record.service = destination
@@ -337,8 +335,8 @@ async def rehome_service(cluster, name: str, *,
 def _fresh_state(spec) -> dict:
     """A brand-new sampler state built from ``spec``.
 
-    Shipping *installs* (which overwrite) instead of create rows keeps a
-    retried rehome idempotent: a create row replayed against a survivor
+    Shipping *installs* (which overwrite) instead of create ops keeps a
+    retried rehome idempotent: a create op replayed against a survivor
     that already applied it would raise ``tenant already exists`` inside
     the consumer and crash an otherwise healthy worker.
     """

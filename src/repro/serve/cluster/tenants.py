@@ -47,8 +47,9 @@ REJECT_REASONS = ("rate", "share", "backpressure", "unavailable")
 
 
 def check_tenant_id(tenant) -> str:
-    """Validate a tenant id: non-empty ``str`` outside the ``__`` domain
-    reserved for in-stream admin rows."""
+    """Validate a tenant id: non-empty ``str`` outside the reserved
+    ``__`` domain (the in-stream admin rows of the older WAL format used
+    it, so such a row can never pass for a tenant's data)."""
     if not isinstance(tenant, str) or not tenant:
         raise ValueError("tenant id must be a non-empty string")
     if tenant.startswith("__"):
@@ -263,7 +264,7 @@ class TenantRegistry:
         service: str = "",
     ) -> TenantRecord:
         """Register a new tenant (its worker creates the sampler via an
-        in-stream admin row; the registry only owns the namespace)."""
+        in-stream admin op; the registry only owns the namespace)."""
         check_tenant_id(tenant)
         if tenant in self._records:
             raise ValueError(f"tenant {tenant!r} already exists")

@@ -41,6 +41,17 @@ bit-identical to an uninterrupted run over the first ``events_durable``
 events — RNG continuation included.  Events that were admitted but not
 yet logged at the crash are the only loss, and ``events_durable`` tells
 the producer exactly where to resume.
+
+Admin ops
+---------
+A sampler that changes shape through explicit operations — the cluster's
+tenant multiplexer creating, installing and dropping tenants — exposes
+``apply_admin(op)``, and :meth:`StreamService.enqueue_admin` queues such
+ops behind the data already admitted.  The consumer drains the pending
+batch, logs the ops as one zero-event WAL *admin record* and applies
+them, so they keep their stream position; :meth:`StreamService.recover`
+replays them the same way, with no sampler-specific recovery code.
+Online retunes are admin records too.
 """
 
 from __future__ import annotations
@@ -85,17 +96,6 @@ def _update_kwargs(columns: dict) -> dict:
         name: column for name, column in columns.items()
         if name == "keys" or column is not None
     }
-
-
-def _cancel_requests(task: asyncio.Task) -> int:
-    """Pending external cancel requests on ``task``.
-
-    ``Task.cancelling()`` only exists on Python 3.11+; on 3.10 there is
-    no way to observe a swallowed cancel request, so report zero — the
-    3.11 ``wait_for`` race this guards against does not exist there.
-    """
-    cancelling = getattr(task, "cancelling", None)
-    return cancelling() if cancelling is not None else 0
 
 
 class ServiceCrashed(RuntimeError):
@@ -294,6 +294,8 @@ class StreamService:
         # consumer applies at the next flush boundary (see retune()).
         self._retunes: deque[tuple[dict, asyncio.Future]] = deque()
         self._admin_seq = 0  # WAL admin records applied, ever
+        self._ops_enqueued = 0  # admin ops admitted, ever (this process)
+        self._ops_applied = 0   # admin ops applied, ever (this process)
         self._error: BaseException | None = None
         self._heartbeat = 0.0  # loop.time() of the consumer's last turn
         self._task: asyncio.Task | None = None
@@ -443,20 +445,15 @@ class StreamService:
         self._stopping = True
         self._wake.set()
         if self._task is not None:  # start() may have failed before spawn
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                # Distinguish *our* cancellation (propagate) from a
-                # consumer task someone killed externally: the latter
-                # is a crash, reported as ServiceCrashed below, not a
-                # CancelledError leaking out of an orderly shutdown.
-                current = asyncio.current_task()
-                if current is not None and _cancel_requests(current):
-                    raise
-                if self._error is None:
-                    await self._crash(
-                        ServiceCrashed("service consumer was killed")
-                    )
+            # ``asyncio.wait`` raises only on *our* cancellation; a
+            # consumer someone killed externally is a crash, reported as
+            # ServiceCrashed below, not a CancelledError leaking out of
+            # an orderly shutdown.
+            await asyncio.wait({self._task})
+            if self._task.cancelled() and self._error is None:
+                await self._crash(
+                    ServiceCrashed("service consumer was killed")
+                )
         # A retune enqueued after the consumer's final loop turn would
         # otherwise strand its caller on a future nobody resolves.
         self._fail_pending_retunes(
@@ -532,14 +529,18 @@ class StreamService:
         )
 
     async def ingest_many(self, keys, weights=None, values=None,
-                          times=None) -> None:
+                          times=None, *, route=None) -> None:
         """Admit a batch of events (suspends under backpressure).
 
         Batches larger than the buffer bound are split so admission
         never needs more than ``queue_size`` free slots at once.
+        ``route`` tags the block with the tenant it belongs to: flushes
+        then apply as ``update_many(..., routes=[(tenant, n), ...])``
+        (see :mod:`repro.serve.batcher`), which the wrapped sampler must
+        accept.
         """
         self._check_ingest()
-        chunk = chunk_of(keys, weights, values, times)
+        chunk = chunk_of(keys, weights, values, times, route)
         if chunk["n"] == 0:  # same no-op contract as update_many
             return
         limit = min(self.queue_size, self.batch_size)
@@ -559,36 +560,56 @@ class StreamService:
                 self._admit(sub)
 
     def try_ingest(self, key, weight: float = 1.0, *, value=None,
-                   time=None, label: str | None = None) -> bool:
+                   time=None) -> bool:
         """Non-blocking scalar admit; drops (and counts) when full."""
         return self.try_ingest_many(
             [key],
             weights=None if weight == 1.0 else [weight],
             values=None if value is None else [value],
             times=None if time is None else [time],
-            label=label,
         )
 
     def try_ingest_many(self, keys, weights=None, values=None,
-                        times=None, label: str | None = None) -> bool:
+                        times=None, *, route=None) -> bool:
         """Non-blocking batch admit: all-or-nothing, dropped events are
-        counted in ``metrics.events_dropped`` and attributed to ``label``
-        in ``metrics.events_dropped_by`` (the tenant, when a cluster
-        worker drops; unlabeled otherwise) — so per-tenant backpressure
+        counted in ``metrics.events_dropped`` and attributed to the
+        block's ``route`` (as in :meth:`ingest_many`) in
+        ``metrics.events_dropped_by`` — the tenant, when a cluster
+        worker drops; unlabeled otherwise — so per-tenant backpressure
         drops stay distinguishable from quota rejections.
 
         Synchronous — call it from the event-loop thread (e.g. inside a
         protocol callback); it never suspends.
         """
         self._check_ingest()
-        chunk = chunk_of(keys, weights, values, times)
+        chunk = chunk_of(keys, weights, values, times, route)
         if chunk["n"] == 0:
             return True
         if self._buffered + chunk["n"] > self.queue_size:
-            self.metrics.record_drop(chunk["n"], label)
+            self.metrics.record_drop(chunk["n"], route)
             return False
         self._admit(chunk)
         return True
+
+    def enqueue_admin(self, *ops) -> None:
+        """Queue admin ops for the wrapped sampler's ``apply_admin``.
+
+        The ops take their place in the queue behind every event admitted
+        so far and ahead of every later one; the consumer logs them as a
+        zero-event WAL admin record and applies them between batches.
+        They occupy no event slots, so this never suspends; a
+        :meth:`flush` barrier covers them.
+        """
+        if not ops:
+            return
+        self._check_ingest()
+        if not callable(getattr(self._sampler, "apply_admin", None)):
+            raise TypeError(
+                f"sampler {self.sampler_name!r} takes no admin ops"
+            )
+        self._queue.append({"n": 0, "ops": list(ops)})
+        self._ops_enqueued += len(ops)
+        self._wake.set()
 
     def _admit(self, chunk: dict) -> None:
         if self.trace_log is not None:
@@ -651,15 +672,20 @@ class StreamService:
             return snap.query(query, **kw)
 
     async def flush(self) -> None:
-        """Barrier: wait until everything admitted so far is applied."""
+        """Barrier: wait until everything admitted so far — events and
+        admin ops — is applied."""
         self._check_started()
-        target = self._enqueued
+        target, ops = self._enqueued, self._ops_enqueued
+
+        def behind() -> bool:
+            return self._applied < target or self._ops_applied < ops
+
         async with self._applied_cond:
-            while self._applied < target and not self.crashed:
+            while behind() and not self.crashed:
                 self._force_flush = True
                 self._wake.set()
                 await self._applied_cond.wait()
-        if self._applied < target and self.crashed:
+        if behind() and self.crashed:
             raise ServiceCrashed(
                 "service consumer crashed before the flush barrier"
             ) from self._error
@@ -721,12 +747,9 @@ class StreamService:
         return changes
 
     def _apply_retune(self, changes: dict) -> None:
-        """Apply validated retune changes to the live config + sampler.
-
-        Shared by the consumer (live path) and :meth:`recover` (replay
-        of WAL admin records, then its keyword overrides) so both walk
-        the exact same code.
-        """
+        """Apply validated retune changes to the live config + sampler
+        (a logged or replayed retune, or :meth:`recover`'s keyword
+        overrides)."""
         if "batch_size" in changes:
             self.batch_size = min(int(changes["batch_size"]), self.queue_size)
             self._batcher.batch_size = self.batch_size
@@ -735,6 +758,36 @@ class StreamService:
             self._batcher.max_latency = self.max_latency
         if "k" in changes:
             self._sampler.resize(int(changes["k"]))
+
+    def _apply_admin(self, admin: dict) -> None:
+        """Apply one admin record's effect: a retune, or sampler ops.
+
+        Shared by the consumer (live path) and :meth:`recover` (replay)
+        so both walk the exact same code.
+        """
+        if "retune" in admin:
+            self._apply_retune(admin["retune"])
+            self.metrics.record_retune()
+        for op in admin.get("ops", ()):
+            self._sampler.apply_admin(op)
+
+    async def _log_admin(self, admin: dict) -> None:
+        """Log ``admin`` as one zero-event WAL record, then apply it.
+
+        The admin sequence number lets recovery skip records a later
+        checkpoint already covers (replay from a checkpoint taken at the
+        same offset re-yields the record).
+        """
+        async with self._state_lock:
+            self._admin_seq += 1
+            if self._wal is not None:
+                frame = self._wal.append(
+                    self._durable, 0,
+                    {"admin": {"seq": self._admin_seq, **admin}},
+                )
+                self.metrics.wal_records += 1
+                self.metrics.wal_bytes += frame
+            self._apply_admin(admin)
 
     def _fail_pending_retunes(self, error: BaseException) -> None:
         while self._retunes:
@@ -776,24 +829,20 @@ class StreamService:
                         break
                 if self._queue:
                     continue  # more work arrived while flushing
+                # Park until woken, or until the pending batch's deadline
+                # (a timer sets the same wake event).  A plain wait, so an
+                # external ``Task.cancel()`` always lands as a
+                # CancelledError here.
                 deadline = self._batcher.deadline()
-                timeout = (
+                timer = (
                     None if deadline is None
-                    else max(0.0, deadline - loop.time())
+                    else loop.call_at(deadline, self._wake.set)
                 )
                 try:
-                    await asyncio.wait_for(self._wake.wait(), timeout)
-                except (TimeoutError, asyncio.TimeoutError):
-                    pass  # asyncio.TimeoutError != TimeoutError before 3.11
-                # On 3.11 ``wait_for`` can swallow an *external*
-                # ``Task.cancel()`` that races its internal timeout or the
-                # wake itself: the cancellation turns into the TimeoutError
-                # above or a normal return, and the consumer would keep
-                # running as if nothing happened.  ``cancelling()`` still
-                # records the lost request — re-raise it.
-                task = asyncio.current_task()
-                if task is not None and _cancel_requests(task):
-                    raise asyncio.CancelledError()
+                    await self._wake.wait()
+                finally:
+                    if timer is not None:
+                        timer.cancel()
                 self._wake.clear()
         except asyncio.CancelledError:
             raise
@@ -801,9 +850,21 @@ class StreamService:
             await self._crash(err)
 
     async def _pull(self, now: float) -> None:
-        """Move admitted chunks into the batcher, flushing as triggered."""
+        """Move admitted chunks into the batcher, flushing as triggered;
+        admin ops apply between batches, after draining the pending one."""
         while self._queue:
             chunk = self._queue[0]
+            if "ops" in chunk:
+                await self._flush_batch("drain")
+                # Consecutive op entries share one admin record.
+                ops = []
+                while self._queue and "ops" in self._queue[0]:
+                    ops.extend(self._queue.popleft()["ops"])
+                await self._log_admin({"ops": ops})
+                self._ops_applied += len(ops)
+                async with self._applied_cond:
+                    self._applied_cond.notify_all()
+                continue
             if not self._batcher.accepts(chunk):
                 await self._flush_batch("drain")
                 continue
@@ -828,31 +889,15 @@ class StreamService:
         """Apply queued retunes at a flush boundary (consumer-side).
 
         Drains the pending micro-batch first so the reconfiguration sits
-        *between* batches, then — per retune — appends one zero-event WAL
-        admin record and applies the changes under the state lock.  The
-        admin sequence number lets recovery skip records a later
-        checkpoint already covers (replay from a checkpoint taken at the
-        same offset re-yields the record).
+        *between* batches, then logs and applies one admin record per
+        retune.
         """
         if len(self._batcher):
             await self._flush_batch("drain")
         while self._retunes:
             changes, future = self._retunes.popleft()
             try:
-                async with self._state_lock:
-                    self._admin_seq += 1
-                    if self._wal is not None:
-                        frame = self._wal.append(
-                            self._durable, 0,
-                            {"admin": {
-                                "seq": self._admin_seq,
-                                "retune": dict(changes),
-                            }},
-                        )
-                        self.metrics.wal_records += 1
-                        self.metrics.wal_bytes += frame
-                    self._apply_retune(changes)
-                    self.metrics.record_retune()
+                await self._log_admin({"retune": dict(changes)})
             except BaseException as err:  # noqa: BLE001 - crash containment
                 if not future.done():
                     wrapped = ServiceCrashed(
@@ -969,11 +1014,11 @@ class StreamService:
         skipped in favor of older ones), revives the sampler from it via
         the registry, and replays the write-ahead-log tail after the
         checkpoint the way the consumer applied it: batches through
-        ``update_many``, retunes through the live retune step.  The
-        result equals — to the bit, RNG streams included — an
-        uninterrupted run over the first :attr:`events_durable` events;
-        events admitted but never logged at the crash are the producer's
-        to re-send from that offset.
+        ``update_many``, admin records (retunes, sampler admin ops)
+        through the live admin step.  The result equals — to the bit,
+        RNG streams included — an uninterrupted run over the first
+        :attr:`events_durable` events; events admitted but never logged
+        at the crash are the producer's to re-send from that offset.
 
         Keyword overrides replace persisted config values (e.g. a larger
         ``queue_size``) and win over replayed retunes; the returned
@@ -1031,12 +1076,12 @@ class StreamService:
             elif int(admin.get("seq", 0)) <= admin_seq:
                 continue  # the checkpoint's snapshots hold its effect
             else:
-                # A zero-event admin record: re-apply the retune at the
-                # exact stream position it originally took effect, so
-                # the replayed sampler walks the same resize/fold path.
+                # A zero-event admin record: re-apply it at the exact
+                # stream position it originally took effect, so the
+                # replayed sampler walks the same path (resize/fold,
+                # tenant create/install/drop).
                 admin_seq = int(admin["seq"])
-                service._apply_retune(admin.get("retune", {}))
-                metrics.record_retune()
+                service._apply_admin(admin)
             metrics.wal_records += 1
             metrics.wal_bytes += record.nbytes
         service._apply_retune(overrides)  # overrides beat replayed retunes

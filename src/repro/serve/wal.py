@@ -17,14 +17,21 @@ The log is a sequence of segment files inside ``<dir>/wal/``::
 ``seq`` orders segments, ``first_offset`` is the stream offset (events
 logged before this segment) of its first record — which is what lets
 :meth:`WriteAheadLog.prune` drop fully-checkpointed segments without
-reading them.  Each record is::
+reading them.  (One exception keeps that rule sound: when the previous
+segment ends with a zero-event record at that very offset, the name
+carries the offset plus one, since a replay starting there still needs
+the previous segment.)  Each record is::
 
     <u32 payload length> <u32 crc32(payload)> <payload>
 
 where the payload is a pickled dict ``{"offset", "n", "columns"}``:
 ``offset`` is the stream offset of the record's first event, ``n`` the
-event count, and ``columns`` the ``update_many`` keyword columns (numpy
-arrays pickle as raw buffers, so logging adds little over a memcpy).
+event count, and ``columns`` either the ``update_many`` keyword columns
+of a micro-batch — ``keys`` plus the optional ``weights``/``values``/
+``times`` arrays, and for a routed batch the run-length ``routes``
+``[(tenant, n), ...]`` — or, for a zero-event admin record,
+``{"admin": {"seq", ...}}``.  Numpy arrays pickle as raw buffers, so
+logging adds little over a memcpy.
 
 Torn writes
 -----------
@@ -180,16 +187,22 @@ class WriteAheadLog:
         self._dir.mkdir(parents=True, exist_ok=True)
         self._file = None
         self._seg_bytes = 0
+        #: One past the offset of a zero-event record ending the open
+        #: segment (0 otherwise): the next segment's name may not go
+        #: below it (see the module docstring).
+        self._pinned = 0
         existing = _segments(self._dir)
         self._next_seq = existing[-1][0] + 1 if existing else 0
         if existing:
             # Truncate a torn tail so appends land on a record boundary
             # and future replays read through into our new records.
             last = existing[-1][2]
-            _, clean = _read_segment(last)
+            records, clean = _read_segment(last)
             if clean < last.stat().st_size:
                 with open(last, "r+b") as fh:
                     fh.truncate(clean)
+            if records and records[-1].n == 0:
+                self._pinned = records[-1].offset + 1
 
     @property
     def segment_count(self) -> int:
@@ -208,10 +221,12 @@ class WriteAheadLog:
     def _rotate(self, first_offset: int) -> None:
         if self._file is not None:
             self._file.close()
+        first_offset = max(first_offset, self._pinned)
         name = f"wal-{self._next_seq:08d}-{first_offset:016d}.log"
         self._next_seq += 1
         self._file = open(self._dir / name, "ab")
         self._seg_bytes = 0
+        self._pinned = 0
 
     def append(self, offset: int, n: int, columns: dict) -> int:
         """Append one micro-batch record; returns its framed byte size.
@@ -237,6 +252,7 @@ class WriteAheadLog:
             os.fsync(self._file.fileno())
         self._hook("wal.append.after")
         self._seg_bytes += frame
+        self._pinned = int(offset) + 1 if n == 0 else 0
         return frame
 
     def prune(self, before_offset: int) -> int:

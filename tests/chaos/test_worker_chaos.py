@@ -17,7 +17,6 @@ import pytest
 
 from repro.serve.chaos import ChaosError, ChaosInjector, Fault
 from repro.serve.cluster import Cluster, Supervisor
-from repro.serve.service import _cancel_requests
 from tests.chaos.common import (
     FAST_SUPERVISION,
     control_signature,
@@ -255,12 +254,16 @@ class TestChaosSoak:
                     await settle(cluster, {"acme": keys}, chunk=80)
                     # The last kill may still be *in delivery* (cancel
                     # is scheduled, the task dies a tick later): wait
-                    # until every worker is alive with no pending
-                    # cancel, i.e. the supervisor restored the fleet.
-                    await wait_for(lambda: all(
-                        w.consumer_alive and _cancel_requests(w._task) == 0
-                        for w in cluster._workers.values()
-                    ))
+                    # until every worker is alive, give a pending kill
+                    # time to land, and wait again — i.e. until the
+                    # supervisor restored the fleet.
+                    def fleet_alive():
+                        return all(w.consumer_alive
+                                   for w in cluster._workers.values())
+
+                    await wait_for(fleet_alive)
+                    await asyncio.sleep(0.05)
+                    await wait_for(fleet_alive)
                     assert sig_of(await cluster.sample("acme")) == \
                         control_signature(7, keys)
                     restored = [e for e in sup.events

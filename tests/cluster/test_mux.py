@@ -1,4 +1,5 @@
-"""The tenant multiplexer sampler: grouping, admin rows, portability."""
+"""The tenant multiplexer sampler: routed blocks, composite rows, admin
+ops, portability."""
 
 from __future__ import annotations
 
@@ -6,15 +7,20 @@ import numpy as np
 import pytest
 
 import repro
+from repro.serve import StreamService, WriteAheadLog
 from repro.serve.cluster.mux import (
-    ADMIN_KEY,
     TenantMuxSampler,
-    compose_rows,
     create_op,
     drop_op,
     install_op,
+    key_block,
 )
-from tests.cluster.common import control_signature, tenant_spec, tenant_stream
+from tests.cluster.common import (
+    control_signature,
+    run_async,
+    tenant_spec,
+    tenant_stream,
+)
 from tests.helpers import sample_signature
 
 
@@ -22,6 +28,17 @@ def _mux(n_tenants: int = 3) -> TenantMuxSampler:
     return TenantMuxSampler(
         {f"t{i}": tenant_spec(i) for i in range(n_tenants)}
     )
+
+
+def _rows(tenant: str, keys) -> list[tuple]:
+    """Composite ``(tenant, key)`` rows for one tenant's key batch."""
+    return [(tenant, key) for key in np.asarray(keys).tolist()]
+
+
+def _routed(mux: TenantMuxSampler, tenant: str, keys, *columns) -> None:
+    """Apply one tenant's block the way a cluster worker flush does."""
+    keys = key_block(keys)
+    mux.update_many(keys, *columns, routes=[(tenant, len(keys))])
 
 
 def _interleaved(n_tenants: int = 3, n: int = 300) -> list[tuple]:
@@ -80,10 +97,10 @@ class TestGrouping:
 
     def test_applied_counters_track_data_rows_only(self):
         mux = TenantMuxSampler()
-        mux.update_many([create_op("a", tenant_spec(0))])
-        mux.update_many(compose_rows("a", [1, 2, 3]))
-        mux.update((ADMIN_KEY, {"op": "create", "tenant": "b",
-                                "spec": tenant_spec(1)}))
+        mux.apply_admin(create_op("a", tenant_spec(0)))
+        mux.update_many(_rows("a", [1, 2, 3]))
+        mux.apply_admin({"op": "create", "tenant": "b",
+                         "spec": tenant_spec(1)})
         mux.update(("a", 4))
         assert mux.events_applied_for("a") == 4
         assert mux.events_applied_for("b") == 0
@@ -121,52 +138,118 @@ class TestGrouping:
             mux.update(("ghost", 1))
         with pytest.raises(KeyError, match="unknown tenant"):
             mux.update_many([("ghost", 1)])
+        with pytest.raises(KeyError, match="unknown tenant"):
+            mux.update_many(np.arange(3), routes=[("ghost", 3)])
+
+    def test_legacy_admin_rows_are_refused_not_replayed(self):
+        """The older WAL format carried admin ops as ``("__mux_admin__",
+        op)`` rows; the row form refuses them by the reserved prefix
+        instead of feeding an op dict to a sampler as a key."""
+        mux = _mux(1)
+        legacy = ("__mux_admin__", {"op": "drop", "tenant": "t0"})
+        with pytest.raises(ValueError, match="reserved"):
+            mux.update_many([("t0", 1), legacy])
+        with pytest.raises(ValueError, match="reserved"):
+            mux.update(legacy)
+        assert mux.has_tenant("t0")
 
 
-class TestAdminRows:
-    def test_create_then_data_in_one_batch(self):
+class TestRoutedBlocks:
+    def test_routes_match_the_row_form(self):
+        """Routed runs — a tenant's rows split over several runs,
+        with every optional column — apply exactly like the same events
+        as composite rows."""
+        rows = _interleaved(3, 120)
+        weights = np.random.default_rng(4).lognormal(0.0, 0.5, len(rows))
+        routes, keys = [], []
+        for tenant, key in rows:
+            if routes and routes[-1][0] == tenant:
+                routes[-1] = (tenant, routes[-1][1] + 1)
+            else:
+                routes.append((tenant, 1))
+            keys.append(key)
+        routed, by_rows = _mux(), _mux()
+        routed.update_many(np.asarray(keys), weights, routes=routes)
+        by_rows.update_many(rows, weights)
+        for tenant in routed.tenants():
+            assert routed.events_applied_for(tenant) == 120
+            assert sample_signature(routed.tenant_sampler(tenant)) == \
+                sample_signature(by_rows.tenant_sampler(tenant))
+
+    def test_list_blocks_route_per_tenant(self):
+        """Non-numeric blocks (strings, tuple keys) travel as lists."""
+        mux = _mux(2)
+        words = [f"w{i}" for i in range(40)]
+        pairs = [(i, i + 1) for i in range(30)]
+        assert key_block(np.asarray(words)) == words
+        assert key_block(pairs) == pairs
+        mux.update_many(words + pairs, routes=[("t0", 40), ("t1", 30)])
+        control = _mux(2)
+        for word in words:
+            control.update(("t0", word))
+        for pair in pairs:
+            control.update(("t1", pair))
+        for tenant in ("t0", "t1"):
+            assert sample_signature(mux.tenant_sampler(tenant)) == \
+                sample_signature(control.tenant_sampler(tenant))
+
+    def test_key_block_keeps_numeric_arrays(self):
+        keys = np.arange(5, dtype=np.uint64)
+        assert key_block(keys) is keys
+        assert key_block([1, 2, 3]).dtype == np.int64
+        assert key_block([1.5, 2.5]).dtype == np.float64
+        assert key_block([True, False]) == [True, False]
+        assert key_block([(1, 2), (3,)]) == [(1, 2), (3,)]
+
+
+class TestAdminOps:
+    def test_create_then_data(self):
         mux = TenantMuxSampler()
         keys = tenant_stream(0, 200)
-        mux.update_many(
-            [create_op("t0", tenant_spec(0))] + compose_rows("t0", keys)
-        )
+        mux.apply_admin(create_op("t0", tenant_spec(0)))
+        _routed(mux, "t0", keys)
         assert sample_signature(mux.tenant_sampler("t0")) == \
             control_signature(0, keys)
 
-    def test_admin_row_orders_against_its_own_tenant(self):
+    def test_admin_ops_order_against_data(self):
         """Data before a drop applies; data after a (re)create applies to
-        the fresh sampler — position in the batch is what counts."""
+        the fresh sampler — stream position is what counts."""
         keys = tenant_stream(0, 100)
         mux = TenantMuxSampler()
-        mux.update_many(
-            [create_op("t0", tenant_spec(0))]
-            + compose_rows("t0", keys)
-            + [drop_op("t0"), create_op("t0", tenant_spec(0))]
-            + compose_rows("t0", keys[:10])
-        )
+        mux.apply_admin(create_op("t0", tenant_spec(0)))
+        _routed(mux, "t0", keys)
+        mux.apply_admin(drop_op("t0"))
+        mux.apply_admin(create_op("t0", tenant_spec(0)))
+        _routed(mux, "t0", keys[:10])
         assert sample_signature(mux.tenant_sampler("t0")) == \
             control_signature(0, keys[:10])
         assert mux.events_applied_for("t0") == 10
 
+    def test_admin_ops_advance_the_state_version(self):
+        mux = TenantMuxSampler()
+        before = mux.state_version
+        mux.apply_admin(create_op("t0", tenant_spec(0)))
+        assert mux.state_version > before
+
     def test_install_continues_state_bit_exactly(self):
         keys = tenant_stream(0, 400)
         donor = TenantMuxSampler({"t0": tenant_spec(0)})
-        donor.update_many(compose_rows("t0", keys[:250]))
+        _routed(donor, "t0", keys[:250])
         state = donor.tenant_sampler("t0").to_state()
 
         receiver = TenantMuxSampler()
-        receiver.update_many([
+        receiver.apply_admin(
             install_op("t0", state, donor.events_applied_for("t0"))
-        ])
+        )
         assert receiver.events_applied_for("t0") == 250
-        receiver.update_many(compose_rows("t0", keys[250:]))
+        _routed(receiver, "t0", keys[250:])
         assert sample_signature(receiver.tenant_sampler("t0")) == \
             control_signature(0, keys)
 
     def test_duplicate_create_raises(self):
         mux = _mux(1)
         with pytest.raises(ValueError, match="already exists"):
-            mux.update_many([create_op("t0", tenant_spec(0))])
+            mux.apply_admin(create_op("t0", tenant_spec(0)))
 
     def test_install_over_existing_copy_replaces_it(self):
         """Install is idempotent: a retried handoff ships the flushed
@@ -174,15 +257,16 @@ class TestAdminRows:
         copy a failed earlier attempt left on the destination."""
         keys = tenant_stream(0, 200)
         donor = TenantMuxSampler({"t0": tenant_spec(0)})
-        donor.update_many(compose_rows("t0", keys))
+        _routed(donor, "t0", keys)
         op = install_op(
             "t0",
             donor.tenant_sampler("t0").to_state(),
             donor.events_applied_for("t0"),
         )
         receiver = _mux(1)  # already holds a diverged copy of t0
-        receiver.update_many(compose_rows("t0", tenant_stream(1, 50)))
-        receiver.update_many([op, op])  # and twice is the same as once
+        _routed(receiver, "t0", tenant_stream(1, 50))
+        receiver.apply_admin(op)
+        receiver.apply_admin(op)  # and twice is the same as once
         assert receiver.events_applied_for("t0") == 200
         assert sample_signature(receiver.tenant_sampler("t0")) == \
             control_signature(0, keys)
@@ -190,14 +274,14 @@ class TestAdminRows:
     def test_drop_unknown_and_bad_ops_raise(self):
         mux = TenantMuxSampler()
         with pytest.raises(KeyError, match="unknown tenant"):
-            mux.update_many([drop_op("ghost")])
+            mux.apply_admin(drop_op("ghost"))
         with pytest.raises(ValueError, match="unknown tenant admin op"):
-            mux.update((ADMIN_KEY, {"op": "explode"}))
+            mux.apply_admin({"op": "explode"})
 
     def test_reserved_tenant_ids_rejected(self):
         mux = TenantMuxSampler()
         with pytest.raises(ValueError, match="reserved"):
-            mux.update_many([create_op("__shadow", tenant_spec(0))])
+            mux.apply_admin(create_op("__shadow", tenant_spec(0)))
 
 
 class TestStateAndReads:
@@ -247,3 +331,69 @@ class TestStateAndReads:
         assert TenantMuxSampler.mergeable is False
         with pytest.raises(ValueError, match="not mergeable"):
             repro.ShardedSampler("tenant_mux", n_shards=2)
+
+
+class TestParentFormatDirectories:
+    """Worker directories written before routed blocks: WAL data records
+    hold composite ``(tenant, key)`` rows, and admin ops were
+    ``("__mux_admin__", op)`` rows among them."""
+
+    SPECS = {"t0": tenant_spec(0), "t1": tenant_spec(1)}
+
+    def _worker_dir(self, root) -> WriteAheadLog:
+        async def create():
+            service = StreamService(TenantMuxSampler(self.SPECS), dir=root)
+            await service.start()
+            await service.stop()
+
+        run_async(create())
+        return WriteAheadLog(root)
+
+    @staticmethod
+    def _legacy_record(rows) -> dict:
+        return {"keys": rows, "weights": None, "values": None, "times": None}
+
+    def test_data_only_tail_replays_bit_exactly(self, tmp_path):
+        streams = {t: tenant_stream(i, 300) for i, t in enumerate(self.SPECS)}
+        wal = self._worker_dir(tmp_path)
+        offset = 0
+        for lo in range(0, 300, 100):
+            rows = [
+                (tenant, int(streams[tenant][at]))
+                for at in range(lo, lo + 100) for tenant in self.SPECS
+            ]
+            wal.append(offset, len(rows), self._legacy_record(rows))
+            offset += len(rows)
+        wal.close()
+
+        recovered = StreamService.recover(tmp_path)
+        assert recovered.events_durable == 600
+        for i, tenant in enumerate(self.SPECS):
+            assert recovered.sampler.events_applied_for(tenant) == 300
+            assert sample_signature(recovered.sampler.tenant_sampler(
+                tenant)) == control_signature(i, streams[tenant])
+
+        # The recovered worker carries on with routed blocks.
+        more = tenant_stream(7, 50)
+
+        async def resume():
+            await recovered.start()
+            await recovered.ingest_many(more, route="t0")
+            await recovered.stop()
+
+        run_async(resume())
+        assert sample_signature(recovered.sampler.tenant_sampler("t0")) == \
+            control_signature(0, streams["t0"], more)
+
+    def test_tail_with_an_admin_row_is_refused(self, tmp_path):
+        wal = self._worker_dir(tmp_path)
+        rows = [
+            ("t0", 1),
+            ("__mux_admin__", {"op": "create", "tenant": "t2",
+                               "spec": tenant_spec(2)}),
+            ("t2", 5),
+        ]
+        wal.append(0, len(rows), self._legacy_record(rows))
+        wal.close()
+        with pytest.raises(ValueError, match="reserved '__' prefix"):
+            StreamService.recover(tmp_path)

@@ -347,16 +347,16 @@ class TestFailedHandoffRollback:
                     name for name in cluster.services if name != victim
                 )
                 worker = cluster._workers[survivor]
-                real_ingest = worker.ingest_many
+                real_enqueue = worker.enqueue_admin
                 boom = {"armed": True}
 
-                async def failing_ingest(*args, **kwargs):
+                def failing_enqueue(*ops):
                     if boom["armed"]:
                         boom["armed"] = False
                         raise InjectedFault("install enqueue failed")
-                    return await real_ingest(*args, **kwargs)
+                    return real_enqueue(*ops)
 
-                worker.ingest_many = failing_ingest
+                worker.enqueue_admin = failing_enqueue
                 with pytest.raises(InjectedFault):
                     await cluster.rehome_service(victim, reason="dead")
 

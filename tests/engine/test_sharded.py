@@ -378,7 +378,9 @@ class TestCheckpointVersion:
         assert again.to_state() == mux.to_state()
         # A rebalance handoff logged by version-1 code replays the same way.
         replayed = TenantMuxSampler()
-        replayed.update(install_op("acme", copy.deepcopy(V1_ENGINE_STATE)))
+        replayed.apply_admin(
+            install_op("acme", copy.deepcopy(V1_ENGINE_STATE))
+        )
         assert replayed.to_state()["params"] == mux.to_state()["params"]
 
     def test_newer_version_is_refused_by_name(self):

@@ -176,3 +176,46 @@ def test_microbatcher_signature_mismatch_is_refused():
         batcher.add(chunk_of([3]), now=0.0)
     batcher.drain()
     batcher.add(chunk_of([3]), now=0.0)  # fine after the drain
+
+@pytest.mark.parametrize("name, params", [
+    ("bottom_k", {"k": 8, "rng": 3}),
+    ("weighted_distinct", {"k": 8, "salt": 3}),
+    ("kmv", {"k": 8, "salt": 3}),
+], ids=["bottom_k", "weighted_distinct", "kmv"])
+@pytest.mark.parametrize("later", [np.float64, np.uint64, np.str_],
+                         ids=["float64", "uint64", "str"])
+def test_key_dtype_change_drains_instead_of_promoting(name, params, later):
+    """An int64 block followed by a float64, uint64 or str block before
+    one flush must reach the sampler as two blocks, exactly as a bare
+    sampler given the same two ``update_many`` calls: concatenating
+    them would promote every key of the flush (``1`` -> ``1.0`` or
+    ``'1'``)."""
+    first = np.arange(1, 41, dtype=np.int64)
+    second = np.arange(30, 70).astype(later)
+    bare = make_sampler(name, **params)
+    bare.update_many(first)
+    bare.update_many(second)
+
+    async def through_service():
+        service = StreamService(make_sampler(name, **params),
+                                batch_size=1000, max_latency=30.0)
+        await service.start()
+        await service.ingest_many(first)
+        await service.ingest_many(second)
+        await service.flush()
+        await service.stop()
+        return service
+
+    service = run_async(through_service())
+    assert signature(service.sampler) == signature(bare)
+    assert service.metrics.batches_applied == 2
+
+
+def test_microbatcher_keeps_list_keys_apart_from_arrays():
+    """A list block never joins an array batch (or vice versa): numpy
+    would coerce the list — tuple keys into extra array dimensions."""
+    batcher = MicroBatcher(batch_size=10, max_latency=1.0)
+    batcher.add(chunk_of(np.array([6.25])), now=0.0)
+    assert not batcher.accepts(chunk_of([(25, 1)]))
+    assert not batcher.accepts(chunk_of(np.array([7], dtype=np.int64)))
+    assert batcher.accepts(chunk_of(np.array([7.5])))

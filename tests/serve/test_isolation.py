@@ -251,13 +251,11 @@ def test_stop_drains_immediately_despite_a_long_deadline():
     run_async(go())
 
 
-@pytest.mark.skipif(not hasattr(asyncio.Task, "cancelling"),
-                    reason="only Task.cancelling() records a lost cancel")
 def test_kill_racing_an_admission_still_kills_the_consumer():
     """A ``Task.cancel()`` landing in the same loop turn as the wake of
-    an admission must still end the consumer.  Before Python 3.12,
-    ``wait_for`` answers such a cancel with the finished wake instead of
-    raising it, and the consumer would idle on with the kill lost."""
+    an admission must still end the consumer (an ``asyncio.wait_for``
+    park could answer such a cancel with the finished wake before Python
+    3.12 and lose the kill; the consumer parks on a plain wait)."""
     async def go():
         service = _service(batch_size=1000, max_latency=30.0)
         await service.start()
@@ -352,3 +350,19 @@ def test_soak_sustained_concurrent_load():
             await service.stop()
 
     run_async(go(), timeout=300)
+
+
+def test_admin_ops_need_a_sampler_that_applies_them():
+    """``enqueue_admin`` refuses up front when the wrapped sampler has no
+    ``apply_admin`` (rather than crashing the consumer later)."""
+    async def go():
+        service = _service()
+        await service.start()
+        service.enqueue_admin()  # nothing to queue
+        with pytest.raises(TypeError, match="takes no admin ops"):
+            service.enqueue_admin({"op": "create", "tenant": "t0"})
+        await service.ingest_many(list(range(10)))
+        await service.stop()
+        assert service.events_applied == 10
+
+    run_async(go())

@@ -313,6 +313,26 @@ def test_wal_prune_keeps_segments_needed_by_offset(tmp_path):
     wal.close()
 
 
+def test_wal_prune_keeps_a_segment_ending_in_a_zero_event_record(tmp_path):
+    """A zero-event admin record at offset 10 ending its segment is part
+    of a replay from 10, so pruning at 10 must keep that segment — also
+    when the next segment was opened by a re-opened writer."""
+    wal = WriteAheadLog(tmp_path, segment_max_bytes=1)  # rotate every record
+    wal.append(0, 10, {"keys": list(range(10))})
+    wal.append(10, 0, {"admin": {"seq": 1, "retune": {"batch_size": 4}}})
+    wal.append(10, 10, {"keys": list(range(10, 20))})
+    wal.append(20, 0, {"admin": {"seq": 2, "retune": {"batch_size": 8}}})
+    wal.close()
+    wal = WriteAheadLog(tmp_path, segment_max_bytes=1)
+    wal.append(20, 10, {"keys": list(range(20, 30))})
+    for before in (10, 20):
+        wal.prune(before_offset=before)
+        replayed = [(r.offset, r.n)
+                    for r in replay_records(tmp_path, from_offset=before)]
+        assert replayed[0] == (before, 0), before
+    wal.close()
+
+
 def test_checkpoint_store_skips_invalid_and_retains(tmp_path):
     store = CheckpointStore(tmp_path, retain=2)
     for offset in (10, 20, 30):
@@ -322,6 +342,50 @@ def test_checkpoint_store_skips_invalid_and_retains(tmp_path):
     newest.write_bytes(b"garbage")
     offset, payload = store.load_latest()
     assert offset == 20 and payload["state"] == {"x": 20}
+
+
+def test_checkpoint_store_recycles_the_retired_file(tmp_path):
+    """The checkpoint falling out of ``retain`` is renamed to one spare
+    file, which the next write overwrites in place instead of creating
+    (and later unlinking) a fresh one.  A smaller body written over a
+    larger spare keeps the spare's length; the length-framed read
+    ignores the stale tail."""
+    ckpt = tmp_path / "ckpt"
+    store = CheckpointStore(tmp_path, retain=1)
+    store.write(10, {"offset": 10, "state": "x" * 20_000})
+    store.write(20, {"offset": 20, "state": "small"})
+    spare = ckpt / "spare.ckpt"
+    assert store.offsets() == (20,) and spare.exists()
+    inode, size = spare.stat().st_ino, spare.stat().st_size
+    final = store.write(30, {"offset": 30, "state": "smaller"})
+    assert (final.stat().st_ino, final.stat().st_size) == (inode, size)
+    assert store.load_latest() == (30, {"offset": 30, "state": "smaller"})
+    assert sorted(p.name for p in ckpt.iterdir()) == [
+        final.name, "spare.ckpt",
+    ]
+
+
+def test_checkpoint_torn_into_the_spare_leaves_the_store_valid(tmp_path):
+    """A crash mid-write into the recycled spare is a stray ``.tmp``:
+    the visible checkpoints are untouched and the next write cleans
+    up."""
+    fail = {"armed": False}
+
+    def hook(stage):
+        if stage == "checkpoint.mid" and fail["armed"]:
+            fail["armed"] = False
+            raise RuntimeError("crash mid-checkpoint")
+
+    store = CheckpointStore(tmp_path, retain=1, fault_hook=hook)
+    for offset in (10, 20):
+        store.write(offset, {"offset": offset, "state": offset})
+    fail["armed"] = True
+    with pytest.raises(RuntimeError, match="mid-checkpoint"):
+        store.write(30, {"offset": 30, "state": 30})
+    assert store.load_latest() == (20, {"offset": 20, "state": 20})
+    store.write(40, {"offset": 40, "state": 40})
+    assert store.load_latest() == (40, {"offset": 40, "state": 40})
+    assert not list((tmp_path / "ckpt").glob("*.tmp"))
 
 
 def test_recovery_restores_operational_metrics(tmp_path):
