@@ -42,6 +42,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
+from ..core.hashing import batch_hash_to_unit
 from ..core.priorities import (
     ExponentialPriority,
     InverseWeightPriority,
@@ -676,6 +677,22 @@ def _as_key_list(keys) -> list:
     if isinstance(keys, np.ndarray):
         return keys.tolist()
     return list(keys)
+
+
+def _as_key_batch(keys):
+    """A key batch as an ndarray (kept whole, so only the positions a
+    sampler keeps are ever converted) or a plain list."""
+    return keys if isinstance(keys, np.ndarray) else list(keys)
+
+
+def _key_hashes(keys, salt: int) -> np.ndarray:
+    """Coordinated hashes of an :func:`_as_key_batch` batch: a 1-D integer
+    array hashes as an array, any other batch as its Python values (so a
+    float64 array hashes like the scalar ``update`` path)."""
+    if not (isinstance(keys, np.ndarray) and keys.ndim == 1
+            and keys.dtype.kind in "iu"):
+        keys = _as_key_list(keys)
+    return batch_hash_to_unit(keys, salt)
 
 
 def _as_optional_array(arr, n: int, name: str) -> np.ndarray | None:

@@ -12,7 +12,8 @@ kernels practical:
 * :func:`bottomk_candidates` — the core bottom-k pruning step: of a batch
   of priorities, only those below the current threshold, and of *those*
   only the ``k + 1`` smallest, can possibly enter a bottom-k sketch.  One
-  ``np.argpartition`` replaces ``n`` heap operations.
+  ``np.partition`` replaces ``n`` heap operations.  Batch order is kept
+  for the tie rule of :class:`repro.core.bottomk_store.BottomKStore`.
 * :func:`smallest_distinct` — the distinct-sketch variant: the ``m``
   smallest *unique* values of a hash batch (KMV/Theta ingestion).
 * :func:`merge_into_sorted` — bulk merge of a pre-sorted batch into a
@@ -94,21 +95,25 @@ def int_key_array(keys) -> np.ndarray | None:
 def bottomk_candidates(
     priorities: np.ndarray, k: int, threshold: float
 ) -> np.ndarray:
-    """Indices (in batch order) of the only items that can enter a bottom-k.
+    """Indices, in batch order, of the only items that can enter a bottom-k.
 
     An item enters a bottom-k sketch only if its priority is below the
     current threshold, and among the batch itself only the ``k + 1``
     smallest can survive to the end (the sketch stores ``k + 1`` entries).
-    Both filters are order-independent, so offering just the returned
-    candidates reproduces the scalar loop's final state exactly.
+    Ties at that cut keep the earliest items, as a scalar loop rejecting
+    ``priority >= threshold`` does, so the candidates reproduce its state.
     """
     if np.isfinite(threshold):
         cand = np.flatnonzero(priorities < threshold)
     else:
         cand = np.arange(priorities.size)
     if cand.size > k + 1:
-        order = np.argpartition(priorities[cand], k)[: k + 1]
-        cand = cand[order]
+        pr = priorities[cand]
+        cut = np.partition(pr, k)[k]
+        keep = pr < cut
+        ties = np.flatnonzero(pr == cut)
+        keep[ties[: k + 1 - np.count_nonzero(keep)]] = True
+        cand = cand[keep]
     return cand
 
 

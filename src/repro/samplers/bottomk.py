@@ -11,58 +11,39 @@ fixed-threshold HT estimator and its variance estimator apply verbatim —
 the :meth:`BottomKSampler.sample` output plugs straight into
 :class:`repro.core.sample.Sample`'s methods.
 
-The sampler is mergeable: combining the retained heaps of two sketches over
-disjoint streams reproduces exactly the sketch of the concatenated stream.
+The rows live in a :class:`~repro.core.bottomk_store.BottomKStore`, which
+owns the threshold, the grow-resize cap and the merge: the union of two
+sketches over disjoint streams, cut back to ``k + 1`` rows, is exactly
+the sketch of the concatenated stream.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from typing import Callable
 
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
 from ..api.protocol import (
-    _as_key_list,
+    _as_key_batch,
     _as_optional_array,
+    _key_hashes,
     family_from_name,
     family_to_name,
     rng_from_state,
     rng_to_state,
 )
-from ..core.hashing import batch_hash_to_unit, hash_to_unit
-from ..core.kernels import bottomk_candidates
+from ..core.bottomk_store import BottomKStore
+from ..core.hashing import hash_to_unit
 from ..core.priorities import InverseWeightPriority, PriorityFamily
 from ..core.rng import as_generator
 from ..core.sample import Sample
 
 __all__ = ["BottomKSampler"]
 
-
-class _Entry:
-    """One retained stream record, ordered by priority (max-heap via negation)."""
-
-    __slots__ = ("priority", "key", "weight", "value", "time")
-
-    def __init__(
-        self,
-        priority: float,
-        key: object,
-        weight: float,
-        value: float,
-        time: float | None = None,
-    ):
-        self.priority = priority
-        self.key = key
-        self.weight = weight
-        self.value = value
-        self.time = time
-
-    def __lt__(self, other: "_Entry") -> bool:
-        # heapq is a min-heap; we need the *largest* priority on top, so
-        # invert the comparison.
-        return self.priority > other.priority
+#: Checkpoint row layout (rows older than the time column have 4 fields).
+_ROW = ("priorities", "keys", "weights", "values", "times")
 
 
 @register_sampler("bottom_k")
@@ -106,22 +87,19 @@ class BottomKSampler(StreamSampler):
         salt: int = 0,
         rng=None,
     ):
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        self.k = int(k)
         family = family_from_name(family)
         self.family = family if family is not None else InverseWeightPriority()
         self.coordinated = bool(coordinated)
         self.salt = int(salt)
         self.rng = as_generator(rng if rng is not None else 0)
-        # Max-heap of the k+1 smallest-priority entries seen so far.
-        self._heap: list[_Entry] = []
+        # The k+1 smallest priorities seen; an untimed row's time is NaN.
+        self._store = BottomKStore(k, ("weights", "values", "times"))
         self.items_seen = 0
-        # Admission cap left behind by a grow-resize: the threshold can
-        # never exceed the value it had when the budget was enlarged
-        # (1-substitutable, Section 3.5 — what keeps HT unbiased across
-        # the resize).  +inf when no grow has happened.
-        self._threshold_cap = float("inf")
+
+    @property
+    def k(self) -> int:
+        """Target sample size."""
+        return self._store.k
 
     # ------------------------------------------------------------------
     # Stream interface
@@ -138,70 +116,39 @@ class BottomKSampler(StreamSampler):
     ) -> bool:
         """Offer one item; returns True when it is currently retained."""
         self.items_seen += 1
-        r = self._priority(key, weight)
-        return self._offer(
-            _Entry(
-                r,
-                key,
-                float(weight),
-                float(weight if value is None else value),
-                None if time is None else float(time),
-            )
+        return self._store.update(
+            self._priority(key, weight),
+            key,
+            weights=float(weight),
+            values=float(weight if value is None else value),
+            times=math.nan if time is None else float(time),
         )
-
-    def _offer(self, entry: _Entry) -> bool:
-        if entry.priority >= self._threshold_cap:
-            return False
-        if len(self._heap) <= self.k:
-            heapq.heappush(self._heap, entry)
-            return True
-        if entry.priority >= self._heap[0].priority:
-            return False
-        heapq.heapreplace(self._heap, entry)
-        return True
-
-    def _batch_uniforms(self, keys: list, n: int) -> np.ndarray:
-        """Uniform draws for a batch, matching the scalar path exactly."""
-        if not self.coordinated:
-            return self.rng.random(n)
-        return batch_hash_to_unit(keys, self.salt)
 
     def update_many(self, keys, weights=None, values=None, times=None) -> None:
         """Vectorized bulk :meth:`update`.
 
-        Draws all priorities at once, threshold-tests the batch with numpy,
-        and rebuilds the retained heap from the ``k + 1`` smallest of the
-        union (bottom-k state is order-independent, so this is exactly the
-        state the scalar loop would reach — and with the same RNG
-        consumption, bit-for-bit the same sample).
+        Draws all priorities at once and offers the batch to the store,
+        which admits only the rows below the threshold (bottom-k state is
+        order-independent, so this is exactly the state the scalar loop
+        would reach — and with the same RNG consumption, bit-for-bit the
+        same sample).
         """
-        keys = _as_key_list(keys)
+        keys = _as_key_batch(keys)
         n = len(keys)
         if n == 0:
             return
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
         t = _as_optional_array(times, n, "times")
-        u = self._batch_uniforms(keys, n)
+        u = (_key_hashes(keys, self.salt) if self.coordinated
+             else self.rng.random(n))
         pr = np.asarray(
             self.family.inverse_cdf(u, 1.0 if w is None else w), dtype=float
         )
         self.items_seen += n
-
-        # Only items below the current threshold, and of those only the
-        # k+1 smallest within the batch, can ever enter the sketch.
-        for i in bottomk_candidates(pr, self.k, self.threshold):
-            self._offer(
-                _Entry(
-                    float(pr[i]),
-                    keys[i],
-                    1.0 if w is None else float(w[i]),
-                    float(
-                        (1.0 if w is None else w[i]) if v is None else v[i]
-                    ),
-                    None if t is None else float(t[i]),
-                )
-            )
+        w = np.ones(n) if w is None else w
+        self._store.offer(pr, keys, weights=w, values=w if v is None else v,
+                          times=t)
 
     # ------------------------------------------------------------------
     # State
@@ -210,17 +157,10 @@ class BottomKSampler(StreamSampler):
     def threshold(self) -> float:
         """The (k+1)-st smallest priority (capped by any grow-resize), or
         the cap / +inf while the sketch is underfull."""
-        if len(self._heap) <= self.k:
-            return self._threshold_cap
-        return min(self._heap[0].priority, self._threshold_cap)
+        return self._store.threshold
 
     def __len__(self) -> int:
-        return min(len(self._heap), self.k)
-
-    def _retained(self) -> list[_Entry]:
-        """Entries strictly below the threshold (the usable sample)."""
-        t = self.threshold
-        return [e for e in self._heap if e.priority < t]
+        return len(self._store)
 
     def sample(self) -> Sample:
         """Finalized sample; plugs into every Section 2 estimator.
@@ -230,23 +170,14 @@ class BottomKSampler(StreamSampler):
         one) so windowed/decayed queries can scope by it; a sketch fed
         no times at all emits ``times=None``.
         """
-        entries = self._retained()
-        t = self.threshold
-        times = None
-        if any(e.time is not None for e in entries):
-            times = np.array(
-                [np.nan if e.time is None else e.time for e in entries],
-                dtype=float,
-            )
+        rows = self._store.retained()
+        if np.isnan(rows["times"]).all():
+            rows["times"] = None
         return Sample(
-            keys=[e.key for e in entries],
-            values=np.array([e.value for e in entries], dtype=float),
-            weights=np.array([e.weight for e in entries], dtype=float),
-            priorities=np.array([e.priority for e in entries], dtype=float),
-            thresholds=np.full(len(entries), t),
+            **rows,
+            thresholds=np.full(len(rows["keys"]), self.threshold),
             family=self.family,
             population_size=self.items_seen,
-            times=times,
         )
 
     # ------------------------------------------------------------------
@@ -278,24 +209,11 @@ class BottomKSampler(StreamSampler):
         exactly the state a fresh ``k``-budget sketch of the same stream
         would hold (priority draws are per-item, not per-budget).
         Growing freezes the current threshold as an admission cap until
-        the enlarged heap genuinely fills past it; the cap is a
+        the enlarged store genuinely fills past it; the cap is a
         1-substitutable threshold, so the fixed-threshold estimators
         stay unbiased across the transition.
         """
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        k = int(k)
-        if k == self.k:
-            return self
-        if k < self.k:
-            if len(self._heap) > k + 1:
-                self._heap = sorted(
-                    self._heap, key=lambda e: e.priority
-                )[: k + 1]
-                heapq.heapify(self._heap)
-        else:
-            self._threshold_cap = self.threshold
-        self.k = k
+        self._store.resize(int(k))
         return self
 
     # ------------------------------------------------------------------
@@ -305,30 +223,17 @@ class BottomKSampler(StreamSampler):
         """Absorb the sketch of a *disjoint* stream into this one (in-place).
 
         The merged sketch equals the sketch of the concatenated stream: the
-        union of retained entries, cut back to the k+1 smallest priorities.
-        Returns ``self``; use ``a | b`` or :func:`repro.api.merged` for the
-        pure form.  (For coordinated sketches over overlapping key sets, use
-        the distinct-counting merges in :mod:`repro.samplers.distinct`,
-        which handle duplicate keys.)
+        union of retained entries, cut back to the k+1 smallest priorities,
+        under the smaller of the two grow-resize caps.  Returns ``self``;
+        use ``a | b`` or :func:`repro.api.merged` for the pure form.  (For
+        coordinated sketches over overlapping key sets, use the
+        distinct-counting merges in :mod:`repro.samplers.distinct`, which
+        handle duplicate keys.)
         """
-        if other.k != self.k:
-            raise ValueError("cannot merge bottom-k sketches with different k")
         if type(other.family) is not type(self.family):
             raise ValueError("cannot merge sketches with different priority families")
+        self._store.merge(other._store)
         self.items_seen += other.items_seen
-        # Respect both sides' grow-resize caps: the merged threshold may
-        # not exceed either (per-entry-max merging stays sound, §3.5).
-        self._threshold_cap = min(self._threshold_cap, other._threshold_cap)
-        for entry in list(other._heap):
-            self._offer(
-                _Entry(
-                    entry.priority,
-                    entry.key,
-                    entry.weight,
-                    entry.value,
-                    entry.time,
-                )
-            )
         return self
 
     # ------------------------------------------------------------------
@@ -343,22 +248,18 @@ class BottomKSampler(StreamSampler):
         }
 
     def _get_state(self) -> dict:
-        cap = self._threshold_cap
+        cap = self._store.cap
         return {
-            "entries": [
-                (e.priority, e.key, e.weight, e.value, e.time)
-                for e in self._heap
-            ],
+            "entries": self._store.rows(_ROW),
             "items_seen": self.items_seen,
             # None encodes "no cap" so the state stays JSON-friendly.
-            "threshold_cap": None if cap == float("inf") else cap,
+            "threshold_cap": None if cap == math.inf else cap,
             "rng": rng_to_state(self.rng),
         }
 
     def _set_state(self, state: dict) -> None:
-        self._heap = [_Entry(*row) for row in state["entries"]]
-        heapq.heapify(self._heap)
+        self._store.load_rows(state["entries"], _ROW)
         self.items_seen = int(state["items_seen"])
         cap = state.get("threshold_cap")
-        self._threshold_cap = float("inf") if cap is None else float(cap)
+        self._store.cap = math.inf if cap is None else float(cap)
         self.rng = rng_from_state(state["rng"])

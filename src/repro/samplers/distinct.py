@@ -23,20 +23,27 @@ Hash priorities are coordinated (stable per key, salted per replication),
 so duplicate items across sketches collide exactly as the theory requires.
 Both sketches follow the :class:`repro.api.StreamSampler` protocol:
 ``merge`` is in-place (returns self), ``a | b`` is the pure union, and
-``update_many`` ingests batches through a vectorized select-then-insert
-path.
+``update_many`` is vectorized.
+
+The stream-fed rows of both sketches live in a
+:class:`~repro.core.bottomk_store.BottomKStore`, which owns the
+threshold, the admission cap, resizing and the cut of a union.  What the
+sketches add is duplicate handling, one rule on both ingest paths: under
+the distinct-counting contract (one weight per key) a repeated key
+repeats its priority, so a priority the store already holds is a
+duplicate, and within a batch the first occurrence is the one offered.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable
 
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_list, _as_optional_array
-from ..core.hashing import batch_hash_to_unit, hash_to_unit
+from ..api.protocol import _as_key_batch, _as_optional_array, _key_hashes
+from ..core.bottomk_store import BottomKStore, take_keys
+from ..core.hashing import hash_to_unit
 from ..core.priorities import InverseWeightPriority, Uniform01Priority
 from ..core.sample import Sample
 
@@ -45,6 +52,20 @@ __all__ = [
     "AdaptiveDistinctSketch",
     "lcs_union",
 ]
+
+#: Checkpoint row layouts of the weighted rows and of adaptive's stream.
+_WEIGHTED_ROW = ("keys", "priorities", "weights")
+_STREAM_ROW = ("keys", "priorities")
+
+
+def _new_positions(priorities: np.ndarray, store: BottomKStore) -> np.ndarray:
+    """Ascending batch positions a distinct sketch offers to its store:
+    below the threshold, not held by the store yet, and the first
+    occurrence of each priority in the batch."""
+    pos = np.flatnonzero(priorities < store.threshold)
+    pos = pos[~store.holds(priorities[pos])]
+    _, first = np.unique(priorities[pos], return_index=True)
+    return np.sort(pos[first])
 
 
 @register_sampler("weighted_distinct")
@@ -75,92 +96,59 @@ class WeightedDistinctSketch(StreamSampler):
     )
 
     def __init__(self, k: int, salt: int = 0):
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        self.k = int(k)
         self.salt = int(salt)
         self.family = InverseWeightPriority()
-        # Max-heap of (-priority, key); _entries maps key -> (priority, weight).
-        self._heap: list[tuple[float, object]] = []
-        self._entries: dict[object, tuple[float, float]] = {}
-        # Admission cap left behind by a grow-resize (1-substitutable,
-        # §3.5): the threshold never exceeds its value at resize time.
-        self._cap = float("inf")
+        self._store = BottomKStore(k, ("weights",))
+
+    @property
+    def k(self) -> int:
+        """Sketch size."""
+        return self._store.k
 
     def update(
         self, key: object, weight: float = 1.0, *, value=None, time=None
     ) -> bool:
-        """Offer (key, weight); duplicate keys are ignored after admission."""
+        """Offer (key, weight); a repeated key (same priority) is ignored."""
         if weight <= 0:
             raise ValueError("weights must be positive")
-        if key in self._entries:
-            return True
-        r = hash_to_unit(key, self.salt) / float(weight)
-        return self._offer(key, r, float(weight))
-
-    def _offer(self, key: object, r: float, weight: float) -> bool:
-        if r >= self._cap:
+        weight = float(weight)
+        r = hash_to_unit(key, self.salt) / weight
+        store = self._store
+        if r >= store.threshold:
             return False
-        if len(self._entries) <= self.k:
-            self._entries[key] = (r, weight)
-            heapq.heappush(self._heap, (-r, key))
+        if store.holds(r):
             return True
-        worst = -self._heap[0][0]
-        if r >= worst:
-            return False
-        _, evicted = heapq.heapreplace(self._heap, (-r, key))
-        del self._entries[evicted]
-        self._entries[key] = (r, weight)
-        return True
+        return store.update(r, key, weights=weight)
 
     def update_many(self, keys, weights=None, values=None, times=None) -> None:
         """Vectorized bulk :meth:`update`.
 
-        Hashes and threshold-tests the whole batch with numpy, then inserts
-        only the ``k + 1`` smallest distinct priorities — the only items
-        that can possibly be retained — through the scalar path.  Assumes
-        each key maps to one weight (the distinct-counting contract).
+        Hashes the whole batch with numpy and offers the store the first
+        occurrence of each priority it does not hold yet.  Assumes each
+        key maps to one weight (the distinct-counting contract).
         """
-        keys = _as_key_list(keys)
+        keys = _as_key_batch(keys)
         n = len(keys)
         if n == 0:
             return
         w = _as_optional_array(weights, n, "weights")
         if w is not None and np.any(w <= 0):
             raise ValueError("weights must be positive")
-        h = batch_hash_to_unit(keys, self.salt)
+        h = _key_hashes(keys, self.salt)
         r = h if w is None else h / w
-        # Distinct priorities, ascending; duplicates of a key collapse here
-        # because identical (key, weight) pairs hash to identical r.
-        r_unique, first_idx = np.unique(r, return_index=True)
-        take = min(self.k + 1, r_unique.size)
-        t = self.threshold
-        for j in range(take):
-            if r_unique[j] >= t:
-                break
-            i = int(first_idx[j])
-            key = keys[i]
-            if key in self._entries:
-                continue
-            self._offer(key, float(r[i]), 1.0 if w is None else float(w[i]))
-            t = self.threshold
+        self._store.offer(
+            r, keys, among=_new_positions(r, self._store),
+            weights=np.ones(n) if w is None else w,
+        )
 
     @property
     def threshold(self) -> float:
         """The (k+1)-st smallest weighted priority, capped by any
         grow-resize (the cap / +inf while underfull)."""
-        if len(self._entries) <= self.k:
-            return self._cap
-        return min(-self._heap[0][0], self._cap)
-
-    def _retained(self) -> list[tuple[object, float, float]]:
-        t = self.threshold
-        return [
-            (key, r, w) for key, (r, w) in self._entries.items() if r < t
-        ]
+        return self._store.threshold
 
     def __len__(self) -> int:
-        return len(self._retained())
+        return len(self._store)
 
     def sample(self) -> Sample:
         """The retained entries as a :class:`Sample` (values all 1).
@@ -168,23 +156,18 @@ class WeightedDistinctSketch(StreamSampler):
         ``sample().ht_total()`` equals :meth:`estimate_distinct`, and
         re-weighting the values recovers the subset-sum estimators.
         """
-        entries = self._retained()
-        t = self.threshold
+        rows = self._store.retained()
+        m = len(rows["keys"])
         return Sample(
-            keys=[key for key, _, _ in entries],
-            values=np.ones(len(entries)),
-            weights=np.array([w for _, _, w in entries], dtype=float),
-            priorities=np.array([r for _, r, _ in entries], dtype=float),
-            thresholds=np.full(len(entries), t),
+            **rows,
+            values=np.ones(m),
+            thresholds=np.full(m, self.threshold),
             family=self.family,
         )
 
     def estimate_distinct(self) -> float:
         """``N_hat = sum_i 1 / min(1, w_i T)`` — Section 3.4's estimator."""
-        t = self.threshold
-        return float(
-            sum(1.0 / min(1.0, w * t) for _, _, w in self._retained())
-        )
+        return self.sample().ht_total()
 
     def estimate_subset_sum(
         self, predicate: Callable[[object], bool], values: dict | None = None
@@ -194,13 +177,10 @@ class WeightedDistinctSketch(StreamSampler):
         ``values`` maps keys to the summand; by default the weight itself is
         summed (PPS subset sums).
         """
-        t = self.threshold
-        total = 0.0
-        for key, _, w in self._retained():
-            if predicate(key):
-                x = w if values is None else float(values[key])
-                total += x / min(1.0, w * t)
-        return total
+        sample = self.sample().select(predicate)
+        if values is None:
+            return sample.ht_total(sample.weights)
+        return sample.ht_total([values[key] for key in sample.keys])
 
     def resize(self, k: int) -> "WeightedDistinctSketch":
         """Change the sketch size mid-stream, keeping §3.4's estimators
@@ -211,40 +191,23 @@ class WeightedDistinctSketch(StreamSampler):
         current threshold as an admission cap — a 1-substitutable
         threshold per §3.5 — until the enlarged sketch fills past it.
         """
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        k = int(k)
-        if k == self.k:
-            return self
-        if k < self.k:
-            if len(self._entries) > k + 1:
-                keep = heapq.nsmallest(
-                    k + 1,
-                    ((r, key) for key, (r, _) in self._entries.items()),
-                )
-                self._entries = {
-                    key: self._entries[key] for _, key in keep
-                }
-                self._heap = [(-r, key) for r, key in keep]
-                heapq.heapify(self._heap)
-        else:
-            self._cap = self.threshold
-        self.k = k
+        self._store.resize(int(k))
         return self
 
     def merge(self, other: "WeightedDistinctSketch") -> "WeightedDistinctSketch":
-        """Union with a sketch over the same salt (in-place, returns self).
+        """Union with a sketch of the same ``k`` and salt (in-place,
+        returns self).
 
         Valid for disjoint key sets (and idempotent on shared keys, which
         carry identical hashes): the union cut back to the ``k + 1``
-        smallest priorities is the sketch of the combined stream.
+        smallest priorities is the sketch of the combined stream.  A
+        different ``k`` raises ``ValueError``: the smaller sketch holds
+        too few rows to fill the larger one's cut.
         """
         if other.salt != self.salt:
             raise ValueError("cannot merge sketches with different salts")
-        self._cap = min(self._cap, other._cap)
-        for key, (r, w) in other._entries.items():
-            if key not in self._entries:
-                self._offer(key, r, w)
+        theirs = other._store
+        self._store.merge(theirs, rows=~self._store.holds(theirs.priorities))
         return self
 
     # ------------------------------------------------------------------
@@ -254,21 +217,17 @@ class WeightedDistinctSketch(StreamSampler):
         return {"k": self.k, "salt": self.salt}
 
     def _get_state(self) -> dict:
-        cap = self._cap
+        cap = self._store.cap
         return {
-            "entries": [
-                (key, r, w) for key, (r, w) in self._entries.items()
-            ],
+            "entries": self._store.rows(_WEIGHTED_ROW),
             # None encodes "no cap" so the state stays JSON-friendly.
             "cap": None if cap == float("inf") else cap,
         }
 
     def _set_state(self, state: dict) -> None:
-        self._entries = {key: (r, w) for key, r, w in state["entries"]}
-        self._heap = [(-r, key) for key, (r, _) in self._entries.items()]
-        heapq.heapify(self._heap)
+        self._store.load_rows(state["entries"], _WEIGHTED_ROW)
         cap = state.get("cap")
-        self._cap = float("inf") if cap is None else float(cap)
+        self._store.cap = float("inf") if cap is None else float(cap)
 
 
 @register_sampler("adaptive_distinct")
@@ -282,8 +241,11 @@ class AdaptiveDistinctSketch(StreamSampler):
     can be merged again (the generalization past Cohen–Kaplan's LCS that
     arbitrary 1-substitutable thresholds buy).
 
-    ``admission_threshold`` is the threshold applied to *new* stream items
-    (the min over merged inputs, which keeps the rule 1-substitutable).
+    The admission threshold for *new* stream items is the stream store's
+    threshold, capped by the min over merged inputs (which keeps the rule
+    1-substitutable).  A key is either a stream row or a merged entry,
+    never both: the stream skips merged keys, and a merge or :meth:`trim`
+    folds the stream rows into the merged entries.
     """
 
     default_estimate_kind = "distinct"
@@ -300,18 +262,18 @@ class AdaptiveDistinctSketch(StreamSampler):
     )
 
     def __init__(self, k: int, salt: int = 0):
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        self.k = int(k)
         self.salt = int(salt)
         self.family = Uniform01Priority()
-        self._heap: list[float] = []  # max-heap (negated) of stream hashes
-        self._stream_entries: dict[object, float] = {}  # key -> hash
+        # Stream-fed hashes.  Uniform hash priorities live in (0, 1), so an
+        # underfull sketch keeps everything under an admission cap of 1.
+        self._store = BottomKStore(k, cap=1.0)
         # Entries inherited from merges: key -> (hash, tau).
         self._merged_entries: dict[object, tuple[float, float]] = {}
-        # Uniform hash priorities live in (0, 1): an underfull sketch keeps
-        # everything, i.e. threshold 1 (exact counting), not +inf.
-        self._admission_cap = 1.0
+
+    @property
+    def k(self) -> int:
+        """Sketch size."""
+        return self._store.k
 
     # ------------------------------------------------------------------
     # Streaming
@@ -320,87 +282,74 @@ class AdaptiveDistinctSketch(StreamSampler):
         self, key: object, weight: float = 1.0, *, value=None, time=None
     ) -> bool:
         """Offer a key; duplicates are idempotent (weights are ignored)."""
-        if key in self._stream_entries or key in self._merged_entries:
+        if key in self._merged_entries:
             return True
         h = hash_to_unit(key, self.salt)
-        if not h < self._admission_cap:
+        store = self._store
+        if h >= store.threshold:
             return False
-        if len(self._stream_entries) <= self.k:
-            self._stream_entries[key] = h
-            heapq.heappush(self._heap, -h)
+        if store.holds(h):
             return True
-        worst = -self._heap[0]
-        if h >= worst:
-            return False
-        heapq.heapreplace(self._heap, -h)
-        evicted = next(
-            k_ for k_, v in self._stream_entries.items() if v == worst
-        )
-        del self._stream_entries[evicted]
-        self._stream_entries[key] = h
-        return True
+        return store.update(h, key)
 
     def update_many(self, keys, weights=None, values=None, times=None) -> None:
         """Vectorized bulk :meth:`update`.
 
-        Hashes the whole batch with numpy and offers only the ``k + 1``
-        smallest distinct hashes (all any bottom-k state can absorb)
-        through the scalar path.
+        Hashes the whole batch with numpy and offers the store the first
+        occurrence of each hash it does not hold yet, merged keys left out.
         """
-        keys = _as_key_list(keys)
+        keys = _as_key_batch(keys)
         n = len(keys)
         if n == 0:
             return
-        h = batch_hash_to_unit(keys, self.salt)
-        h_unique, first_idx = np.unique(h, return_index=True)
-        take = min(self.k + 1, h_unique.size)
-        for j in range(take):
-            if h_unique[j] >= self.stream_threshold:
-                break
-            self.update(keys[int(first_idx[j])])
+        h = _key_hashes(keys, self.salt)
+        new = _new_positions(h, self._store)
+        if self._merged_entries:
+            merged = self._merged_entries
+            unmerged = [key not in merged for key in take_keys(keys, new)]
+            new = new[np.array(unmerged, dtype=bool)]
+        self._store.offer(h, keys, among=new)
 
     @property
     def stream_threshold(self) -> float:
         """Threshold governing the stream-fed entries."""
-        if len(self._stream_entries) <= self.k:
-            return self._admission_cap
-        return min(-self._heap[0], self._admission_cap)
+        return self._store.threshold
 
     def entries(self) -> dict[object, tuple[float, float]]:
         """All usable entries as ``key -> (hash, tau)``."""
-        t = self.stream_threshold
-        out = {
-            key: (h, t) for key, h in self._stream_entries.items() if h < t
-        }
-        for key, (h, tau) in self._merged_entries.items():
-            if key in out:
-                out[key] = (h, max(out[key][1], tau))
-            else:
-                out[key] = (h, tau)
-        return out
+        sample = self.sample()
+        return dict(zip(
+            sample.keys,
+            zip(sample.priorities.tolist(), sample.thresholds.tolist()),
+        ))
 
     def __len__(self) -> int:
-        return len(self.entries())
+        return len(self._store) + len(self._merged_entries)
 
     def sample(self) -> Sample:
-        """Usable entries as a :class:`Sample` with per-entry thresholds.
+        """Usable entries as a :class:`Sample` with per-entry thresholds:
+        the stream rows under the stream threshold, then the merged
+        entries under their own taus.
 
         ``sample().ht_total()`` equals :meth:`estimate_distinct`.
         """
-        entries = self.entries()
-        keys = list(entries)
+        rows = self._store.retained()
+        stream = np.full(len(rows["keys"]), self.stream_threshold)
+        merged = np.array(list(self._merged_entries.values()), dtype=float)
+        merged = merged.reshape(-1, 2)  # (hash, tau) rows
+        n = stream.size + len(merged)
         return Sample(
-            keys=keys,
-            values=np.ones(len(keys)),
-            weights=np.ones(len(keys)),
-            priorities=np.array([entries[k][0] for k in keys], dtype=float),
-            thresholds=np.array([entries[k][1] for k in keys], dtype=float),
+            keys=rows["keys"] + list(self._merged_entries),
+            values=np.ones(n),
+            weights=np.ones(n),
+            priorities=np.concatenate((rows["priorities"], merged[:, 0])),
+            thresholds=np.concatenate((stream, merged[:, 1])),
             family=self.family,
         )
 
     def estimate_distinct(self) -> float:
         """``N_hat = sum over entries of 1/tau_h``."""
-        return float(sum(1.0 / tau for _, tau in self.entries().values()))
+        return float(np.sum(1.0 / self.sample().thresholds))
 
     @classmethod
     def from_hashes(cls, hashes, k: int, salt: int = 0) -> "AdaptiveDistinctSketch":
@@ -408,18 +357,13 @@ class AdaptiveDistinctSketch(StreamSampler):
 
         The hash doubles as the entry key, which is exactly what the merge
         logic needs: identical items across sketches collide on the same
-        hash.  Only the ``k + 1`` smallest values can be retained, so the
-        construction partitions instead of streaming (vectorized path for
-        the Figure 4 / Section 3.5 Monte-Carlo sweeps).
+        hash.  The hashes go to the store as one batch, which keeps the
+        ``k + 1`` smallest (the vectorized path for the Figure 4 /
+        Section 3.5 Monte-Carlo sweeps).
         """
         hashes = np.asarray(hashes, dtype=float)
         out = cls(k, salt=salt)
-        keep = min(k + 1, hashes.size)
-        if keep:
-            smallest = np.sort(np.partition(hashes, keep - 1)[:keep])
-            out._stream_entries = {float(h): float(h) for h in smallest}
-            out._heap = [-float(h) for h in smallest]
-            heapq.heapify(out._heap)
+        out._store.offer(hashes, hashes)
         return out
 
     # ------------------------------------------------------------------
@@ -436,42 +380,33 @@ class AdaptiveDistinctSketch(StreamSampler):
         # Thresholds and the entry fold must use each sketch's *own* k —
         # enlarging k first would lift stream_threshold to the admission
         # cap and hand the folded entries inflated taus.
-        own_threshold = self.stream_threshold
-        other_threshold = other.stream_threshold
-        if self._stream_entries:
-            self._merged_entries = dict(self.entries())
-            self._stream_entries = {}
-            self._heap = []
-        self.k = max(self.k, other.k)
+        cap = min(self.stream_threshold, other.stream_threshold)
+        if self._store.priorities.size:
+            self._merged_entries = self.entries()
         merged_entries = self._merged_entries
         for key, (h, tau) in other.entries().items():
             known = merged_entries.get(key)
             if known is None or known[1] < tau:
                 merged_entries[key] = (h, tau)
-        self._admission_cap = min(own_threshold, other_threshold)
+        self._store = BottomKStore(max(self.k, other.k), cap=cap)
         return self
 
     def resize(self, k: int) -> "AdaptiveDistinctSketch":
         """Change the budget mid-stream; the fold is :meth:`trim`'s.
 
-        Shrinking lowers the budget and folds the retained set under the
-        new ``(k+1)``-st-smallest cut via :meth:`trim` (per-entry taus
-        capped at the cut, the admission cap lowered with them).  Growing
-        freezes the current stream threshold as the admission cap before
-        lifting ``k``, so new admissions keep honouring the threshold the
-        existing entries were retained under.
+        Shrinking folds the retained set under the new
+        ``(k+1)``-st-smallest cut via :meth:`trim` (per-entry taus capped
+        at the cut, the admission cap lowered with them), then lowers the
+        budget.  Growing freezes the current stream threshold as the
+        admission cap before lifting ``k``, so new admissions keep
+        honouring the threshold the existing entries were retained under.
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
         k = int(k)
-        if k == self.k:
-            return self
         if k < self.k:
-            self.k = k
             self.trim(k)
-        else:
-            self._admission_cap = self.stream_threshold
-            self.k = k
+        self._store.resize(k)
         return self
 
     def trim(self, max_entries: int) -> None:
@@ -483,13 +418,10 @@ class AdaptiveDistinctSketch(StreamSampler):
         if len(entries) <= max_entries:
             return
         cut = entries[max_entries][0]
-        kept = {
+        self._merged_entries = {
             key: (h, min(tau, cut)) for h, tau, key in entries[:max_entries]
         }
-        self._stream_entries = {}
-        self._heap = []
-        self._merged_entries = kept
-        self._admission_cap = min(self._admission_cap, cut)
+        self._store = BottomKStore(self.k, cap=min(self._store.cap, cut))
 
     # ------------------------------------------------------------------
     # Serialization
@@ -499,21 +431,19 @@ class AdaptiveDistinctSketch(StreamSampler):
 
     def _get_state(self) -> dict:
         return {
-            "stream_entries": list(self._stream_entries.items()),
+            "stream_entries": self._store.rows(_STREAM_ROW),
             "merged_entries": [
                 (key, h, tau) for key, (h, tau) in self._merged_entries.items()
             ],
-            "admission_cap": self._admission_cap,
+            "admission_cap": self._store.cap,
         }
 
     def _set_state(self, state: dict) -> None:
-        self._stream_entries = dict(state["stream_entries"])
-        self._heap = [-h for h in self._stream_entries.values()]
-        heapq.heapify(self._heap)
+        self._store.load_rows(state["stream_entries"], _STREAM_ROW)
+        self._store.cap = float(state["admission_cap"])
         self._merged_entries = {
             key: (h, tau) for key, h, tau in state["merged_entries"]
         }
-        self._admission_cap = float(state["admission_cap"])
 
 
 def lcs_union(

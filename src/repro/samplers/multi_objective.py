@@ -9,6 +9,9 @@ weights are correlated, the sketches overlap and the union occupies far
 less than ``c * k``.  In the extreme of proportional weights the union is
 exactly one sketch of size ``k``.
 
+Each objective's :class:`~repro.samplers.bottomk.BottomKSampler` takes
+the coordinated priorities straight into its bottom-k store.
+
 ``repro.experiments.ablation_multi_objective`` measures union size as a
 function of weight correlation (design-choice ablation A2 in DESIGN.md).
 """
@@ -20,12 +23,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_list
-from ..core.hashing import batch_hash_to_unit, hash_to_unit
-from ..core.kernels import bottomk_candidates
+from ..api.protocol import _as_key_batch, _key_hashes
+from ..core.hashing import hash_to_unit
 from ..core.priorities import InverseWeightPriority
 from ..core.sample import Sample
-from .bottomk import BottomKSampler, _Entry
+from .bottomk import BottomKSampler
 
 __all__ = ["MultiObjectiveSampler"]
 
@@ -86,7 +88,7 @@ class MultiObjectiveSampler(StreamSampler):
                 raise ValueError("objective weights must be positive")
             sketch = self._sketches[name]
             sketch.items_seen += 1
-            sketch._offer(_Entry(u / w, key, w, w))
+            sketch._store.update(u / w, key, weights=w, values=w)
 
     def update_many(
         self, keys, weights=None, values=None, times=None
@@ -95,11 +97,12 @@ class MultiObjectiveSampler(StreamSampler):
 
         ``weights`` maps objective -> per-item weight column.  The
         coordinated uniforms are hashed for the whole batch at once and
-        each objective's sketch ingests only its bottom-k candidates; the
-        per-sketch state is the ``k + 1`` smallest priorities regardless of
-        offer order, so this is exactly the scalar loop's result.
+        each objective's store takes the batch's priorities under that
+        objective; the per-sketch state is the ``k + 1`` smallest
+        priorities regardless of offer order, so this is exactly the scalar
+        loop's result.
         """
-        keys = _as_key_list(keys)
+        keys = _as_key_batch(keys)
         n = len(keys)
         if not isinstance(weights, Mapping):
             raise TypeError(
@@ -108,7 +111,7 @@ class MultiObjectiveSampler(StreamSampler):
             )
         if n == 0:
             return
-        u = batch_hash_to_unit(keys, self.salt)
+        u = _key_hashes(keys, self.salt)
         self.items_seen += n
         for name in self.objectives:
             col = np.asarray(weights[name], dtype=float)
@@ -116,12 +119,9 @@ class MultiObjectiveSampler(StreamSampler):
                 raise ValueError(f"weights[{name!r}] must align with keys")
             if np.any(col <= 0):
                 raise ValueError("objective weights must be positive")
-            pr = u / col
             sketch = self._sketches[name]
             sketch.items_seen += n
-            for i in bottomk_candidates(pr, sketch.k, sketch.threshold):
-                w = float(col[i])
-                sketch._offer(_Entry(float(pr[i]), keys[i], w, w))
+            sketch._store.offer(u / col, keys, weights=col, values=col)
 
     def sketch(self, objective: str) -> BottomKSampler:
         """The bottom-k sketch optimized for one objective."""
@@ -151,7 +151,7 @@ class MultiObjectiveSampler(StreamSampler):
         """Distinct keys stored across all sketches (the real footprint)."""
         keys: set = set()
         for sketch in self._sketches.values():
-            keys.update(e.key for e in sketch._retained())
+            keys.update(sketch.sample().keys)
         return keys
 
     def union_size(self) -> int:

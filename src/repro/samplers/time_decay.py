@@ -11,38 +11,34 @@ so one static priority per item,
 shrinking every weight) supports a bottom-k sketch whose sample at any
 query time is exactly the decayed-weight priority sample.  Log-domain
 storage keeps the exponentials finite for arbitrarily long streams.
+
+The k+1 smallest log-priorities live in a
+:class:`~repro.core.bottomk_store.BottomKStore`; the sampler adds the
+log-domain draw and, in ``sample()``, the per-row decayed thresholds.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable
 
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_list, _as_optional_array, rng_from_state, rng_to_state
-from ..core.kernels import bottomk_candidates
+from ..api.protocol import (
+    _as_key_batch,
+    _as_optional_array,
+    rng_from_state,
+    rng_to_state,
+)
+from ..core.bottomk_store import BottomKStore
 from ..core.priorities import InverseWeightPriority
 from ..core.rng import as_generator
 from ..core.sample import Sample
 
 __all__ = ["ExponentialDecaySampler"]
 
-
-class _DecayEntry:
-    __slots__ = ("log_priority", "key", "weight", "time", "value")
-
-    def __init__(self, log_priority, key, weight, time, value):
-        self.log_priority = log_priority
-        self.key = key
-        self.weight = weight
-        self.time = time
-        self.value = value
-
-    def __lt__(self, other):  # max-heap via inverted comparison
-        return self.log_priority > other.log_priority
+_ROW = ("priorities", "keys", "weights", "times", "values")  # checkpoint rows
 
 
 @register_sampler("time_decay")
@@ -76,16 +72,19 @@ class ExponentialDecaySampler(StreamSampler):
     query_windowed = True
 
     def __init__(self, k: int, decay_rate: float, rng=None):
-        if k < 1:
-            raise ValueError("k must be a positive integer")
+        # The k+1 smallest log-priorities.
+        self._store = BottomKStore(k, ("weights", "times", "values"))
         if decay_rate < 0:
             raise ValueError("decay_rate must be non-negative")
-        self.k = int(k)
         self.decay_rate = float(decay_rate)
         self.rng = as_generator(rng if rng is not None else 0)
-        self._heap: list[_DecayEntry] = []  # k+1 smallest log-priorities
         self.items_seen = 0
         self._last_time = -math.inf
+
+    @property
+    def k(self) -> int:
+        """Sample size."""
+        return self._store.k
 
     def update(
         self, key, weight: float = 1.0, *, value=None, time=None
@@ -108,27 +107,22 @@ class ExponentialDecaySampler(StreamSampler):
         u = float(self.rng.random())
         # log P_i = log U - log w - lambda * t  (later arrivals favored)
         log_p = math.log(u) - math.log(weight) - self.decay_rate * time
-        entry = _DecayEntry(log_p, key, float(weight), float(time),
-                            float(weight if value is None else value))
-        if len(self._heap) <= self.k:
-            heapq.heappush(self._heap, entry)
-            return True
-        if entry.log_priority >= self._heap[0].log_priority:
-            return False
-        heapq.heapreplace(self._heap, entry)
-        return True
+        return self._store.update(
+            log_p, key, weights=weight, times=time,
+            values=float(weight if value is None else value),
+        )
 
     def update_many(self, keys, weights=None, values=None, times=None) -> None:
         """Vectorized bulk :meth:`update`.
 
         Draws the whole batch's uniforms at once (``rng.random(n)`` consumes
         the generator stream exactly like ``n`` scalar draws), computes the
-        static log-priorities vectorized, and offers only the bottom-k
-        candidates — the heap state is the ``k + 1`` smallest log-priorities
-        regardless of arrival order, so the result is seed-for-seed
-        identical to the scalar loop.
+        static log-priorities vectorized, and offers the batch to the store —
+        its state is the ``k + 1`` smallest log-priorities regardless of
+        arrival order, so the result is seed-for-seed identical to the
+        scalar loop.
         """
-        keys = _as_key_list(keys)
+        keys = _as_key_batch(keys)
         n = len(keys)
         if n == 0:
             return
@@ -141,43 +135,20 @@ class ExponentialDecaySampler(StreamSampler):
             raise ValueError("weight must be positive")
         if t[0] < self._last_time or np.any(np.diff(t) < 0):
             raise ValueError("arrival times must be non-decreasing")
-        u = self.rng.random(n)
-        log_w = 0.0 if w is None else np.log(w)
-        log_p = np.log(u) - log_w - self.decay_rate * t
+        w = np.ones(n) if w is None else w
+        log_p = np.log(self.rng.random(n)) - np.log(w) - self.decay_rate * t
         self._last_time = float(t[-1])
         self.items_seen += n
-        wcol = np.ones(n) if w is None else w
-        vcol = wcol if v is None else v
-        for i in bottomk_candidates(log_p, self.k, self.log_threshold):
-            entry = _DecayEntry(
-                float(log_p[i]), keys[i], float(wcol[i]), float(t[i]), float(vcol[i])
-            )
-            if len(self._heap) <= self.k:
-                heapq.heappush(self._heap, entry)
-            elif entry.log_priority < self._heap[0].log_priority:
-                heapq.heapreplace(self._heap, entry)
+        self._store.offer(log_p, keys, weights=w, times=t,
+                          values=w if v is None else v)
 
     @property
     def log_threshold(self) -> float:
         """Log of the (k+1)-st smallest static priority."""
-        if len(self._heap) <= self.k:
-            return math.inf
-        return self._heap[0].log_priority
-
-    def _retained(self) -> list[_DecayEntry]:
-        t = self.log_threshold
-        return [e for e in self._heap if e.log_priority < t]
+        return self._store.threshold
 
     def __len__(self) -> int:
-        return len(self._retained())
-
-    def inclusion_probability(self, entry: _DecayEntry) -> float:
-        """``F_i(T) = min(1, w_i exp(lambda t_i) * T)`` in log domain."""
-        log_t = self.log_threshold
-        if math.isinf(log_t):
-            return 1.0
-        exponent = log_t + math.log(entry.weight) + self.decay_rate * entry.time
-        return math.exp(min(0.0, exponent))
+        return len(self._store)
 
     def estimate_decayed_total(
         self, now: float | None = None, predicate: Callable[[object], bool] | None = None
@@ -186,22 +157,19 @@ class ExponentialDecaySampler(StreamSampler):
 
         The decayed total is the time-discounted count/importance of the
         stream — e.g. recent-activity scores.  ``now`` defaults to the last
-        arrival time.
+        arrival time.  The HT weights are :meth:`sample`'s decayed
+        inclusion probabilities.
         """
         now = self._last_time if now is None else float(now)
-        total = 0.0
-        for entry in self._retained():
-            if predicate is not None and not predicate(entry.key):
-                continue
-            decayed = entry.weight * math.exp(
-                -self.decay_rate * max(0.0, now - entry.time)
-            )
-            total += decayed / self.inclusion_probability(entry)
-        return total
+        sample = self.sample()
+        if predicate is not None:
+            sample = sample.select(predicate)
+        age = np.maximum(0.0, now - sample.times)
+        return sample.ht_total(sample.weights * np.exp(-self.decay_rate * age))
 
     def keys(self) -> list[object]:
         """Keys of the currently retained sample."""
-        return [e.key for e in self._retained()]
+        return self._store.retained()["keys"]
 
     @property
     def last_time(self) -> float | None:
@@ -218,29 +186,21 @@ class ExponentialDecaySampler(StreamSampler):
         Each row carries its raw payload, weight and arrival time; the
         per-row effective threshold ``exp(log T + lambda t_i)`` under the
         inverse-weight family makes the row's pseudo-inclusion probability
-        exactly ``min(1, w_i exp(log T + lambda t_i))`` — the sampler's
-        own :meth:`inclusion_probability`.  The exponent is capped at
-        ``1 - log w_i`` (where the probability is already pinned at 1) so
-        the thresholds stay finite for arbitrarily long streams.
+        exactly ``min(1, w_i exp(log T + lambda t_i))``, so
+        ``sample().probabilities`` are the decayed inclusion probabilities.
+        The exponent is capped at ``1 - log w_i`` (where the probability is
+        already pinned at 1) so the thresholds stay finite for arbitrarily
+        long streams.
         """
-        entries = self._retained()
-        n = len(entries)
-        times = np.array([e.time for e in entries], dtype=float)
-        weights = np.array([e.weight for e in entries], dtype=float)
-        log_t = self.log_threshold
+        rows = self._store.retained()
         with np.errstate(over="ignore"):
-            exponents = log_t + self.decay_rate * times
-        caps = 1.0 - np.log(weights) if n else np.empty(0)
-        thresholds = np.exp(np.minimum(exponents, caps))
+            exponents = self.log_threshold + self.decay_rate * rows["times"]
+        caps = 1.0 - np.log(rows["weights"])
         return Sample(
-            keys=[e.key for e in entries],
-            values=np.array([e.value for e in entries], dtype=float),
-            weights=weights,
-            priorities=np.array([e.log_priority for e in entries], dtype=float),
-            thresholds=thresholds,
+            **rows,
+            thresholds=np.exp(np.minimum(exponents, caps)),
             family=InverseWeightPriority(),
             population_size=self.items_seen,
-            times=times,
         )
 
     # ------------------------------------------------------------------
@@ -251,18 +211,14 @@ class ExponentialDecaySampler(StreamSampler):
 
     def _get_state(self) -> dict:
         return {
-            "entries": [
-                (e.log_priority, e.key, e.weight, e.time, e.value)
-                for e in self._heap
-            ],
+            "entries": self._store.rows(_ROW),
             "items_seen": self.items_seen,
             "last_time": self._last_time,
             "rng": rng_to_state(self.rng),
         }
 
     def _set_state(self, state: dict) -> None:
-        self._heap = [_DecayEntry(*row) for row in state["entries"]]
-        heapq.heapify(self._heap)
+        self._store.load_rows(state["entries"], _ROW)
         self.items_seen = int(state["items_seen"])
         self._last_time = float(state["last_time"])
         self.rng = rng_from_state(state["rng"])

@@ -1,0 +1,283 @@
+"""Checkpoint rows pinned by literal checkpoints.
+
+The trees below are ``to_state()`` checkpoints of the four bottom-k
+samplers, written by the heap-based implementation that preceded
+:class:`~repro.core.bottomk_store.BottomKStore`, each with the
+``sample_signature`` it had.  Their rows are in heap order, and one
+``bottom_k`` row has only four fields, as in checkpoints written before
+the time column.  The sketches are fed int64, float64 and str keys.
+
+Both restore paths must reproduce those samples, and so must fresh
+sketches fed the same inputs, writing the same rows.  A changed row
+layout fails the restore; a priority change (such as hashing a float64
+key array as numpy scalars instead of the floats it holds) fails the
+fresh feed.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+import repro
+from repro.api import get_sampler_class, make_sampler
+from tests.helpers import sample_signature
+
+INT_KEYS = np.array([3, 14, 15, 92, 65, 35, 89, 79], dtype=np.int64)
+FLOAT_KEYS = np.array([1.5, 2.25, 0.5, 7.75, 3.0, 9.5, 4.125, 6.0])
+STR_KEYS = ["a", "bb", "ccc", "dd", "e", "ff", "g", "hh"]
+WEIGHTS = np.array([1.0, 2.5, 0.5, 4.0, 1.5, 3.0, 0.75, 2.0])
+VALUES = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0])
+TIMES = np.arange(8) * 0.5
+
+
+def _bottom_k():
+    # Timed int rows, untimed float and str rows.
+    s = make_sampler("bottom_k", k=5, coordinated=True, salt=3)
+    s.update_many(INT_KEYS, WEIGHTS, times=TIMES)
+    s.update_many(FLOAT_KEYS, WEIGHTS)
+    s.update_many(STR_KEYS, WEIGHTS, values=VALUES)
+    return s
+
+
+def _time_decay():
+    s = make_sampler("time_decay", k=5, decay_rate=0.1, rng=7)
+    s.update_many(INT_KEYS, WEIGHTS, times=TIMES)
+    s.update_many(FLOAT_KEYS, WEIGHTS, times=TIMES + 4.0)
+    s.update_many(STR_KEYS, WEIGHTS, values=VALUES, times=TIMES + 8.0)
+    return s
+
+
+def _weighted_distinct():
+    # The grow-resize leaves a cap behind.
+    s = make_sampler("weighted_distinct", k=5, salt=3)
+    s.update_many(INT_KEYS, WEIGHTS)
+    s.update_many(FLOAT_KEYS, WEIGHTS)
+    s.resize(8)
+    s.update_many(STR_KEYS, WEIGHTS)
+    return s
+
+
+def _adaptive_distinct():
+    # Merged entries from the merge, stream entries fed after it.
+    a = make_sampler("adaptive_distinct", k=5, salt=3)
+    a.update_many(INT_KEYS)
+    b = make_sampler("adaptive_distinct", k=5, salt=3)
+    b.update_many(FLOAT_KEYS)
+    a.merge(b)
+    a.update_many(STR_KEYS)
+    return a
+
+
+# Written by the heap-based samplers; see the module docstring.
+BOTTOM_K_STATE = {
+    "sampler": "bottom_k",
+    "version": 2,
+    "params": {
+        "k": 5,
+        "family": "inverse_weight",
+        "coordinated": True,
+        "salt": 3,
+    },
+    "state": {
+        "entries": [
+            (0.11362792451215616, 9.5, 3.0, 3.0),
+            (0.04707131056083511, "ff", 3.0, 60.0, None),
+            (0.03568967692973647, "dd", 4.0, 40.0, None),
+            (0.004148463411359528, 35, 3.0, 3.0, 2.5),
+            (0.013366824790356455, 2.25, 2.5, 2.5, None),
+            (0.0052985592869441295, 14, 2.5, 2.5, 0.5),
+        ],
+        "items_seen": 24,
+        "threshold_cap": None,
+        "rng": {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": 35399562948360463058890781895381311971,
+                "inc": 87136372517582989555478159403783844777,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+    },
+}
+
+BOTTOM_K_SIGNATURE = (
+    ("'dd'", 40.0, 4.0, 0.03568967693, 0.113627924512),
+    ("'ff'", 60.0, 3.0, 0.047071310561, 0.113627924512),
+    ("14", 2.5, 2.5, 0.005298559287, 0.113627924512),
+    ("2.25", 2.5, 2.5, 0.01336682479, 0.113627924512),
+    ("35", 3.0, 3.0, 0.004148463411, 0.113627924512),
+)
+
+TIME_DECAY_STATE = {
+    "sampler": "time_decay",
+    "version": 2,
+    "params": {"k": 5, "decay_rate": 0.1},
+    "state": {
+        "entries": [
+            (-2.941147582999143, "e", 1.5, 10.0, 50.0),
+            (-3.2148987183848625, 7.75, 4.0, 5.5, 4.0),
+            (-3.0270288172120856, 92, 4.0, 1.5, 4.0),
+            (-5.25893421540483, 89, 0.75, 3.0, 0.75),
+            (-4.968031695828562, "hh", 2.0, 11.5, 80.0),
+            (-3.9798694181227967, "ff", 3.0, 10.5, 60.0),
+        ],
+        "items_seen": 24,
+        "last_time": 11.5,
+        "rng": {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": 24577368018281870019634082382682937184,
+                "inc": 261136684632268670825940853076396136793,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+    },
+}
+
+TIME_DECAY_SIGNATURE = (
+    ("'ff'", 60.0, 3.0, -3.979869418123, 0.150898540836),
+    ("'hh'", 80.0, 2.0, -4.968031695829, 0.166768678912),
+    ("7.75", 4.0, 4.0, -3.214898718385, 0.091524591523),
+    ("89", 0.75, 0.75, -5.258934215405, 0.071279423548),
+    ("92", 4.0, 4.0, -3.027028817212, 0.061350768403),
+)
+
+WEIGHTED_DISTINCT_STATE = {
+    "sampler": "weighted_distinct",
+    "version": 2,
+    "params": {"k": 8, "salt": 3},
+    "state": {
+        "entries": [
+            (35, 0.004148463411359528, 3.0),
+            (14, 0.0052985592869441295, 2.5),
+            (92, 0.20713016043763477, 4.0),
+            (2.25, 0.013366824790356455, 2.5),
+            (9.5, 0.11362792451215616, 3.0),
+            (1.5, 0.18384504974732988, 1.0),
+            ("dd", 0.03568967692973647, 4.0),
+            ("ff", 0.04707131056083511, 3.0),
+            ("hh", 0.18838837442241346, 2.0),
+        ],
+        "cap": 0.20713016043763477,
+    },
+}
+
+WEIGHTED_DISTINCT_SIGNATURE = (
+    ("'dd'", 1.0, 4.0, 0.03568967693, 0.207130160438),
+    ("'ff'", 1.0, 3.0, 0.047071310561, 0.207130160438),
+    ("'hh'", 1.0, 2.0, 0.188388374422, 0.207130160438),
+    ("1.5", 1.0, 1.0, 0.183845049747, 0.207130160438),
+    ("14", 1.0, 2.5, 0.005298559287, 0.207130160438),
+    ("2.25", 1.0, 2.5, 0.01336682479, 0.207130160438),
+    ("35", 1.0, 3.0, 0.004148463411, 0.207130160438),
+    ("9.5", 1.0, 3.0, 0.113627924512, 0.207130160438),
+)
+
+ADAPTIVE_DISTINCT_STATE = {
+    "sampler": "adaptive_distinct",
+    "version": 2,
+    "params": {"k": 5, "salt": 3},
+    "state": {
+        "stream_entries": [
+            ("ff", 0.14121393168250534),
+            ("dd", 0.1427587077189459),
+            ("ccc", 0.35459847173664416),
+            ("hh", 0.3767767488448269),
+            ("a", 0.45023573868855166),
+            ("e", 0.478826932160202),
+        ],
+        "merged_entries": [
+            (35, 0.012445390234078584, 0.8285206417505391),
+            (14, 0.013246398217360324, 0.8285206417505391),
+            (79, 0.4568553197799052, 0.8285206417505391),
+            (3, 0.7368776179981673, 0.8285206417505391),
+            (15, 0.758355000804108, 0.8285206417505391),
+            (2.25, 0.03341706197589114, 0.7700657194955203),
+            (1.5, 0.18384504974732988, 0.7700657194955203),
+            (9.5, 0.3408837735364685, 0.7700657194955203),
+            (0.5, 0.5452116084876943, 0.7700657194955203),
+            (4.125, 0.6210329111546876, 0.7700657194955203),
+        ],
+        "admission_cap": 0.7700657194955203,
+    },
+}
+
+ADAPTIVE_DISTINCT_SIGNATURE = (
+    ("'a'", 1.0, 1.0, 0.450235738689, 0.47882693216),
+    ("'ccc'", 1.0, 1.0, 0.354598471737, 0.47882693216),
+    ("'dd'", 1.0, 1.0, 0.142758707719, 0.47882693216),
+    ("'ff'", 1.0, 1.0, 0.141213931683, 0.47882693216),
+    ("'hh'", 1.0, 1.0, 0.376776748845, 0.47882693216),
+    ("0.5", 1.0, 1.0, 0.545211608488, 0.770065719496),
+    ("1.5", 1.0, 1.0, 0.183845049747, 0.770065719496),
+    ("14", 1.0, 1.0, 0.013246398217, 0.828520641751),
+    ("15", 1.0, 1.0, 0.758355000804, 0.828520641751),
+    ("2.25", 1.0, 1.0, 0.033417061976, 0.770065719496),
+    ("3", 1.0, 1.0, 0.736877617998, 0.828520641751),
+    ("35", 1.0, 1.0, 0.012445390234, 0.828520641751),
+    ("4.125", 1.0, 1.0, 0.621032911155, 0.770065719496),
+    ("79", 1.0, 1.0, 0.45685531978, 0.828520641751),
+    ("9.5", 1.0, 1.0, 0.340883773536, 0.770065719496),
+)
+
+#: name -> (feed, literal checkpoint, its sample signature, and the
+#: priority field of each row list the store keeps sorted).
+CASES = {
+    "bottom_k": (_bottom_k, BOTTOM_K_STATE, BOTTOM_K_SIGNATURE,
+                 {"entries": 0}),
+    "time_decay": (_time_decay, TIME_DECAY_STATE, TIME_DECAY_SIGNATURE,
+                   {"entries": 0}),
+    "weighted_distinct": (_weighted_distinct, WEIGHTED_DISTINCT_STATE,
+                          WEIGHTED_DISTINCT_SIGNATURE, {"entries": 1}),
+    "adaptive_distinct": (_adaptive_distinct, ADAPTIVE_DISTINCT_STATE,
+                          ADAPTIVE_DISTINCT_SIGNATURE, {"stream_entries": 1}),
+}
+NAMES = sorted(CASES)
+
+
+def _row_set(rows) -> list[tuple]:
+    """Rows in any order, a short row padded with None (an untimed
+    ``bottom_k`` row from before the time column)."""
+    width = max(map(len, rows), default=0)
+    return sorted(
+        (tuple(row) + (None,) * (width - len(row)) for row in rows),
+        key=repr,
+    )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_both_restore_paths_reproduce_the_sample(name):
+    _, state, signature, _ = CASES[name]
+    for restore in (get_sampler_class(name).from_state,
+                    repro.sampler_from_state):
+        assert sample_signature(restore(copy.deepcopy(state))) == signature
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fresh_sketch_reproduces_the_sample(name):
+    feed, _, signature, _ = CASES[name]
+    assert sample_signature(feed()) == signature
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_checkpoint_rows_keep_their_layout(name):
+    """A fresh sketch and a restored one both write the literal's tree:
+    the same params and scalars, and the same rows, the stored rows in
+    ascending priority order."""
+    feed, state, _, sorted_rows = CASES[name]
+    restored = repro.sampler_from_state(copy.deepcopy(state))
+    for tree in (feed().to_state(), restored.to_state()):
+        assert tree["params"] == state["params"]
+        assert tree["state"].keys() == state["state"].keys()
+        for field, want in state["state"].items():
+            got = tree["state"][field]
+            if field.endswith("entries"):
+                assert _row_set(got) == _row_set(want), field
+            else:
+                assert got == want, field
+        for field, at in sorted_rows.items():
+            priorities = [row[at] for row in tree["state"][field]]
+            assert priorities == sorted(priorities), field

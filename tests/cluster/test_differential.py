@@ -274,11 +274,24 @@ async def _over_the_wire(samplers, steps, batch_size) -> None:
         await _check_wire(client, samplers, reference)
 
 
-@given(workload=workloads(), batch_size=st.sampled_from((1, 7, 64)))
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_bare_in_process_and_wire_paths_agree(workload, batch_size):
+def _paths_agree(workload, batch_size) -> None:
     samplers, steps = workload
     with tempfile.TemporaryDirectory() as root:
         run_async(_in_process(samplers, steps, root, batch_size))
     run_async(_over_the_wire(samplers, steps, batch_size))
+
+
+@given(workload=workloads(), batch_size=st.sampled_from((1, 7, 64)))
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_bare_in_process_and_wire_paths_agree(workload, batch_size):
+    _paths_agree(workload, batch_size)
+
+
+@pytest.mark.soak
+@given(workload=workloads(), batch_size=st.sampled_from((1, 7, 64)))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_bare_in_process_and_wire_paths_agree_soak(workload, batch_size):
+    """The same differential run at soak size (``REPRO_SOAK=1``)."""
+    _paths_agree(workload, batch_size)

@@ -1,0 +1,102 @@
+"""Tests for the bottom-k store (repro.core.bottomk_store)."""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.core.bottomk_store import BottomKStore
+
+
+def _store(k=3, priorities=(), keys=None, cap=math.inf):
+    store = BottomKStore(k, ("weights",), cap=cap)
+    priorities = np.asarray(priorities, dtype=float)
+    keys = list(range(priorities.size)) if keys is None else keys
+    store.offer(priorities, keys, weights=np.ones(priorities.size))
+    return store
+
+
+class TestThreshold:
+    def test_underfull_threshold_is_the_cap(self):
+        assert _store(3, [0.5, 0.2]).threshold == math.inf
+        assert _store(3, [0.5, 0.2], cap=0.4).threshold == 0.4
+        assert len(_store(3, [0.5, 0.2], cap=0.4)) == 1
+
+    def test_full_threshold_is_the_k_plus_first_priority(self):
+        store = _store(3, [0.9, 0.1, 0.7, 0.3, 0.5])
+        assert store.priorities.tolist() == [0.1, 0.3, 0.5, 0.7]
+        assert store.threshold == 0.7
+        assert len(store) == 3
+
+    def test_len_counts_rows_below_a_tied_threshold(self):
+        store = _store(3, [0.1, 0.5, 0.5, 0.5])
+        assert store.threshold == 0.5
+        assert len(store) == len(store.retained()["keys"]) == 1
+
+
+class TestTies:
+    def test_stored_row_beats_a_tied_batch_row(self):
+        store = _store(1, [0.2, 0.6], keys=["old", "x"])
+        store.offer(np.array([0.2, 0.1]), ["new", "y"],
+                    weights=np.ones(2))
+        assert store.keys.tolist() == ["y", "old"]
+
+    def test_batch_order_among_tied_rows(self):
+        store = _store(1, [0.3, 0.3, 0.3], keys=["a", "b", "c"])
+        assert store.keys.tolist() == ["a", "b"]
+
+    def test_scalar_update_matches_the_batch_offer(self):
+        rng = np.random.default_rng(0)
+        priorities = rng.integers(0, 5, 40) / 5.0
+        batch = _store(4, priorities)
+        scalar = BottomKStore(4, ("weights",))
+        for i, p in enumerate(priorities):
+            scalar.update(float(p), i, weights=1.0)
+        assert scalar.keys.tolist() == batch.keys.tolist()
+        assert scalar.priorities.tolist() == batch.priorities.tolist()
+
+
+class TestBudgetAndMerge:
+    def test_shrink_cuts_and_grow_caps(self):
+        store = _store(4, [0.5, 0.1, 0.4, 0.2, 0.3, 0.6])
+        store.resize(2)
+        assert store.priorities.tolist() == [0.1, 0.2, 0.3]
+        store.resize(5)
+        assert store.cap == 0.3
+        assert store.threshold == 0.3
+        assert len(store) == 2
+        with pytest.raises(ValueError, match="positive"):
+            store.resize(0)
+
+    def test_merge_takes_the_smaller_cap_and_cuts(self):
+        a = _store(2, [0.1, 0.5], keys=["a1", "a2"], cap=0.8)
+        b = _store(2, [0.2, 0.3], keys=["b1", "b2"], cap=0.6)
+        a.merge(b)
+        assert a.cap == 0.6
+        assert a.keys.tolist() == ["a1", "b1", "b2"]
+
+    def test_merge_rejects_a_different_k(self):
+        with pytest.raises(ValueError, match="different k"):
+            _store(2, [0.1]).merge(_store(3, [0.2]))
+
+
+class TestRows:
+    def test_rows_round_trip_with_missing_payloads(self):
+        store = BottomKStore(3, ("weights", "times"))
+        store.offer(np.array([0.4, 0.2]), [("t", 1), "s"],
+                    weights=np.array([1.0, 2.0]))
+        store.update(0.3, 7, weights=3.0, times=1.5)
+        layout = ("priorities", "keys", "weights", "times")
+        rows = store.rows(layout)
+        assert rows == [(0.2, "s", 2.0, None), (0.3, 7, 3.0, 1.5),
+                        (0.4, ("t", 1), 1.0, None)]
+        revived = BottomKStore(3, ("weights", "times"))
+        revived.load_rows([rows[2][:3], rows[0], rows[1]], layout)
+        assert revived.rows(layout) == rows
+
+    def test_holds_is_a_sorted_column_lookup(self):
+        store = _store(3, [0.4, 0.2])
+        assert store.holds(np.array([0.2, 0.3, 0.4])).tolist() == [
+            True, False, True]
+        assert bool(store.holds(0.4))
+        assert not bool(BottomKStore(3).holds(0.4))

@@ -60,6 +60,18 @@ class TestWeightedDistinctSketch:
         with pytest.raises(ValueError):
             WeightedDistinctSketch(5).update("x", weight=0.0)
 
+    def test_merge_rejects_a_different_k(self):
+        # The k=10 side keeps 11 rows, too few to fill a k=100 cut: the
+        # union would be biased low, so the merge refuses it.
+        big = WeightedDistinctSketch(100, salt=3)
+        big.update_many(np.arange(1000))
+        small = WeightedDistinctSketch(10, salt=3)
+        small.update_many(np.arange(1000, 2000))
+        state = big.to_state()
+        with pytest.raises(ValueError, match="different k"):
+            big.merge(small)
+        assert big.to_state() == state
+
 
 class TestAdaptiveDistinctSketch:
     def test_exact_while_underfull(self):
@@ -159,6 +171,22 @@ class TestAdaptiveDistinctSketch:
         # New entries must all sit below the admission cap.
         for key, (h, tau) in merged.entries().items():
             assert h < max(tau, cap) + 1e-12
+
+    def test_batch_after_merge_matches_scalar_loop(self):
+        # Merged keys are left out before the batch's k+1 cut, so a batch
+        # holding merged keys admits what the scalar loop admits.
+        def merged():
+            a = AdaptiveDistinctSketch(5, salt=2)
+            a.update_many(range(100))
+            b = AdaptiveDistinctSketch(5, salt=2)
+            b.update_many(range(50, 150))
+            return a.merge(b)
+
+        batch, scalar = merged(), merged()
+        batch.update_many(np.arange(300))
+        for key in range(300):
+            scalar.update(key)
+        assert batch.to_state() == scalar.to_state()
 
     def test_trim_bounds_entries_and_stays_sane(self):
         a = AdaptiveDistinctSketch(50, salt=0)

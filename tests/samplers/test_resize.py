@@ -50,6 +50,16 @@ HASHED_IDS = [
     for name, params, _, _ in HASHED_CONFIGS
 ]
 
+#: The configs whose state is a ``BottomKStore`` (kmv's ``len`` counts its
+#: k-th-minimum witness by design, and theta keeps its own hash set).
+STORE_CONFIGS = [
+    cfg for cfg in RESIZABLE_CONFIGS if cfg[0] not in ("kmv", "theta")
+]
+STORE_IDS = [
+    f"{name}-{'coord' if params.get('coordinated') else 'plain'}"
+    for name, params, _, _ in STORE_CONFIGS
+]
+
 
 def _stream(n=600, universe=200):
     rng = np.random.default_rng(13)
@@ -146,6 +156,25 @@ class TestGrow:
         _feed(s, weighted, extra_keys, np.ones(extra_keys.size))
         assert _threshold(s) <= before + 1e-12
         assert float(s.estimate()) > est_before
+
+    @pytest.mark.parametrize(
+        "name,params,weighted,fresh_equal", STORE_CONFIGS, ids=STORE_IDS
+    )
+    def test_len_is_the_sample_size_after_grow_and_merge(
+        self, name, params, weighted, fresh_equal
+    ):
+        # len, sample() and the fill gauge all count the rows below the
+        # threshold — also once a grow leaves the threshold witness
+        # stored under the cap, and after a union with a grown sketch.
+        def grown(keys, weights):
+            s = make_sampler(name, **params)
+            _feed(s, weighted, keys, weights)
+            return s.resize(64)
+
+        s = grown(KEYS[:300], WEIGHTS[:300])
+        assert len(s) == len(s.sample()) == s.observe()["fill"]
+        s.merge(grown(KEYS[300:], WEIGHTS[300:]))
+        assert len(s) == len(s.sample()) == s.observe()["fill"]
 
     @pytest.mark.parametrize(
         "name,params,weighted,fresh_equal", RESIZABLE_CONFIGS, ids=CONFIG_IDS

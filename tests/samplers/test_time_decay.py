@@ -94,11 +94,15 @@ class TestEstimation:
         for i in range(50):
             s.update(i, weight=2.0, time=float(i) * 0.1)
         log_t = s.log_threshold
-        for entry in s._retained():
+        sample = s.sample()
+        assert len(sample) == 5
+        for weight, time, probability in zip(
+            sample.weights, sample.times, sample.probabilities
+        ):
             expected = math.exp(
-                min(0.0, log_t + math.log(entry.weight) + 0.3 * entry.time)
+                min(0.0, log_t + math.log(weight) + 0.3 * time)
             )
-            assert s.inclusion_probability(entry) == pytest.approx(expected)
+            assert probability == pytest.approx(expected)
 
     def test_long_stream_no_overflow(self, rng):
         # Log-domain priorities must survive large time values.
