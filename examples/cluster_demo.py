@@ -2,8 +2,9 @@
 
 Three SaaS tenants — each with its own sampler spec and quota — share a
 pool of two durable workers behind a :class:`repro.serve.cluster.Cluster`.
-A network client speaks the length-prefixed JSON frame protocol to a
-:class:`ClusterFrontend`: it registers the tenants, streams their orders,
+A network client speaks the length-prefixed frame protocol to a
+:class:`ClusterFrontend` (JSON for control verbs, raw numpy columns for
+numeric ingest blocks): it registers the tenants, streams their orders,
 and queries each tenant's revenue with a confidence interval.  Mid-demo a
 third worker joins the pool and the consistent-hash ring rebalances
 tenants onto it **live** — after which every tenant's state is proven
@@ -69,10 +70,9 @@ async def main(root) -> None:
                 for lo in range(0, N, 4_000):
                     await client.ingest_many(
                         tenant,
-                        customers[lo:lo + 4_000].tolist(),
+                        customers[lo:lo + 4_000],
                         weights=(
-                            order_value[lo:lo + 4_000].tolist()
-                            if weighted else None
+                            order_value[lo:lo + 4_000] if weighted else None
                         ),
                     )
             await client.admin("flush")
@@ -110,12 +110,7 @@ async def main(root) -> None:
             for i, tenant in enumerate(TENANTS):
                 customers, order_value = orders[tenant]
                 control = SamplerSpec.from_dict(TENANTS[tenant]).build()
-                # Feed the control exactly what crossed the wire: JSON
-                # turned the numpy arrays into Python scalars.
-                control.update_many(
-                    customers.tolist(),
-                    None if order_value is None else order_value.tolist(),
-                )
+                control.update_many(customers, order_value)
                 worker = cluster.service(placements[tenant])
                 async with worker.snapshot():
                     mine = signature(worker.sampler.tenant_sampler(tenant))

@@ -169,6 +169,9 @@ INVENTORY: tuple[MetricSpec, ...] = (
                "FrontendMetrics", "Connections refused at the cap."),
     MetricSpec("repro_frontend_frames_read_total", "counter", (),
                "FrontendMetrics", "Request frames read."),
+    MetricSpec("repro_frontend_binary_frames_total", "counter", (),
+               "FrontendMetrics",
+               "Request frames read as binary ingest columns."),
     MetricSpec("repro_frontend_frames_rate_limited_total", "counter", (),
                "FrontendMetrics", "Frames pushed back by the rate limit."),
     MetricSpec("repro_frontend_idle_timeouts_total", "counter", (),
@@ -369,6 +372,7 @@ def frontend_collector(frontend):
         "repro_frontend_connections_active": "connections_active",
         "repro_frontend_connections_rejected_total": "connections_rejected",
         "repro_frontend_frames_read_total": "frames_read",
+        "repro_frontend_binary_frames_total": "binary_frames",
         "repro_frontend_frames_rate_limited_total": "frames_rate_limited",
         "repro_frontend_idle_timeouts_total": "idle_timeouts",
         "repro_frontend_read_timeouts_total": "read_timeouts",

@@ -58,6 +58,8 @@ def chunk_of(keys, weights=None, values=None, times=None,
         column = np.asarray(column, dtype=float)
         if column.size != n:
             raise ValueError(f"{name} must have the same length as keys")
+        if column.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D column")
         chunk[name] = column
     return chunk
 

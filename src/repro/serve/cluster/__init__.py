@@ -18,7 +18,8 @@ to many tenants on a fixed worker pool:
 - :mod:`~repro.serve.cluster.rebalance` — the gate/quiesce/extract/
   install/commit/drop handoff protocol (bit-exact moved state).
 - :class:`ClusterFrontend` / :class:`ClusterClient` — the TCP front end
-  (length-prefixed JSON frames, per-connection hardening) and its thin
+  (length-prefixed JSON frames, binary columns for numeric ingest
+  blocks, per-connection hardening) and its thin
   async client (optional retry/backoff, circuit breaker, idempotent
   ingest retries).
 - :class:`Supervisor` — the self-healing loop: health probes

@@ -1,13 +1,40 @@
-"""The cluster's network front end: length-prefixed JSON frames.
+"""The cluster's network front end: length-prefixed frames.
 
 :class:`ClusterFrontend` exposes a running
 :class:`~repro.serve.cluster.Cluster` over TCP with a deliberately tiny
-protocol — every frame is a 4-byte big-endian length followed by a UTF-8
-JSON object — so any language can speak it in a dozen lines.  Requests
-are ``{"verb": ..., ...}``; responses are ``{"ok": true, ...}`` or
-``{"ok": false, "error": ..., "error_type": ...}``.  A protocol error
-answers instead of killing the connection, and one connection can
-pipeline requests (they are served in order on the event loop).
+protocol — every frame is a 4-byte big-endian length followed by a body,
+usually a UTF-8 JSON object — so any language can speak it in a dozen
+lines.  Requests are ``{"verb": ..., ...}``; responses are
+``{"ok": true, ...}`` or ``{"ok": false, "error": ..., "error_type": ...}``.
+An application error (unknown verb or tenant, a bad argument) gets an
+error reply and the connection stays open; a framing error (bad length
+prefix, a body that does not decode) gets one ``FrameError`` reply and
+then the connection closes, since the stream can no longer be trusted
+to be frame-aligned.  One connection can pipeline requests (they are
+served in order on the event loop).
+
+Binary ingest frames
+--------------------
+Numeric ``ingest_many`` blocks skip JSON: their body is
+
+* one marker byte ``0x00`` (no JSON text starts with it);
+* a 4-byte big-endian header length, then that many bytes of UTF-8 JSON
+  object — the request's scalar fields (``verb``, ``tenant``, ``block``,
+  ``request_id``, ``expect_frontier``) plus ``"columns"``, a list of
+  ``[name, dtype, count]`` with ``name`` one of ``keys``, ``weights``,
+  ``values``, ``times`` (each at most once) and ``dtype`` one of
+  ``"<i8"``, ``"<u8"``, ``"<f8"``;
+* the column buffers, in header order, each ``8 * count`` raw
+  little-endian bytes, ending exactly at the end of the body.
+
+:func:`read_frame` hands each column back as a zero-copy memoryview over
+the body, and :func:`write_frame` sends a message whose values include
+memoryviews this way.  :class:`ClusterClient` picks the kind per block:
+binary whenever the keys are numeric under the server's own
+:func:`~repro.serve.cluster.mux.key_block` rule, JSON for everything
+else (str, bool, tuple and object keys, scalar ``ingest``, every
+control verb).  JSON ``ingest_many`` frames from other clients are
+served exactly as before.
 
 Verbs
 -----
@@ -76,6 +103,7 @@ import numpy as np
 
 from ...api.protocol import _as_key_list
 from .metrics import FrontendMetrics
+from .mux import key_block
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 from .tenants import TokenBucket
 
@@ -99,6 +127,12 @@ MAX_FRAME = 32 * 1024 * 1024
 _HTTP_GET = b"GET "
 assert _HEADER.unpack(_HTTP_GET)[0] > MAX_FRAME
 
+#: The first body byte of a binary frame (see the module docstring).
+_BINARY = b"\x00"
+#: Column dtypes a binary frame carries, and the columns it may name.
+_WIRE_DTYPES = ("<i8", "<u8", "<f8")
+_WIRE_COLUMNS = ("keys", "weights", "values", "times")
+
 #: Query/estimate keyword options accepted over the wire.  Callable
 #: options (``where``, ``group_by``, ``weight_of``) are in-process only.
 _QUERY_OPTIONS = (
@@ -112,7 +146,8 @@ def _plain(value):
 
 
 class FrameError(RuntimeError):
-    """A malformed frame (bad length prefix, not JSON, not an object)."""
+    """A malformed frame (bad length prefix, not JSON, not an object, a
+    binary body that does not match its header)."""
 
 
 class FrameDisconnect(FrameError):
@@ -154,12 +189,13 @@ async def read_frame(
     body_timeout: float | None = None,
     preread_header: bytes | None = None,
 ) -> dict | None:
-    """Read one length-prefixed JSON object; ``None`` on clean EOF.
+    """Read one frame as a dict; ``None`` on clean EOF.
 
-    ``idle_timeout`` bounds the wait for the 4-byte header (how long a
-    connection may sit silent between requests); ``body_timeout`` bounds
-    the wait for the body once a header arrived (the slowloris guard).
-    Either raises :class:`FrameTimeout`.  A peer that disconnects after
+    A binary body's columns come back as memoryviews (see the module
+    docstring).  ``idle_timeout`` bounds the wait for the 4-byte header
+    (how long a connection may sit silent between requests);
+    ``body_timeout`` bounds the wait for the body once a header arrived
+    (the slowloris guard).  Either raises :class:`FrameTimeout`.  A peer that disconnects after
     sending a partial header or body raises :class:`FrameDisconnect`.
     ``preread_header`` supplies the 4 length-prefix bytes when the
     caller already consumed them (the frontend's protocol sniff).
@@ -181,18 +217,89 @@ async def read_frame(
         body = await _read_exactly(reader, length, body_timeout, "body")
     except asyncio.IncompleteReadError as err:
         raise FrameDisconnect("connection closed mid-frame") from err
+    if body[:1] == _BINARY:
+        return _binary_message(body)
+    return _json_object(body, "frame")
+
+
+def _json_object(text: bytes, what: str) -> dict:
+    """``text`` decoded as a UTF-8 JSON object (``FrameError`` if not)."""
     try:
-        message = json.loads(body.decode("utf-8"))
+        message = json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise FrameError(f"frame is not UTF-8 JSON: {err}") from err
+        raise FrameError(f"{what} is not UTF-8 JSON: {err}") from err
     if not isinstance(message, dict):
-        raise FrameError("frame must encode a JSON object")
+        raise FrameError(f"{what} must encode a JSON object")
     return message
 
 
+def _binary_message(body: bytes) -> dict:
+    """A binary body as its header's fields plus one zero-copy memoryview
+    per declared column; ``FrameError`` unless the buffers match the
+    header exactly."""
+    start = len(_BINARY) + _HEADER.size
+    if len(body) < start:
+        raise FrameError("binary frame is shorter than its header prefix")
+    (size,) = _HEADER.unpack_from(body, len(_BINARY))
+    offset = start + size
+    if offset > len(body):
+        raise FrameError("binary frame header runs past the body")
+    message = _json_object(body[start:offset], "binary frame header")
+    columns = message.pop("columns", None)
+    if not isinstance(columns, list):
+        raise FrameError("binary frame header needs a columns list")
+    for column in columns:
+        if not (isinstance(column, list) and len(column) == 3):
+            raise FrameError(f"column {column!r} is not [name, dtype, count]")
+        name, dtype, count = column
+        if name not in _WIRE_COLUMNS or name in message:
+            raise FrameError(f"unknown or repeated column {name!r}")
+        if dtype not in _WIRE_DTYPES:
+            raise FrameError(f"column {name!r} has dtype {dtype!r}, not one "
+                             f"of {', '.join(_WIRE_DTYPES)}")
+        if type(count) is not int or count < 0:
+            raise FrameError(f"column {name!r} has count {count!r}, not a "
+                             "non-negative integer")
+        end = offset + 8 * count
+        if end > len(body):
+            raise FrameError("binary frame buffers are shorter than its "
+                             "columns")
+        message[name] = np.frombuffer(body, dtype, count, offset).data
+        offset = end
+    if offset != len(body):
+        raise FrameError("binary frame buffers are longer than its columns")
+    return message
+
+
+def _is_binary(message: dict) -> bool:
+    """Whether ``message`` carries binary columns (memoryview values)."""
+    return any(isinstance(value, memoryview) for value in message.values())
+
+
+def _binary_body(message: dict) -> bytes:
+    """The binary body of ``message``: its memoryview values become
+    columns (1-D, of a wire dtype — :func:`read_frame` refuses others),
+    everything else the JSON header."""
+    header, buffers = {}, []
+    columns = header["columns"] = []
+    for name, value in message.items():
+        if not isinstance(value, memoryview):
+            header[name] = value
+            continue
+        column = np.ascontiguousarray(value)
+        columns.append([name, column.dtype.str, len(column)])
+        buffers.append(column)
+    text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return b"".join([_BINARY, _HEADER.pack(len(text)), text, *buffers])
+
+
 def write_frame(writer: asyncio.StreamWriter, message: dict) -> None:
-    """Queue one length-prefixed JSON object on ``writer``."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    """Queue one length-prefixed frame on ``writer``: binary when
+    ``message`` carries memoryview columns, a JSON object otherwise."""
+    if _is_binary(message):
+        body = _binary_body(message)
+    else:
+        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise FrameError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
     writer.write(_HEADER.pack(len(body)) + body)
@@ -408,6 +515,8 @@ class ClusterFrontend:
                 if request is None:
                     break
                 metrics.frames_read += 1
+                if _is_binary(request):
+                    metrics.binary_frames += 1
                 if bucket is not None and not bucket.try_acquire(1):
                     # Over the per-connection frame rate: push back on
                     # this frame only; the connection stays usable.
@@ -465,11 +574,10 @@ class ClusterFrontend:
 
     @staticmethod
     def _columns(request: dict) -> dict:
-        """The optional event columns of an ingest request."""
-        return {
-            name: request.get(name)
-            for name in ("weights", "values", "times")
-        }
+        """The optional event columns of an ingest request (a binary
+        frame's memoryviews as the arrays they view)."""
+        return {name: _array(request.get(name))
+                for name in ("weights", "values", "times")}
 
     def _dedupe_lookup(self, request: dict) -> dict | None:
         """The cached reply for this ``request_id``, if one exists."""
@@ -535,7 +643,7 @@ class ClusterFrontend:
         if cached is not None:
             return cached
         tenant = request["tenant"]
-        keys = request["keys"]
+        keys = _array(request["keys"])
         columns = self._columns(request)
         if request.get("block", False):
             admitted = await self.cluster.ingest_many(
@@ -663,6 +771,12 @@ class ClusterFrontend:
         }
 
 
+def _array(value):
+    """A binary frame's memoryview column as the (read-only) array it
+    views; JSON values pass through."""
+    return np.asarray(value) if isinstance(value, memoryview) else value
+
+
 def _jsonable(value):
     """Best-effort JSON form of a query/sample value."""
     if hasattr(value, "__dataclass_fields__"):  # e.g. TopKItem
@@ -679,6 +793,30 @@ def _jsonable(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)
+
+
+def _ingest_fields(keys, columns: dict) -> dict:
+    """An ``ingest_many`` block's frame fields.
+
+    Binary memoryview columns when ``keys`` come out numeric under the
+    server's :func:`~repro.serve.cluster.mux.key_block` rule and every
+    column coerces to a 1-D float array; JSON lists otherwise, so the
+    server's own validation answers a bad block as it does for any JSON
+    client.  ``keys`` is read once (it may be an iterator).
+    """
+    block = key_block(keys)
+    if isinstance(block, np.ndarray) and block.dtype.kind in "iuf":
+        arrays = {"keys": block.astype(f"<{block.dtype.kind}8", copy=False)}
+        try:
+            arrays.update((name, np.asarray(column, dtype="<f8"))
+                          for name, column in columns.items())
+        except (TypeError, ValueError):
+            pass
+        else:
+            if all(array.ndim == 1 for array in arrays.values()):
+                return {name: array.data for name, array in arrays.items()}
+    return {"keys": _as_key_list(block),
+            **{name: _as_key_list(column) for name, column in columns.items()}}
 
 
 class ClusterClient:
@@ -861,22 +999,25 @@ class ClusterClient:
                           expect_frontier: int | None = None) -> dict:
         """Batch ``ingest_many`` (blocking by default, like the API).
 
+        Numeric key blocks — numpy arrays or lists that
+        :func:`~repro.serve.cluster.mux.key_block` turns into an integer
+        or float array — travel as a binary frame: keys widened to
+        int64/uint64/float64 and ``weights``/``values``/``times`` as
+        float64, so the server gets the arrays it would have rebuilt
+        from JSON.  str, bool, tuple and object keys, and columns that
+        do not coerce to 1-D floats, travel as JSON lists.
+
         With a retry policy set, a ``request_id`` is generated
         automatically so retries are idempotent.  ``expect_frontier``
         makes a blocking admission conditional on the tenant's frontier
         (a non-retryable ``StaleFrontier`` error reply otherwise)."""
-        request = {
-            "verb": "ingest_many", "tenant": tenant,
-            "keys": _as_key_list(keys), "block": block,
-        }
+        columns = {name: column for name, column in (
+            ("weights", weights), ("values", values), ("times", times))
+            if column is not None}
+        request = {"verb": "ingest_many", "tenant": tenant, "block": block,
+                   **_ingest_fields(keys, columns)}
         if expect_frontier is not None:
             request["expect_frontier"] = int(expect_frontier)
-        if weights is not None:
-            request["weights"] = _as_key_list(weights)
-        if values is not None:
-            request["values"] = _as_key_list(values)
-        if times is not None:
-            request["times"] = _as_key_list(times)
         if request_id is None and self.retry is not None:
             request_id = self.next_request_id()
         if request_id is not None:

@@ -26,7 +26,10 @@ class FrontendMetrics:
     server's latency: connections refused at the concurrency cap,
     frames refused by the per-connection rate limit, idle/read timeouts,
     quiet mid-frame disconnects, and ingest replies served from the
-    idempotency table instead of re-admitting.
+    idempotency table instead of re-admitting.  ``binary_frames`` counts
+    the request frames that arrived as binary ingest columns, so the
+    rest of ``frames_read`` shows how much ingest still comes as JSON
+    (str-keyed tenants, older clients).
     """
 
     connections_opened: int = 0
@@ -34,6 +37,7 @@ class FrontendMetrics:
     connections_active: int = 0
     connections_rejected: int = 0
     frames_read: int = 0
+    binary_frames: int = 0
     frames_rate_limited: int = 0
     idle_timeouts: int = 0
     read_timeouts: int = 0
@@ -53,6 +57,7 @@ class FrontendMetrics:
             "connections_active": self.connections_active,
             "connections_rejected": self.connections_rejected,
             "frames_read": self.frames_read,
+            "binary_frames": self.binary_frames,
             "frames_rate_limited": self.frames_rate_limited,
             "idle_timeouts": self.idle_timeouts,
             "read_timeouts": self.read_timeouts,

@@ -73,7 +73,8 @@ def key_block(keys):
     tuple keys would coerce to a 2-D array misread as one row per tuple
     *element*.  Python ints that overflow int64 (uint64 keys arriving
     as JSON numbers) become uint64, never float64, so they hash as the
-    integers they are.
+    integers they are.  :class:`~repro.serve.cluster.ClusterClient`
+    applies the same rule to pick the blocks it sends as binary frames.
     """
     try:
         block = np.asarray(keys)

@@ -8,8 +8,11 @@ blocks — goes through
 
 * bare per-tenant samplers, the reference;
 * an in-process :class:`~repro.serve.cluster.Cluster`;
-* a :class:`~repro.serve.cluster.ClusterClient` talking JSON frames to a
-  :class:`~repro.serve.cluster.ClusterFrontend`.
+* a :class:`~repro.serve.cluster.ClusterClient` talking to a
+  :class:`~repro.serve.cluster.ClusterFrontend`, once with the blocks as
+  numpy arrays and once as the ``.tolist()`` lists a JSON-minded caller
+  sends (numeric blocks cross as binary frames either way, str keys as
+  JSON).
 
 Every path must end with the same per-tenant samples, bit for bit, and
 the same query answers, standard errors and CIs included — and so must
@@ -249,8 +252,14 @@ async def _in_process(samplers, steps, root, batch_size) -> None:
         await recovered.stop()
 
 
-async def _over_the_wire(samplers, steps, batch_size) -> None:
-    # JSON frames carry no tuple keys: the wire path gets the rest.
+def _as_lists(block: dict) -> dict:
+    """``block`` as a list caller sends it: every array ``.tolist()``-ed."""
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in block.items()}
+
+
+async def _over_the_wire(samplers, steps, batch_size, lists: bool) -> None:
+    # The wire carries no tuple keys: the wire path gets the rest.
     steps = [step for step in steps
              if step[0] == "drop" or step[2]["kind"] != "tuple"]
     reference = _reference(samplers, steps)
@@ -265,6 +274,8 @@ async def _over_the_wire(samplers, steps, batch_size) -> None:
             await client.admin("drop_tenant", tenant=tenant)
 
         async def ingest(tenant, block):
+            if lists:
+                block = _as_lists(block)
             reply = await client.ingest_many(tenant, block["keys"],
                                              **_columns(block))
             assert reply["admitted"]
@@ -272,13 +283,17 @@ async def _over_the_wire(samplers, steps, batch_size) -> None:
         await _drive(samplers, steps, client.create_tenant, drop, ingest)
         await client.admin("flush")
         await _check_wire(client, samplers, reference)
+        assert frontend.metrics.binary_frames == sum(
+            step[0] == "ingest" and step[2]["kind"] != "str"
+            for step in steps)
 
 
 def _paths_agree(workload, batch_size) -> None:
     samplers, steps = workload
     with tempfile.TemporaryDirectory() as root:
         run_async(_in_process(samplers, steps, root, batch_size))
-    run_async(_over_the_wire(samplers, steps, batch_size))
+    for lists in (False, True):
+        run_async(_over_the_wire(samplers, steps, batch_size, lists))
 
 
 @given(workload=workloads(), batch_size=st.sampled_from((1, 7, 64)))

@@ -7,8 +7,10 @@ import contextlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
+from repro import SamplerSpec
 from repro.serve.cluster import (
     Cluster,
     ClusterClient,
@@ -230,16 +232,42 @@ class TestVerbs:
 
         run_async(body())
 
-    @pytest.mark.parametrize("dtype", ["int64", "uint64", "float64"])
+    def test_any_key_container_reaches_the_server_whole(self):
+        """One-shot iterators are read once, and a strided array slice
+        travels as its own rows, whichever frame kind the block takes."""
+        async def body():
+            async with served() as (cluster, client):
+                await client.create_tenant("it", tenant_spec(0))
+                keys = tenant_stream(0, 100)
+                reply = await client.ingest_many("it", iter(keys.tolist()))
+                assert reply["n"] == 100
+                reply = await client.ingest_many(
+                    "it", (f"s{k}" for k in range(7)))
+                assert reply["n"] == 7
+                reply = await client.ingest_many(
+                    "it", keys[::2], weights=np.ones(100)[::2])
+                assert reply["n"] == 50
+                await client.admin("flush")
+                sample = await cluster.sample("it")
+                control = SamplerSpec.from_dict(tenant_spec(0)).build()
+                control.update_many(keys)
+                control.update_many([f"s{k}" for k in range(7)])
+                control.update_many(keys[::2], np.ones(50))
+                assert sig_of(sample) == sig_of(control.sample())
+
+        run_async(body())
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint64", "float64", "int32",
+                                       "uint8", "float32", "bool"])
     def test_numpy_inputs_match_inprocess_ingest(self, dtype):
         """The client sends numpy arrays and scalars as they come — key
         arrays of any numeric dtype, float64/float32 columns, numpy
         scalars on the scalar verb — and the tenant ends in the same
-        sample as in-process ingestion of the same events."""
-        import numpy as np
-
+        sample as in-process ingestion of the same events.  Numeric key
+        blocks travel as binary frames; a bool block stays JSON."""
         rng = np.random.default_rng(21)
-        keys = rng.integers(0, 5000, 300).astype(dtype)
+        keys = rng.integers(0, 200 if dtype == "uint8" else 5000,
+                            300).astype(dtype)
         weights = rng.lognormal(0.0, 0.6, 300)
         values = (weights * 3.0).astype(np.float32)
         times = np.sort(rng.uniform(0.0, 10.0, 300))
@@ -257,17 +285,58 @@ class TestVerbs:
                                    value=float(values[0]), time=10.0)
                 await local.flush()
                 expected = await local.sample("t")
-            async with served() as (cluster, client):
-                await client.create_tenant("t", spec)
-                await client.ingest_many("t", keys, weights=weights,
-                                         values=values, times=times)
-                await client.ingest("t", keys[0], weights[0],
-                                    value=values[0], time=np.float64(10.0),
-                                    block=True)
-                await client.admin("flush")
-                got = await cluster.sample("t")
+            async with Cluster(services=2) as cluster:
+                async with ClusterFrontend(cluster) as frontend:
+                    client = await ClusterClient.connect(*frontend.address)
+                    await client.create_tenant("t", spec)
+                    await client.ingest_many("t", keys, weights=weights,
+                                             values=values, times=times)
+                    await client.ingest("t", keys[0], weights[0],
+                                        value=values[0],
+                                        time=np.float64(10.0), block=True)
+                    await client.admin("flush")
+                    got = await cluster.sample("t")
+                    binary = frontend.metrics.binary_frames
+                    await client.aclose()
             assert sig_of(got) == sig_of(expected)
             assert rows(got) == rows(expected)
+            assert binary == (0 if dtype == "bool" else 1)
+
+        run_async(body())
+
+    @pytest.mark.parametrize("caller", ["array", "list"])
+    def test_bad_columns_get_the_same_error_reply(self, caller):
+        """Mismatched column lengths and non-numeric columns answer with
+        the server's own ``ValueError`` reply whichever frame kind the
+        block travels in, and the connection keeps serving."""
+        def given(column):
+            column = np.asarray(column)
+            return column if caller == "array" else column.tolist()
+
+        keys = given(np.arange(5))
+        cases = (
+            (dict(weights=given(np.ones(4))),
+             "ValueError: weights must have the same length as keys"),
+            (dict(times=given(np.arange(6.0))),
+             "ValueError: times must have the same length as keys"),
+            (dict(weights=given(["a", "b", "c", "d", "e"])),
+             "ValueError: could not convert string to float: 'a'"),
+            (dict(values=given(np.ones(5)), weights=given(np.ones((5, 1)))),
+             "ValueError: weights must be a 1-D column"),
+        )
+
+        async def body():
+            async with served() as (cluster, client):
+                await client.create_tenant("t", tenant_spec(0))
+                for columns, error in cases:
+                    with pytest.raises(RuntimeError) as exc:
+                        await client.ingest_many("t", keys, **columns)
+                    assert str(exc.value) == error
+                reply = await client.ingest_many("t", keys)
+                assert reply["admitted"] and reply["n"] == 5
+                await client.admin("flush")
+                assert sig_of(await cluster.sample("t")) == \
+                    control_signature(0, np.arange(5))
 
         run_async(body())
 

@@ -15,6 +15,7 @@ import contextlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from repro.serve.chaos import misbehaving_connection
@@ -28,6 +29,7 @@ from repro.serve.cluster import (
     FrameTimeout,
     RetryPolicy,
 )
+from repro import SamplerSpec
 from repro.serve.cluster.frontend import read_frame
 from tests.cluster.common import (
     control_signature,
@@ -36,6 +38,9 @@ from tests.cluster.common import (
     tenant_spec,
     tenant_stream,
 )
+
+#: The first body byte of a binary frame.
+MARKER = b"\x00"
 
 FAST_RETRY = RetryPolicy(max_attempts=6, base_delay=0.02, max_delay=0.1,
                          jitter=0.0, request_timeout=5.0)
@@ -53,6 +58,29 @@ async def served(n_services: int = 2, cluster_kwargs=None,
 def _frame(payload: dict) -> bytes:
     body = json.dumps(payload).encode()
     return struct.pack(">I", len(body)) + body
+
+
+def _binary_frame(header, *buffers: bytes) -> bytes:
+    """A binary frame built by hand from the documented layout: marker
+    byte, big-endian header length, JSON header, raw column buffers."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    body = MARKER + struct.pack(">I", len(text)) + text + b"".join(buffers)
+    return struct.pack(">I", len(body)) + body
+
+
+async def _one_reply_then_close(host: str, port: int, frame: bytes) -> dict:
+    """Send ``frame`` on a raw socket; return the single reply frame,
+    asserting the server closed the connection right after it."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(frame)
+        await writer.drain()
+        (length,) = struct.unpack(">I", await reader.readexactly(4))
+        reply = json.loads(await reader.readexactly(length))
+        assert await reader.read() == b""  # no second frame: closed
+        return reply
+    finally:
+        writer.close()
 
 
 class TestConnectionCap:
@@ -261,6 +289,182 @@ class TestMidFrameDisconnect:
                 )
                 assert b"FrameError" in received
                 assert frontend.metrics.frame_errors == 1
+
+        run_async(body())
+
+
+def _columns_header(*columns) -> dict:
+    return {"verb": "ingest_many", "tenant": "acme", "block": True,
+            "columns": [list(column) for column in columns]}
+
+
+KEYS2 = np.arange(2, dtype="<i8").tobytes()
+
+#: Binary bodies that do not match their own header: each must get one
+#: FrameError reply and a close, like a bad JSON frame.
+MALFORMED_BINARY = {
+    "shorter-than-header-prefix":
+        struct.pack(">I", 3) + MARKER + b"\x00\x00",
+    "header-runs-past-body":
+        struct.pack(">I", 7) + MARKER + struct.pack(">I", 100) + b"{}",
+    "header-not-json": _binary_frame(b"{{{"),
+    "header-not-an-object": _binary_frame(b"[1, 2]"),
+    "no-columns-list": _binary_frame({"verb": "ingest_many",
+                                      "tenant": "acme"}),
+    "column-not-a-triple": _binary_frame(
+        _columns_header(("keys", "<i8")), KEYS2),
+    "dtype-int32": _binary_frame(
+        _columns_header(("keys", "<i4", 2)),
+        np.arange(2, dtype="<i4").tobytes()),
+    "dtype-big-endian": _binary_frame(
+        _columns_header(("keys", ">i8", 2)), KEYS2),
+    "count-negative": _binary_frame(
+        _columns_header(("keys", "<i8", -1)), KEYS2),
+    "count-float": _binary_frame(
+        _columns_header(("keys", "<i8", 2.0)), KEYS2),
+    "count-bool": _binary_frame(
+        _columns_header(("keys", "<i8", True)), KEYS2[:8]),
+    "count-str": _binary_frame(
+        _columns_header(("keys", "<i8", "2")), KEYS2),
+    "column-unknown": _binary_frame(
+        _columns_header(("weight", "<f8", 2)), KEYS2),
+    "column-repeated": _binary_frame(
+        _columns_header(("keys", "<i8", 2), ("keys", "<i8", 2)),
+        KEYS2, KEYS2),
+    "column-repeats-header-field": _binary_frame(
+        {**_columns_header(("keys", "<i8", 2)), "keys": [0, 1]}, KEYS2),
+    "buffers-short": _binary_frame(
+        _columns_header(("keys", "<i8", 3)), KEYS2),
+    "buffers-short-second-column": _binary_frame(
+        _columns_header(("keys", "<i8", 2), ("weights", "<f8", 2)), KEYS2),
+    "buffers-long": _binary_frame(
+        _columns_header(("keys", "<i8", 1)), KEYS2),
+}
+
+
+class TestBinaryFrames:
+    @pytest.mark.parametrize("frame", MALFORMED_BINARY.values(),
+                             ids=MALFORMED_BINARY.keys())
+    def test_malformed_binary_body_answers_once_then_closes(self, frame):
+        async def body():
+            async with served() as (cluster, frontend):
+                await cluster.create_tenant("acme", tenant_spec(0))
+                reply = await _one_reply_then_close(*frontend.address,
+                                                    frame)
+                assert reply["ok"] is False
+                assert reply["error_type"] == "FrameError"
+                assert frontend.metrics.frame_errors == 1
+                assert frontend.metrics.binary_frames == 0
+                assert cluster.registry.get("acme").events_enqueued == 0
+
+        run_async(body())
+
+    def test_hand_built_frame_ingests_on_a_raw_socket(self):
+        """The documented layout, packed with ``struct`` and
+        ``tobytes()`` and no ``ClusterClient``, ingests like any block
+        (its columns start unaligned: nothing pads the header)."""
+        keys = tenant_stream(0, 300).astype("<i8")
+        weights = np.random.default_rng(4).lognormal(0.0, 0.6, 300)
+        frame = _binary_frame(
+            _columns_header(("keys", "<i8", 300), ("weights", "<f8", 300)),
+            keys.tobytes(), weights.astype("<f8").tobytes(),
+        )
+
+        async def body():
+            async with served() as (cluster, frontend):
+                await cluster.create_tenant("acme", tenant_spec(0))
+                reader, writer = await asyncio.open_connection(
+                    *frontend.address)
+                writer.write(frame)
+                await writer.drain()
+                reply = await read_frame(reader)
+                writer.close()
+                assert reply == {"ok": True, "admitted": True, "n": 300}
+                await cluster.flush()
+                control = SamplerSpec.from_dict(tenant_spec(0)).build()
+                control.update_many(keys, weights)
+                assert sig_of(await cluster.sample("acme")) == \
+                    sig_of(control.sample())
+                assert frontend.metrics.binary_frames == 1
+
+        run_async(body())
+
+    def test_binary_frame_over_max_frame_is_refused_on_both_ends(
+            self, monkeypatch):
+        import repro.serve.cluster.frontend as frontend_mod
+
+        async def body():
+            async with served() as (cluster, frontend):
+                client = await ClusterClient.connect(*frontend.address)
+                await client.create_tenant("acme", tenant_spec(0))
+                monkeypatch.setattr(frontend_mod, "MAX_FRAME", 1024)
+                # The client refuses before a byte is sent, so its
+                # connection stays frame-aligned and keeps serving.
+                with pytest.raises(FrameError, match="MAX_FRAME"):
+                    await client.ingest_many("acme", np.arange(200))
+                reply = await client.ingest_many("acme", np.arange(100))
+                assert reply["admitted"] and reply["n"] == 100
+                await client.aclose()
+                # The server refuses a hand-built one: one FrameError
+                # reply, then the connection closes.
+                frame = _binary_frame(
+                    _columns_header(("keys", "<i8", 200)),
+                    np.arange(200, dtype="<i8").tobytes(),
+                )
+                reply = await _one_reply_then_close(*frontend.address,
+                                                    frame)
+                assert reply["error_type"] == "FrameError"
+                assert "MAX_FRAME" in reply["error"]
+                assert frontend.metrics.frame_errors == 1
+                assert cluster.registry.get("acme").events_enqueued == 100
+
+        run_async(body())
+
+    def test_retried_binary_ingest_is_answered_from_the_dedupe_table(self):
+        async def body():
+            async with served() as (cluster, frontend):
+                client = await ClusterClient.connect(*frontend.address)
+                await client.create_tenant("acme", tenant_spec(0))
+                keys = tenant_stream(0, 100)
+                first = await client.ingest_many(
+                    "acme", keys, request_id="bin-1"
+                )
+                assert first["admitted"] and first["frontier"] == 100
+                replay = await client.ingest_many(
+                    "acme", keys, request_id="bin-1"
+                )
+                assert replay["deduped"] is True
+                assert replay["frontier"] == 100
+                assert cluster.registry.get("acme").events_enqueued == 100
+                assert frontend.metrics.replies_deduped == 1
+                assert frontend.metrics.binary_frames == 2
+                await client.admin("flush")
+                assert sig_of(await cluster.sample("acme")) == \
+                    control_signature(0, keys)
+                await client.aclose()
+
+        run_async(body())
+
+    def test_binary_frames_are_counted_and_scraped(self):
+        """Numeric blocks bump ``binary_frames``; a str-keyed block
+        travels as JSON and does not."""
+        from repro.obs import parse_exposition
+
+        async def body():
+            async with served() as (cluster, frontend):
+                client = await ClusterClient.connect(*frontend.address)
+                await client.create_tenant("acme", tenant_spec(0))
+                await client.ingest_many("acme", [1, 2, 3])
+                assert frontend.metrics.binary_frames == 1
+                await client.ingest_many("acme", ["a", "b"],
+                                         weights=[1.0, 2.0])
+                assert frontend.metrics.binary_frames == 1
+                families = parse_exposition(await client.scrape())
+                (sample,) = families[
+                    "repro_frontend_binary_frames_total"]["samples"]
+                assert sample[2] == 1.0
+                assert frontend.metrics.frames_read == 4
+                await client.aclose()
 
         run_async(body())
 
