@@ -3,16 +3,16 @@
 The seed implementation maintained the current-candidate set with an
 ``O(n)``-per-item ``bisect.insort`` into a list of tuples and pushed one
 threshold-update per arrival.  The kernel-layer rework keeps the window in
-two parallel scalar columns (priorities / record ids), reduces the
-admission test to one float compare (``r < c_{k-1}``), and defers the
-whole batch's monotone update-stack effect to a single vectorized
-suffix-minimum pass — so the batch path touches python only at expiries
-and admissions.
+priority-ordered columns, reduces the admission test to one float compare
+(``r < c_{k-1}``), and defers the whole batch's monotone update-stack
+effect to a single vectorized suffix-minimum pass — so the batch path
+touches python only at expiries and admissions.
 
 This bench isolates exactly that maintenance cost on a time-ordered
 stream: identical arrivals through the scalar ``update`` loop and through
-``update_many``, with the resulting window state verified equal.  Results
-append to ``benchmarks/results/bench_window_maintenance.json``.
+``update_many``, with the resulting checkpoints (``to_state()``) verified
+equal.  Results append to
+``benchmarks/results/bench_window_maintenance.json``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_window_maintenance.py [--n 1000000]
 """
@@ -37,22 +37,6 @@ RESULTS_PATH = (
 )
 
 
-def window_state(sampler) -> tuple:
-    """Canonical view of the maintained window (for the equality check)."""
-    records = sorted(
-        (rid, rec.key, rec.time, rec.priority, rec.seq, rec.initial_threshold)
-        for rid, rec in sampler._records.items()
-    )
-    return (
-        records,
-        list(sampler._cur_pri),
-        list(sampler._expired),
-        [tuple(pair) for pair in sampler._updates],
-        sampler.max_current,
-        sampler.max_expired,
-    )
-
-
 def run(n: int, k: int, window: float, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     keys = zipf_stream(n, max(n // 100, 1000), 1.5, rng=rng)
@@ -71,7 +55,7 @@ def run(n: int, k: int, window: float, seed: int = 0) -> dict:
     batch.update_many(keys, times=times)
     batch_s = time.perf_counter() - start
 
-    assert window_state(scalar) == window_state(batch), (
+    assert scalar.to_state() == batch.to_state(), (
         f"scalar/batch window state diverged (k={k}, window={window})"
     )
     return {

@@ -132,12 +132,21 @@ def normal_interval(estimate: float, variance: float, level: float = 0.95) -> tu
     tuple of float
         ``(lower, upper)`` bounds.
     """
-    from scipy.stats import norm
+    half = _normal_quantile(level) * math.sqrt(max(variance, 0.0))
+    return estimate - half, estimate + half
+
+
+def _normal_quantile(level: float) -> float:
+    """Two-sided standard-normal quantile ``z`` for a confidence ``level``.
+
+    ``scipy.special.ndtri`` gives the same bits as ``scipy.stats.norm.ppf``
+    at a fraction of the cost, and without importing ``scipy.stats``.
+    """
+    from scipy.special import ndtri
 
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    half = float(norm.ppf(0.5 + level / 2.0)) * math.sqrt(max(variance, 0.0))
-    return estimate - half, estimate + half
+    return float(ndtri(0.5 + level / 2.0))
 
 
 def ht_ratio_variance_estimate(numerators, denominators, probs) -> float:
@@ -227,11 +236,7 @@ def quantile_interval(values, probs, q: float, level: float = 0.95) -> tuple[flo
     indicator = (values <= point).astype(float)
     var_f = ht_ratio_variance_estimate(indicator, np.ones_like(indicator), probs)
     se_f = math.sqrt(max(var_f, 0.0))
-    from scipy.stats import norm
-
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = _normal_quantile(level)
     eps = 1.0 / max(n_hat, 2.0)
     q_lo = min(max(q - z * se_f, eps), 1.0 - eps)
     q_hi = min(max(q + z * se_f, eps), 1.0 - eps)

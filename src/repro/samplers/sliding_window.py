@@ -25,16 +25,36 @@ them on this implementation.
 Implementation notes
 --------------------
 Thresholds shrink only through "apply min(T_i, T_n) to all current items"
-events, so per-item thresholds are represented lazily: each record keeps its
-insertion threshold and sequence number, and a monotone stack of
-``(seq, value)`` update events answers "min of all updates after seq" in
-``O(log)`` time.  Updates are O(1) amortized; arrivals cost ``O(log k)``
-plus list maintenance.
+events, so per-item thresholds are represented lazily: each candidate
+keeps its initial threshold and sequence number, and a monotone stack of
+``(seq, value)`` update events answers "min of all updates after seq" by
+one bisect.  The stack's values rise with ``seq``, so the minimum over
+the current candidates of ``min(initial_i, min_update_after(seq_i))`` is
+exactly ``min(min_i initial_i, min_update_after(min_i seq_i))``: the
+improved threshold is two column minima and one bisect.
+
+The current candidates are columns in ascending priority order: the keys
+in a list (``_cur_keys``) and ``array`` columns of priorities, ids,
+values, times, seqs and initial thresholds (``_cur_pri``, ``_cur_ids``,
+``_cur_values``, ``_cur_times``, ``_cur_seqs``, ``_cur_init``).  Both
+samples are prefixes of these columns — ``bisect_left`` for the improved
+sample's ``priority < T``, ``bisect_right`` for G&L's ``priority <= T``
+— so a read is one bisect and a memcpy-speed slice per column, which
+``np.frombuffer`` wraps without a copy.  A view of a live column must
+not outlive the call: an ``array`` exporting its buffer cannot grow.
+An arrival costs ``O(log k)`` plus the column inserts; threshold updates
+are ``O(1)`` amortized.
+
+Arrival ids are consecutive, so the arrival order is a deque of slots
+for the ids ``_first_id, _first_id + 1, ...``: a stored arrival's slot
+holds its ``(time, priority)``, and an evicted one's turns ``None`` and
+is dropped once it reaches the head.
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -47,16 +67,6 @@ from ..core.rng import as_generator
 from ..core.sample import Sample
 
 __all__ = ["SlidingWindowSampler", "WindowSnapshot"]
-
-
-@dataclass(slots=True)
-class _Record:
-    key: object
-    value: float
-    time: float
-    priority: float
-    seq: int
-    initial_threshold: float
 
 
 @dataclass(frozen=True)
@@ -113,12 +123,18 @@ class SlidingWindowSampler(StreamSampler):
         self.rng = as_generator(rng if rng is not None else 0)
         self.family = Uniform01Priority()
 
-        self._records: dict[int, _Record] = {}
-        self._arrival_order: deque[int] = deque()  # ids, oldest first
-        # Current candidates in ascending priority order, as two parallel
-        # lists (plain float compares beat tuple compares in the hot path).
-        self._cur_pri: list[float] = []
-        self._cur_ids: list[int] = []
+        # The current candidates, as columns in ascending priority order.
+        self._cur_pri = array("d")
+        self._cur_ids = array("q")
+        self._cur_keys: list = []
+        self._cur_values = array("d")
+        self._cur_times = array("d")
+        self._cur_seqs = array("q")
+        self._cur_init = array("d")  # initial thresholds
+        # Arrival slots, oldest first: the slot of id ``_first_id + i`` is
+        # ``_arrivals[i]``, a ``(time, priority)`` pair or None once evicted.
+        self._arrivals: deque[tuple[float, float] | None] = deque()
+        self._first_id = 0
         self._expired: deque[tuple[float, float]] = deque()  # (time, priority)
         # Monotone stack of threshold-update events (seq, value); values
         # increase from bottom to top, so the first entry with seq > s is
@@ -145,15 +161,6 @@ class SlidingWindowSampler(StreamSampler):
             return float("inf")
         return self._updates[idx][1]
 
-    def threshold_of(self, record: _Record) -> float:
-        """Current per-item threshold ``T_i(t)`` of a stored record."""
-        return min(record.initial_threshold, self._min_update_after(record.seq))
-
-    @property
-    def _cur_sorted(self) -> list[tuple[float, int]]:
-        """The legacy ``(priority, id)`` view of the current candidates."""
-        return list(zip(self._cur_pri, self._cur_ids))
-
     # ------------------------------------------------------------------
     # Stream interface
     # ------------------------------------------------------------------
@@ -167,23 +174,22 @@ class SlidingWindowSampler(StreamSampler):
         """
         cutoff_current = now - self.window
         cutoff_expired = now - 2.0 * self.window
+        arrivals = self._arrivals
         mutated = False
-        while self._arrival_order:
-            rid = self._arrival_order[0]
-            record = self._records.get(rid)
-            if record is None:  # evicted earlier; lazily discard
-                self._arrival_order.popleft()
-                continue
-            if record.time > cutoff_current:
+        while arrivals:
+            slot = arrivals[0]
+            if slot is not None and slot[0] > cutoff_current:
                 break
-            self._arrival_order.popleft()
-            del self._records[rid]
-            idx = bisect.bisect_left(self._cur_pri, record.priority)
+            arrivals.popleft()
+            rid = self._first_id
+            self._first_id = rid + 1
+            if slot is None:  # evicted earlier; lazily discard
+                continue
+            idx = bisect.bisect_left(self._cur_pri, slot[1])
             while self._cur_ids[idx] != rid:  # ties: scan to the matching id
                 idx += 1
-            self._cur_pri.pop(idx)
-            self._cur_ids.pop(idx)
-            self._expired.append((record.time, record.priority))
+            self._discard(idx)
+            self._expired.append(slot)
             mutated = True
         while self._expired and self._expired[0][0] <= cutoff_expired:
             self._expired.popleft()
@@ -220,7 +226,7 @@ class SlidingWindowSampler(StreamSampler):
 
         if len(self._cur_pri) < self.k:
             # Budget not binding: admit with the trivial threshold 1.
-            self._store(key, value, time, r, 1.0)
+            self._store(key, value, time, r, self._seq, 1.0)
             self.max_current = max(self.max_current, len(self._cur_pri))
             return True
 
@@ -231,11 +237,11 @@ class SlidingWindowSampler(StreamSampler):
         t_n = min(max(r, c_km1), c_k)
         accepted = r < t_n
         if accepted:
-            # Conceptually k+1 current examples: drop the largest priority.
-            self._cur_pri.pop()
-            evict_id = self._cur_ids.pop()
-            del self._records[evict_id]
-            self._store(key, value, time, r, t_n)
+            # Conceptually k+1 current examples: drop the largest priority;
+            # its arrival slot turns None.
+            rid = self._discard(-1)
+            self._arrivals[rid - self._first_id] = None
+            self._store(key, value, time, r, self._seq, t_n)
         # Every overflow event lowers all current thresholds: T_i = min(T_i, t_n).
         self._push_update(t_n)
         self.max_current = max(self.max_current, len(self._cur_pri))
@@ -276,32 +282,34 @@ class SlidingWindowSampler(StreamSampler):
 
         u_arr = self.rng.random(n)
         u = u_arr.tolist()  # the admission scan compares plain floats
-        v_l = None if v is None else v.tolist()
+        # Python keys, values and times, read at the positions that need
+        # them.
+        key_at = (keys.item if isinstance(keys, np.ndarray)
+                  else _as_key_list(keys).__getitem__)
+        value_at = None if v is None else v.item
+        time_at = t_arr.item
         tcut = t_arr - self.window
         tcut2 = t_arr - 2.0 * self.window
-        np_keys = isinstance(keys, np.ndarray)
-        key_l = None if np_keys else _as_key_list(keys)
         searchsorted = np.searchsorted
 
-        records = self._records
-        order = self._arrival_order
+        arrivals = self._arrivals
+        expired = self._expired
         pri = self._cur_pri
         ids = self._cur_ids
-        expired = self._expired
+        keys_col = self._cur_keys
+        values_col = self._cur_values
+        times_col = self._cur_times
+        seqs_col = self._cur_seqs
+        init_col = self._cur_init
+        bisect_left = bisect.bisect_left
         k = self.k
         seq0 = self._seq
         next_id = self._next_id
         max_current = self.max_current
-        bisect_left = bisect.bisect_left
-        bisect_right = bisect.bisect_right
-        records_get = records.get
 
-        # Full-mode segments: (start, length, c_{k-1}, c_k); every position
+        # Full-mode segments: (start, end, c_{k-1}, c_k); every position
         # they cover pushes clamp(u, c_{k-1}, c_k) onto the update stack.
-        seg_start: list[int] = []
-        seg_len: list[int] = []
-        seg_c1: list[float] = []
-        seg_ck: list[float] = []
+        segments: list[tuple[int, int, float, float]] = []
 
         pos = 0
         gate = -1  # cached; invalidated (-1) when heads may have changed
@@ -312,12 +320,12 @@ class SlidingWindowSampler(StreamSampler):
             # one, so the gate is recomputed only after an advance(), a
             # head eviction, or a store into an empty arrival order.
             if gate < 0:
-                if order:
-                    rec0 = records_get(order[0])
-                    if rec0 is None:
+                if arrivals:
+                    head = arrivals[0]
+                    if head is None:
                         gate = pos  # stale head: popped at the next item
                     else:
-                        gate = int(searchsorted(tcut, rec0.time))
+                        gate = int(searchsorted(tcut, head[0]))
                 else:
                     gate = n
                 if expired:
@@ -325,68 +333,60 @@ class SlidingWindowSampler(StreamSampler):
                     if drop < gate:
                         gate = drop
             if gate <= pos:
-                self.advance(float(t_arr[pos]))
+                self.advance(time_at(pos))
                 gate = -1
                 continue
             cur_len = len(pri)
             if cur_len < k:
                 # Underfull: admit unconditionally (trivial threshold 1.0,
                 # no update-stack push), exactly like the scalar branch.
-                rid = next_id
-                next_id += 1
-                records[rid] = _Record(
-                    keys[pos].item() if np_keys else key_l[pos],
-                    1.0 if v_l is None else v_l[pos],
-                    float(t_arr[pos]), u[pos], seq0 + pos + 1, 1.0,
-                )
-                if not order:
+                if not arrivals:
                     gate = -1  # this store creates the head: re-gate
-                order.append(rid)
-                idx = bisect_left(pri, u[pos])
-                pri.insert(idx, u[pos])
-                ids.insert(idx, rid)
                 if cur_len + 1 > max_current:
                     max_current = cur_len + 1
+                at, threshold = pos, 1.0
                 pos += 1
-                continue
-            # Full mode: scan to the first admission before the gate.
-            if cur_len > max_current:
-                max_current = cur_len
-            c_km1 = pri[-2]
-            c_k = pri[-1]
-            i = pos
-            found = -1
-            while i < gate:
-                if u[i] < c_km1:
-                    found = i
-                    break
-                i += 1
-            end = found + 1 if found >= 0 else gate
-            seg_start.append(pos)
-            seg_len.append(end - pos)
-            seg_c1.append(c_km1)
-            seg_ck.append(c_k)
-            if found >= 0:
-                # Admission: evict the largest-priority candidate, store
-                # the arrival with threshold t_n = c_{k-1}.
-                pri.pop()
-                evict_id = ids.pop()
-                del records[evict_id]
-                if order and order[0] == evict_id:
+            else:
+                # Full mode: scan to the first admission before the gate.
+                if cur_len > max_current:
+                    max_current = cur_len
+                c_km1 = pri[-2]
+                c_k = pri[-1]
+                i = pos
+                found = -1
+                while i < gate:
+                    if u[i] < c_km1:
+                        found = i
+                        break
+                    i += 1
+                end = found + 1 if found >= 0 else gate
+                segments.append((pos, end, c_km1, c_k))
+                pos = end
+                if found < 0:
+                    continue
+                # Admission: evict the largest-priority candidate
+                # (``_discard(-1)``, inlined), store the arrival with
+                # threshold t_n = c_{k-1}.
+                rid = ids.pop()
+                del (pri[-1], keys_col[-1], values_col[-1], times_col[-1],
+                     seqs_col[-1], init_col[-1])
+                arrivals[rid - self._first_id] = None
+                if arrivals[0] is None:
                     gate = -1  # stale head: re-gate at the next item
-                r = u[found]
-                rid = next_id
-                next_id += 1
-                records[rid] = _Record(
-                    keys[found].item() if np_keys else key_l[found],
-                    1.0 if v_l is None else v_l[found],
-                    float(t_arr[found]), r, seq0 + found + 1, c_km1,
-                )
-                order.append(rid)
-                idx = bisect_left(pri, r)
-                pri.insert(idx, r)
-                ids.insert(idx, rid)
-            pos = end
+                at, threshold = found, c_km1
+            # Store arrival ``at`` under the next id (``_store``, inlined).
+            r = u[at]
+            t = time_at(at)
+            idx = bisect_left(pri, r)
+            pri.insert(idx, r)
+            ids.insert(idx, next_id)
+            keys_col.insert(idx, key_at(at))
+            values_col.insert(idx, 1.0 if value_at is None else value_at(at))
+            times_col.insert(idx, t)
+            seqs_col.insert(idx, seq0 + at + 1)
+            init_col.insert(idx, threshold)
+            arrivals.append((t, r))
+            next_id += 1
 
         # Materialize the batch's update-stack effect: an entry survives
         # iff it is strictly below every later pushed value (equal values
@@ -397,13 +397,10 @@ class SlidingWindowSampler(StreamSampler):
         # that lower the minimum do vectorized work.
         kept_rev: list[tuple[int, float]] = []
         running = float("inf")
-        for si in range(len(seg_len) - 1, -1, -1):
-            c1 = seg_c1[si]
+        for a, b, c1, ck in reversed(segments):
             if c1 >= running:
                 continue
-            a = seg_start[si]
-            b = a + seg_len[si]
-            vals = np.clip(u_arr[a:b], c1, seg_ck[si])
+            vals = np.clip(u_arr[a:b], c1, ck)
             sm = np.minimum.accumulate(vals[::-1])[::-1]
             keep = (vals < np.concatenate((sm[1:], [np.inf]))) & (vals < running)
             for rel in np.flatnonzero(keep)[::-1].tolist():
@@ -419,39 +416,39 @@ class SlidingWindowSampler(StreamSampler):
         self._seq = seq0 + n
         self._next_id = next_id
         self.max_current = max_current
-        last = float(t_arr[-1]) if n else self.last_time
+        last = time_at(n - 1)
         if last > self.last_time:
             self.last_time = last
 
-    def _store(
-        self, key: object, value: float, time: float, priority: float, threshold: float
-    ) -> None:
-        rid = self._next_id
-        self._next_id += 1
-        record = _Record(
-            key=key,
-            value=float(value),
-            time=float(time),
-            priority=priority,
-            seq=self._seq,
-            initial_threshold=float(threshold),
-        )
-        self._records[rid] = record
-        self._arrival_order.append(rid)
+    def _store(self, key: object, value: float, time: float,
+               priority: float, seq: int, threshold: float) -> None:
+        """Insert an arrival into the columns under the next id, before
+        any equal priority."""
         idx = bisect.bisect_left(self._cur_pri, priority)
         self._cur_pri.insert(idx, priority)
-        self._cur_ids.insert(idx, rid)
+        self._cur_ids.insert(idx, self._next_id)
+        self._cur_keys.insert(idx, key)
+        self._cur_values.insert(idx, value)
+        self._cur_times.insert(idx, time)
+        self._cur_seqs.insert(idx, seq)
+        self._cur_init.insert(idx, threshold)
+        self._arrivals.append((time, priority))
+        self._next_id += 1
+
+    def _discard(self, idx: int) -> int:
+        """Remove the candidate at column position ``idx``; returns its id."""
+        rid = self._cur_ids.pop(idx)
+        del (self._cur_pri[idx], self._cur_keys[idx], self._cur_values[idx],
+             self._cur_times[idx], self._cur_seqs[idx], self._cur_init[idx])
+        return rid
 
     # ------------------------------------------------------------------
     # Final thresholds and samples
     # ------------------------------------------------------------------
-    def _current_records(self) -> list[_Record]:
-        return [self._records[rid] for rid in self._cur_ids]
-
     def gl_threshold(self, now: float) -> float:
         """G&L final threshold: bottom-k over current + expired priorities."""
         self.advance(now)
-        priorities = list(self._cur_pri)
+        priorities = self._cur_pri.tolist()
         priorities.extend(p for _, p in self._expired)
         if len(priorities) < self.k:
             return 1.0
@@ -462,28 +459,28 @@ class SlidingWindowSampler(StreamSampler):
         """The paper's threshold: min of current per-item thresholds.
 
         Constant over the window, hence fully substitutable (Theorem 6);
-        needs no state beyond what G&L already stores.
+        needs no state beyond what G&L already stores.  The update stack
+        rises with ``seq``, so the oldest candidate sees the smallest
+        update (see the module notes).
         """
         self.advance(now)
-        records = self._current_records()
-        if not records:
+        if not self._cur_pri:
             return 1.0
-        return min(self.threshold_of(rec) for rec in records)
+        initial = float(np.frombuffer(self._cur_init).min())
+        oldest = int(np.frombuffer(self._cur_seqs, dtype=np.int64).min())
+        return min(initial, self._min_update_after(oldest))
 
-    def _sample_from(self, records: list[_Record], threshold: float, strict: bool) -> Sample:
-        if strict:
-            chosen = [rec for rec in records if rec.priority < threshold]
-        else:
-            chosen = [rec for rec in records if rec.priority <= threshold]
+    def _prefix_sample(self, m: int, threshold: float) -> Sample:
+        """The ``m`` smallest-priority candidates under ``threshold``."""
         return Sample(
-            keys=[rec.key for rec in chosen],
-            values=np.array([rec.value for rec in chosen], dtype=float),
-            weights=np.ones(len(chosen)),
-            priorities=np.array([rec.priority for rec in chosen], dtype=float),
-            thresholds=np.full(len(chosen), threshold),
+            keys=self._cur_keys[:m],
+            values=np.frombuffer(self._cur_values[:m]),
+            weights=np.ones(m),
+            priorities=np.frombuffer(self._cur_pri[:m]),
+            thresholds=np.full(m, threshold),
             family=self.family,
             population_size=None,
-            times=np.array([rec.time for rec in chosen], dtype=float),
+            times=np.frombuffer(self._cur_times[:m]),
         )
 
     def gl_sample(self, now: float) -> Sample:
@@ -493,12 +490,12 @@ class SlidingWindowSampler(StreamSampler):
         notes), hence the non-strict comparison.
         """
         t = self.gl_threshold(now)
-        return self._sample_from(self._current_records(), t, strict=False)
+        return self._prefix_sample(bisect.bisect_right(self._cur_pri, t), t)
 
     def improved_sample(self, now: float) -> Sample:
         """Uniform window sample under the improved threshold."""
         t = self.improved_threshold(now)
-        return self._sample_from(self._current_records(), t, strict=True)
+        return self._prefix_sample(bisect.bisect_left(self._cur_pri, t), t)
 
     @property
     def retention_horizon(self) -> float | None:
@@ -534,15 +531,12 @@ class SlidingWindowSampler(StreamSampler):
         self.advance(now)
         gl_t = self.gl_threshold(now)
         imp_t = self.improved_threshold(now)
-        records = self._current_records()
-        gl_n = sum(1 for rec in records if rec.priority <= gl_t)
-        imp_n = sum(1 for rec in records if rec.priority < imp_t)
         return WindowSnapshot(
             time=float(now),
             gl_threshold=gl_t,
             improved_threshold=imp_t,
-            gl_sample_size=gl_n,
-            improved_sample_size=imp_n,
+            gl_sample_size=bisect.bisect_right(self._cur_pri, gl_t),
+            improved_sample_size=bisect.bisect_left(self._cur_pri, imp_t),
             stored_current=len(self._cur_pri),
             stored_expired=len(self._expired),
         )
@@ -553,21 +547,22 @@ class SlidingWindowSampler(StreamSampler):
     def _config(self) -> dict:
         return {"k": self.k, "window": self.window}
 
+    def _rows(self) -> list[tuple]:
+        """``(id, key, value, time, priority, seq, initial threshold)``
+        per current candidate, in arrival (id) order."""
+        order = np.argsort(np.frombuffer(self._cur_ids, dtype=np.int64))
+        ids, values, times, pri, seqs, init = (
+            np.frombuffer(column, dtype=column.typecode)[order].tolist()
+            for column in (self._cur_ids, self._cur_values, self._cur_times,
+                           self._cur_pri, self._cur_seqs, self._cur_init)
+        )
+        keys = [self._cur_keys[i] for i in order.tolist()]
+        return list(zip(ids, keys, values, times, pri, seqs, init))
+
     def _get_state(self) -> dict:
         return {
-            "records": [
-                (
-                    rid,
-                    rec.key,
-                    rec.value,
-                    rec.time,
-                    rec.priority,
-                    rec.seq,
-                    rec.initial_threshold,
-                )
-                for rid, rec in self._records.items()
-            ],
-            "arrival_order": list(self._arrival_order),
+            "records": self._rows(),
+            "arrival_order": list(range(self._first_id, self._next_id)),
             "expired": list(self._expired),
             "updates": list(self._updates),
             "seq": self._seq,
@@ -580,25 +575,33 @@ class SlidingWindowSampler(StreamSampler):
         }
 
     def _set_state(self, state: dict) -> None:
-        self._records = {
-            rid: _Record(
-                key=key,
-                value=value,
-                time=time,
-                priority=priority,
-                seq=seq,
-                initial_threshold=threshold,
+        records = state["records"]
+        order = list(state["arrival_order"])
+        self._next_id = int(state["next_id"])
+        self._first_id = self._next_id - len(order)
+        slots = {row[0]: (float(row[3]), float(row[4])) for row in records}
+        if order != list(range(self._first_id, self._next_id)) or not (
+            slots.keys() <= set(order)
+        ):
+            raise ValueError(
+                "sliding_window state: arrival_order must be the ids up to "
+                "next_id, consecutive, and hold every record's id"
             )
-            for rid, key, value, time, priority, seq, threshold in state["records"]
-        }
-        self._arrival_order = deque(state["arrival_order"])
-        cur = sorted((rec.priority, rid) for rid, rec in self._records.items())
-        self._cur_pri = [p for p, _ in cur]
-        self._cur_ids = [rid for _, rid in cur]
+        self._arrivals = deque(slots.get(rid) for rid in order)
+        rows = sorted(records, key=lambda row: (row[4], row[0]))
+        ids, keys, values, times, pri, seqs, init = (
+            zip(*rows) if rows else ((),) * 7
+        )
+        self._cur_ids = array("q", ids)
+        self._cur_keys = list(keys)
+        self._cur_values = array("d", values)
+        self._cur_times = array("d", times)
+        self._cur_pri = array("d", pri)
+        self._cur_seqs = array("q", seqs)
+        self._cur_init = array("d", init)
         self._expired = deque(tuple(pair) for pair in state["expired"])
         self._updates = [tuple(pair) for pair in state["updates"]]
         self._seq = int(state["seq"])
-        self._next_id = int(state["next_id"])
         self.items_seen = int(state["items_seen"])
         self.max_current = int(state["max_current"])
         self.max_expired = int(state["max_expired"])

@@ -7,6 +7,10 @@ samplers, written by the heap-based implementation that preceded
 ``bottom_k`` row has only four fields, as in checkpoints written before
 the time column.  The sketches are fed int64, float64 and str keys.
 
+The ``sliding_window`` tree was written by the per-record implementation
+that preceded its priority-ordered columns.  Its ``records`` rows are in
+arrival order, and its ``arrival_order`` still lists three evicted ids.
+
 Both restore paths must reproduce those samples, and so must fresh
 sketches fed the same inputs, writing the same rows.  A changed row
 layout fails the restore; a priority change (such as hashing a float64
@@ -67,6 +71,19 @@ def _adaptive_distinct():
     a.merge(b)
     a.update_many(STR_KEYS)
     return a
+
+
+def _sliding_window():
+    # Scalar str arrivals (the first ones expire), a float64 batch, a
+    # restore, then an int64 batch.
+    s = make_sampler("sliding_window", k=5, window=4.5, rng=7)
+    for key, value, t in zip(STR_KEYS, VALUES.tolist(),
+                             (TIMES * 0.5).tolist()):
+        s.update(key, value=value, time=t)
+    s.update_many(FLOAT_KEYS, values=VALUES, times=TIMES * 0.5 + 2.0)
+    s = repro.sampler_from_state(s.to_state())
+    s.update_many(INT_KEYS, values=VALUES, times=TIMES * 0.5 + 4.0)
+    return s
 
 
 # Written by the heap-based samplers; see the module docstring.
@@ -223,6 +240,48 @@ ADAPTIVE_DISTINCT_SIGNATURE = (
     ("9.5", 1.0, 1.0, 0.340883773536, 0.770065719496),
 )
 
+# Written by the per-record sliding window; see the module docstring.
+SLIDING_WINDOW_STATE = {
+    "sampler": "sliding_window",
+    "version": 2,
+    "params": {"k": 5, "window": 4.5},
+    "state": {
+        "records": [
+            (5, "g", 70.0, 1.5, 0.005265304565574724, 7, 0.7756856902451935),
+            (9, 3.0, 50.0, 3.0, 0.2548695876541246, 13, 0.30016628491122543),
+            (10, 65, 50.0, 5.0, 0.21530869823559895, 21, 0.2784256121007733),
+            (11, 35, 60.0, 5.25, 0.16021203385784455, 22, 1.0),
+            (12, 79, 80.0, 5.75, 0.04394200796138337, 24, 0.2548695876541246),
+        ],
+        "arrival_order": [5, 6, 7, 8, 9, 10, 11, 12],
+        "expired": [(0.75, 0.22520718999059186)],
+        "updates": [(24, 0.2548695876541246)],
+        "seq": 24,
+        "next_id": 13,
+        "items_seen": 24,
+        "max_current": 5,
+        "max_expired": 1,
+        "last_time": 5.75,
+        "rng": {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": 24577368018281870019634082382682937184,
+                "inc": 261136684632268670825940853076396136793,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+    },
+}
+
+# The row of key 3.0 sits exactly at the threshold and is left out.
+SLIDING_WINDOW_SIGNATURE = (
+    ("'g'", 70.0, 1.0, 0.005265304566, 0.254869587654),
+    ("35", 60.0, 1.0, 0.160212033858, 0.254869587654),
+    ("65", 50.0, 1.0, 0.215308698236, 0.254869587654),
+    ("79", 80.0, 1.0, 0.043942007961, 0.254869587654),
+)
+
 #: name -> (feed, literal checkpoint, its sample signature, and the
 #: priority field of each row list the store keeps sorted).
 CASES = {
@@ -234,6 +293,8 @@ CASES = {
                           WEIGHTED_DISTINCT_SIGNATURE, {"entries": 1}),
     "adaptive_distinct": (_adaptive_distinct, ADAPTIVE_DISTINCT_STATE,
                           ADAPTIVE_DISTINCT_SIGNATURE, {"stream_entries": 1}),
+    "sliding_window": (_sliding_window, SLIDING_WINDOW_STATE,
+                       SLIDING_WINDOW_SIGNATURE, {}),
 }
 NAMES = sorted(CASES)
 
@@ -265,8 +326,9 @@ def test_fresh_sketch_reproduces_the_sample(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_checkpoint_rows_keep_their_layout(name):
     """A fresh sketch and a restored one both write the literal's tree:
-    the same params and scalars, and the same rows, the stored rows in
-    ascending priority order."""
+    the same params and scalars, and the same rows — the bottom-k rows
+    in any order but stored by ascending priority, the sliding-window
+    rows in the literal's (arrival) order."""
     feed, state, _, sorted_rows = CASES[name]
     restored = repro.sampler_from_state(copy.deepcopy(state))
     for tree in (feed().to_state(), restored.to_state()):

@@ -4,9 +4,16 @@ Fixed-threshold designs admit exact enumeration of all inclusion patterns,
 so unbiasedness here is checked to numerical precision, not statistically.
 """
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core import estimators
 from repro.core.estimators import (
     hajek_mean,
     ht_confidence_interval,
@@ -15,6 +22,8 @@ from repro.core.estimators import (
     ht_variance_estimate,
     ht_variance_true,
     inclusion_probabilities,
+    normal_interval,
+    quantile_interval,
 )
 from repro.core.priorities import InverseWeightPriority, Uniform01Priority
 
@@ -104,6 +113,79 @@ class TestConfidenceInterval:
         values, probs = design
         with pytest.raises(ValueError):
             ht_confidence_interval(values, probs, level=1.5)
+
+
+LEVELS = (0.8, 0.9, 0.95, 0.99)
+
+
+class TestNormalQuantiles:
+    """The intervals' z is ``scipy.stats.norm.ppf``'s, bit for bit."""
+
+    @staticmethod
+    def _z(level):
+        from scipy.stats import norm
+
+        return float(norm.ppf(0.5 + level / 2.0))
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_normal_interval_half_width(self, level):
+        for variance in (1.0, 2.25, 7.0):
+            half = self._z(level) * math.sqrt(variance)
+            assert normal_interval(10.0, variance, level) == (
+                10.0 - half, 10.0 + half)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_quantile_interval_half_width(self, level, monkeypatch):
+        """The interval ends are the quantiles at ``q -+ z * se(F_hat)``."""
+        rng = np.random.default_rng(4)
+        values = rng.lognormal(0.0, 1.0, 200)
+        probs = rng.uniform(0.2, 1.0, 200)
+        q = 0.5
+        point = estimators.weighted_quantile(values, probs, q)
+        indicator = (values <= point).astype(float)
+        se = math.sqrt(estimators.hajek_mean_variance_estimate(indicator,
+                                                               probs))
+        half = self._z(level) * se
+        levels = []
+        quantile = estimators.weighted_quantile
+
+        def recording(values, probs, at):
+            levels.append(at)
+            return quantile(values, probs, at)
+
+        monkeypatch.setattr(estimators, "weighted_quantile", recording)
+        quantile_interval(values, probs, q, level)
+        assert levels == [q, q - half, q + half]
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+    def test_level_validation(self, level):
+        with pytest.raises(ValueError, match="level"):
+            normal_interval(0.0, 1.0, level)
+        with pytest.raises(ValueError, match="level"):
+            quantile_interval([1.0, 2.0], [0.5, 0.5], 0.5, level)
+
+    def test_ci_queries_do_not_import_scipy_stats(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import repro\n"
+            "from repro.query import Query\n"
+            "s = repro.make_sampler('bottom_k', k=64, rng=0)\n"
+            "s.update_many(np.arange(500), np.ones(500),\n"
+            "              values=np.arange(500) * 1.0)\n"
+            "for query in (Query('sum', ci=0.95),\n"
+            "              Query('quantile', q=0.5, ci=0.9)):\n"
+            "    assert s.query(query).ci is not None\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, env=env,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr
 
 
 class TestHajek:

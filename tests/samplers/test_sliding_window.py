@@ -1,5 +1,7 @@
 """Tests for sliding-window sampling (repro.samplers.sliding_window, §3.2)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -18,25 +20,39 @@ class TestBookkeeping:
         times = np.sort(rng.uniform(0, 5, 2000))
         for i, t in enumerate(times):
             s.update(i, time=float(t))
-            assert len(s._cur_sorted) <= 10
+            assert s.snapshot(float(t)).stored_current <= 10
         assert s.max_current <= 10
 
     def test_expiry_moves_and_drops(self, rng):
         s = SlidingWindowSampler(k=5, window=1.0, rng=rng)
         feed(s, np.linspace(0.1, 0.5, 20))
-        s.advance(1.0)  # window (0, 1]: everything still current
-        assert len(s._cur_sorted) == 5
-        s.advance(2.0)  # all items older than one window: expired
-        assert len(s._cur_sorted) == 0
-        assert len(s._expired) == 5
-        s.advance(10.0)  # older than two windows: gone entirely
-        assert len(s._expired) == 0
+        # window (0, 1]: everything still current
+        assert s.snapshot(1.0).stored_current == 5
+        # all items older than one window: expired
+        snap = s.snapshot(2.0)
+        assert (snap.stored_current, snap.stored_expired) == (0, 5)
+        # older than two windows: gone entirely
+        assert s.snapshot(10.0).stored_expired == 0
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
             SlidingWindowSampler(k=1, window=1.0)
         with pytest.raises(ValueError):
             SlidingWindowSampler(k=5, window=0.0)
+
+    def test_restore_rejects_an_inconsistent_arrival_order(self):
+        s = SlidingWindowSampler(k=3, window=1.0, rng=0)
+        feed(s, np.linspace(0.1, 0.5, 10))
+        s.advance(0.5)  # the head of the arrival order is a stored record
+        state = s.to_state()
+        order = state["state"]["arrival_order"]
+        # A gap, an id past next_id, and a stored record's id left out.
+        for broken in (order[:1] + order[2:], order + [order[-1] + 1],
+                       order[1:]):
+            bad = copy.deepcopy(state)
+            bad["state"]["arrival_order"] = broken
+            with pytest.raises(ValueError, match="arrival_order"):
+                SlidingWindowSampler.from_state(bad)
 
     def test_thresholds_default_to_one_when_empty(self, rng):
         s = SlidingWindowSampler(k=5, window=1.0, rng=rng)
