@@ -42,7 +42,6 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from ..core.hashing import batch_hash_to_unit
 from ..core.priorities import (
     ExponentialPriority,
     InverseWeightPriority,
@@ -311,6 +310,12 @@ class StreamSampler(abc.ABC):
     #: that implement ``resize`` declare this True; the serving control
     #: plane consults it before proposing ``k`` retunes.
     resizable: ClassVar[bool] = False
+    #: The per-item columns ``update_many`` cannot run without, by keyword
+    #: (``"times"``, ``"groups"``, ...).  The one declaration read by the
+    #: sampler's own :meth:`check_columns`, by service admission and by the
+    #: cluster's per-tenant admission, so a block lacking a column is
+    #: refused at the call, before it is logged or applied.
+    required_columns: ClassVar[tuple[str, ...]] = ()
 
     def __init_subclass__(cls, **kwargs):
         """Auto-wrap subclass mutators so ``state_version`` tracks them."""
@@ -367,6 +372,16 @@ class StreamSampler(abc.ABC):
                 value=None if values is None else float(values[i]),
                 time=None if times is None else float(times[i]),
             )
+
+    @classmethod
+    def check_columns(cls, columns: Mapping) -> None:
+        """Raise ``TypeError`` naming the first of :attr:`required_columns`
+        that ``columns`` (keyword -> column) leaves out or maps to None."""
+        for name in cls.required_columns:
+            if columns.get(name) is None:
+                raise TypeError(
+                    f"{cls.__name__}.update_many() requires a {name}= column"
+                )
 
     def sample(self):
         """Finalize into a :class:`repro.core.sample.Sample`."""
@@ -683,16 +698,6 @@ def _as_key_batch(keys):
     """A key batch as an ndarray (kept whole, so only the positions a
     sampler keeps are ever converted) or a plain list."""
     return keys if isinstance(keys, np.ndarray) else list(keys)
-
-
-def _key_hashes(keys, salt: int) -> np.ndarray:
-    """Coordinated hashes of an :func:`_as_key_batch` batch: a 1-D integer
-    array hashes as an array, any other batch as its Python values (so a
-    float64 array hashes like the scalar ``update`` path)."""
-    if not (isinstance(keys, np.ndarray) and keys.ndim == 1
-            and keys.dtype.kind in "iu"):
-        keys = _as_key_list(keys)
-    return batch_hash_to_unit(keys, salt)
 
 
 def _as_optional_array(arr, n: int, name: str) -> np.ndarray | None:

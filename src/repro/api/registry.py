@@ -14,6 +14,7 @@ Every sampler in :mod:`repro.samplers` and every baseline sketch in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -49,8 +50,11 @@ def register_sampler(name: str):
     return decorator
 
 
+@functools.cache
 def _ensure_registered() -> None:
-    """Import the sampler packages so their decorators have run."""
+    """Import the sampler packages so their decorators have run — once:
+    a repeated import statement costs microseconds, and the cluster looks
+    a tenant's class up for every block it admits."""
     from .. import baselines, engine, samplers  # noqa: F401  (import side effect)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from ..api import StreamSampler, merged, query_support, register_sampler
-from ..api.protocol import _as_key_list
+from ..api.protocol import _as_key_batch
 from ..core.hashing import batch_hash_to_unit, hash_to_unit
 from ..core.kernels import smallest_distinct
 from ..core.priorities import Uniform01Priority
@@ -69,8 +69,8 @@ class KMVSketch(StreamSampler):
         distinct hashes (the only values that can change the sketch),
         preserving the saturation flag exactly.
         """
-        keys = _as_key_list(keys)
-        if not keys:
+        keys = _as_key_batch(keys)
+        if not len(keys):
             return
         smallest = smallest_distinct(
             batch_hash_to_unit(keys, self.salt), self.k + 1

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from ..api import StreamSampler, merged, query_support, register_sampler
-from ..api.protocol import _as_key_list
+from ..api.protocol import _as_key_batch
 from ..core.hashing import batch_hash_to_unit, hash_to_unit
 from ..core.kernels import smallest_distinct
 from ..core.priorities import Uniform01Priority
@@ -70,8 +70,8 @@ class ThetaSketch(StreamSampler):
         Hashes the batch with numpy and offers only the ``k + 2`` smallest
         distinct hashes — the only values that can affect the sketch state.
         """
-        keys = _as_key_list(keys)
-        if not keys:
+        keys = _as_key_batch(keys)
+        if not len(keys):
             return
         h = batch_hash_to_unit(keys, self.salt)
         for hv in smallest_distinct(h, self.k + 2):

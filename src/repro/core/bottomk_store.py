@@ -91,20 +91,19 @@ class BottomKStore:
         rows["priorities"] = self.priorities[:m].copy()
         return rows
 
-    def offer(self, priorities: np.ndarray, keys, *, among=None,
+    def offer(self, priorities: np.ndarray, keys, *, at=None,
               **columns) -> None:
         """Offer a batch: ``priorities`` and each column are aligned
-        arrays, ``keys`` an ndarray or a list.  ``among`` (ascending batch
-        positions) restricts which rows may enter."""
-        batch = priorities if among is None else priorities[among]
-        cand = bottomk_candidates(batch, self.k, self.threshold)
-        if among is not None:
-            cand = among[cand]
+        arrays, ``keys`` an ndarray or a list.  With ``at`` (ascending
+        batch positions, one per priority) only those rows are offered:
+        ``keys`` and the columns stay whole-batch and are read there."""
+        cand = bottomk_candidates(priorities, self.k, self.threshold)
         if cand.size:
+            rows = cand if at is None else at[cand]
             self._insert(
                 priorities[cand],
-                _object_column(take_keys(keys, cand)),
-                {name: None if col is None else col[cand]
+                _object_column(take_keys(keys, rows)),
+                {name: None if col is None else col[rows]
                  for name, col in columns.items()},
             )
 

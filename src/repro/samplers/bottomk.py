@@ -28,14 +28,13 @@ from ..api import StreamSampler, query_support, register_sampler
 from ..api.protocol import (
     _as_key_batch,
     _as_optional_array,
-    _key_hashes,
     family_from_name,
     family_to_name,
     rng_from_state,
     rng_to_state,
 )
 from ..core.bottomk_store import BottomKStore
-from ..core.hashing import hash_to_unit
+from ..core.hashing import batch_hash_to_unit, hash_to_unit
 from ..core.priorities import InverseWeightPriority, PriorityFamily
 from ..core.rng import as_generator
 from ..core.sample import Sample
@@ -140,7 +139,7 @@ class BottomKSampler(StreamSampler):
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
         t = _as_optional_array(times, n, "times")
-        u = (_key_hashes(keys, self.salt) if self.coordinated
+        u = (batch_hash_to_unit(keys, self.salt) if self.coordinated
              else self.rng.random(n))
         pr = np.asarray(
             self.family.inverse_cdf(u, 1.0 if w is None else w), dtype=float

@@ -41,9 +41,9 @@ from typing import Callable
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_batch, _as_optional_array, _key_hashes
+from ..api.protocol import _as_key_batch, _as_optional_array
 from ..core.bottomk_store import BottomKStore, take_keys
-from ..core.hashing import hash_to_unit
+from ..core.hashing import batch_hash_bounds, hash_to_unit
 from ..core.priorities import InverseWeightPriority, Uniform01Priority
 from ..core.sample import Sample
 
@@ -58,14 +58,29 @@ _WEIGHTED_ROW = ("keys", "priorities", "weights")
 _STREAM_ROW = ("keys", "priorities")
 
 
-def _new_positions(priorities: np.ndarray, store: BottomKStore) -> np.ndarray:
-    """Ascending batch positions a distinct sketch offers to its store:
-    below the threshold, not held by the store yet, and the first
-    occurrence of each priority in the batch."""
-    pos = np.flatnonzero(priorities < store.threshold)
-    pos = pos[~store.holds(priorities[pos])]
-    _, first = np.unique(priorities[pos], return_index=True)
-    return np.sort(pos[first])
+def _candidates(keys, salt: int, weights, store: BottomKStore):
+    """The rows a distinct sketch offers its store, as ascending batch
+    positions and their priorities (hash / weight): below the threshold,
+    not held by the store yet, and the first occurrence of each priority
+    in the batch.
+
+    Only the rows whose :func:`~repro.core.hashing.batch_hash_bounds`
+    bound (divided by the weight) is below the threshold get an exact
+    priority; the bound is never above it, so no row that could enter is
+    skipped.
+    """
+    threshold = store.threshold
+    bound, exact = batch_hash_bounds(keys, salt)
+    if weights is not None:
+        bound /= weights
+    pos = np.flatnonzero(bound < threshold)
+    r = exact(pos) if weights is None else exact(pos) / weights[pos]
+    keep = r < threshold
+    keep[keep] = ~store.holds(r[keep])
+    pos, r = pos[keep], r[keep]
+    _, first = np.unique(r, return_index=True)
+    first.sort()
+    return pos[first], r[first]
 
 
 @register_sampler("weighted_distinct")
@@ -134,11 +149,9 @@ class WeightedDistinctSketch(StreamSampler):
         w = _as_optional_array(weights, n, "weights")
         if w is not None and np.any(w <= 0):
             raise ValueError("weights must be positive")
-        h = _key_hashes(keys, self.salt)
-        r = h if w is None else h / w
+        pos, r = _candidates(keys, self.salt, w, self._store)
         self._store.offer(
-            r, keys, among=_new_positions(r, self._store),
-            weights=np.ones(n) if w is None else w,
+            r, keys, at=pos, weights=np.ones(n) if w is None else w
         )
 
     @property
@@ -302,13 +315,14 @@ class AdaptiveDistinctSketch(StreamSampler):
         n = len(keys)
         if n == 0:
             return
-        h = _key_hashes(keys, self.salt)
-        new = _new_positions(h, self._store)
+        pos, h = _candidates(keys, self.salt, None, self._store)
         if self._merged_entries:
             merged = self._merged_entries
-            unmerged = [key not in merged for key in take_keys(keys, new)]
-            new = new[np.array(unmerged, dtype=bool)]
-        self._store.offer(h, keys, among=new)
+            unmerged = np.array(
+                [key not in merged for key in take_keys(keys, pos)], dtype=bool
+            )
+            pos, h = pos[unmerged], h[unmerged]
+        self._store.offer(h, keys, at=pos)
 
     @property
     def stream_threshold(self) -> float:

@@ -81,6 +81,7 @@ class GroupedDistinctSketch(StreamSampler):
     """
 
     default_estimate_kind = "distinct"
+    required_columns = ("groups",)
     #: Rows are retained ``(group, key)`` pairs under their governing
     #: threshold — group-by queries over ``gk[0]`` are the native shape.
     query_capabilities = query_support(
@@ -189,8 +190,7 @@ class GroupedDistinctSketch(StreamSampler):
         byte-identical to the scalar loop's.
         """
         keys = _as_key_list(keys)
-        if groups is None:
-            raise TypeError("update_many() requires a groups= column")
+        self.check_columns({"groups": groups})
         groups = _as_key_list(groups)
         n = len(keys)
         if len(groups) != n:

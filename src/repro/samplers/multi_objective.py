@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_batch, _key_hashes
-from ..core.hashing import hash_to_unit
+from ..api.protocol import _as_key_batch
+from ..core.hashing import batch_hash_to_unit, hash_to_unit
 from ..core.priorities import InverseWeightPriority
 from ..core.sample import Sample
 from .bottomk import BottomKSampler
@@ -53,6 +53,7 @@ class MultiObjectiveSampler(StreamSampler):
     query_capabilities = query_support(
         "sum", "count", "mean", "distinct", "topk", "quantile"
     )
+    required_columns = ("weights",)
 
     def __init__(self, k: int, objectives: Sequence[str], salt: int = 0):
         if not objectives:
@@ -104,6 +105,7 @@ class MultiObjectiveSampler(StreamSampler):
         """
         keys = _as_key_batch(keys)
         n = len(keys)
+        self.check_columns({"weights": weights})
         if not isinstance(weights, Mapping):
             raise TypeError(
                 "update_many() requires weights= as a mapping of "
@@ -111,7 +113,7 @@ class MultiObjectiveSampler(StreamSampler):
             )
         if n == 0:
             return
-        u = _key_hashes(keys, self.salt)
+        u = batch_hash_to_unit(keys, self.salt)
         self.items_seen += n
         for name in self.objectives:
             col = np.asarray(weights[name], dtype=float)

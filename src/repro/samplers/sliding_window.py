@@ -112,6 +112,7 @@ class SlidingWindowSampler(StreamSampler):
     #: planner's retention gate (:attr:`retention_horizon`) refuses
     #: windows reaching past what the sampler still stores.
     query_windowed = True
+    required_columns = ("times",)
 
     def __init__(self, k: int, window: float, rng=None):
         if k < 2:
@@ -272,8 +273,7 @@ class SlidingWindowSampler(StreamSampler):
         n = len(keys)
         if n == 0:
             return
-        if times is None:
-            raise TypeError("SlidingWindowSampler.update_many() requires a times= column")
+        self.check_columns({"times": times})
         t_arr = _as_optional_array(times, n, "times")
         v = _as_optional_array(values, n, "values")
         if n > 1 and not bool(np.all(t_arr[1:] >= t_arr[:-1])):

@@ -98,6 +98,7 @@ class MultiStratifiedSampler(StreamSampler):
     query_capabilities = query_support(
         "sum", "count", "mean", "distinct", "topk", "quantile"
     )
+    required_columns = ("strata",)
 
     def __init__(self, n_dims: int, k: int, salt: int = 0):
         if n_dims < 1:
@@ -175,8 +176,7 @@ class MultiStratifiedSampler(StreamSampler):
         """
         raw = keys
         n = len(keys)
-        if strata is None:
-            raise TypeError("update_many() requires a strata= column")
+        self.check_columns({"strata": strata})
         strata = list(strata) if not isinstance(strata, list) else strata
         if len(strata) != n:
             raise ValueError("strata must have the same length as keys")

@@ -70,6 +70,7 @@ class ExponentialDecaySampler(StreamSampler):
     )
     query_variance = True
     query_windowed = True
+    required_columns = ("times",)
 
     def __init__(self, k: int, decay_rate: float, rng=None):
         # The k+1 smallest log-priorities.
@@ -126,8 +127,7 @@ class ExponentialDecaySampler(StreamSampler):
         n = len(keys)
         if n == 0:
             return
-        if times is None:
-            raise TypeError("ExponentialDecaySampler.update_many() requires a times= column")
+        self.check_columns({"times": times})
         t = _as_optional_array(times, n, "times")
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ...api.registry import SamplerSpec
+from ...api.registry import SamplerSpec, get_sampler_class
 from ..service import _CONFIG_KEYS, ServiceCrashed, StreamService
 from .metrics import ClusterMetrics
 from .mux import create_op, drop_op, key_block
@@ -103,6 +103,18 @@ def _stamp_degraded(result) -> None:
     if result.groups:
         for sub in result.groups.values():
             _stamp_degraded(sub)
+
+
+def _check_columns(record: TenantRecord, weights, values, times) -> None:
+    """Refuse a tenant block without a column the tenant's sampler class
+    requires (``TypeError``), before it reaches a worker's queue or WAL.
+    The class comes from the tenant's spec, so the check holds while the
+    tenant's create op is still queued on its worker."""
+    cls = get_sampler_class(record.spec.name)
+    if cls.required_columns:
+        cls.check_columns(
+            {"weights": weights, "values": values, "times": times}
+        )
 
 
 def _named_hook(hook: Callable[[str], object] | None, name: str):
@@ -652,12 +664,18 @@ class Cluster:
         conditional batch is suspended in the worker's buffer wait, so
         mixing the two styles on one tenant forfeits the positioning
         contract.
+
+        A block without a column the tenant's sampler requires
+        (:attr:`~repro.api.StreamSampler.required_columns`, e.g.
+        ``times=`` for ``sliding_window``) raises ``TypeError`` with
+        nothing admitted or logged.
         """
         self._check_started()
         record = self.registry.get(tenant)  # raise early on unknown tenants
         keys = key_block(keys)
         if not len(keys):
             return True
+        _check_columns(record, weights, values, times)
         self._check_frontier(record, expect_frontier)
         if record.service in self._down:
             self._shed(record, len(keys))
@@ -774,7 +792,8 @@ class Cluster:
         cap (``share``), then the worker's bounded buffer
         (``backpressure``, also counted per-tenant in the worker's drop
         metrics).  A migrating tenant rejects as ``backpressure`` until
-        its handoff completes.
+        its handoff completes.  A block without a required column raises
+        ``TypeError``, as in :meth:`ingest_many`.
         """
         self._check_started()
         record = self.registry.get(tenant)
@@ -782,6 +801,7 @@ class Cluster:
         n = len(keys)
         if not n:
             return True
+        _check_columns(record, weights, values, times)
         if record.service in self._down:
             self._shed(record, n)
             return False

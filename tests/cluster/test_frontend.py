@@ -18,7 +18,9 @@ from repro.serve.cluster import (
     FrameError,
     TenantQuota,
 )
+from repro.serve import StreamService
 from repro.serve.cluster.frontend import MAX_FRAME
+from repro.serve.wal import replay_records
 from tests.cluster.common import (
     control_signature,
     run_async,
@@ -342,6 +344,70 @@ class TestVerbs:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("spec", [
+        {"name": "sliding_window",
+         "params": {"k": 8, "window": 50.0, "rng": 3}},
+        {"name": "time_decay",
+         "params": {"k": 8, "decay_rate": 0.1, "rng": 3}},
+    ], ids=["sliding_window", "time_decay"])
+    def test_block_without_a_required_column_is_refused_before_the_wal(
+        self, tmp_path, spec
+    ):
+        """A block without the ``times=`` column its sampler requires is
+        refused at the call through ``StreamService``, ``Cluster`` and
+        ``ClusterClient`` alike: a ``TypeError`` (an error reply naming it
+        on the wire, the connection kept), no WAL record, the service
+        still serving, and a directory that recovers."""
+        keys, times = np.arange(10), np.arange(10.0)
+        missing = "requires a times= column"
+
+        async def body():
+            service = StreamService(spec, dir=tmp_path / "svc")
+            await service.start()
+            with pytest.raises(TypeError, match=missing):
+                await service.ingest_many(keys)
+            with pytest.raises(TypeError, match=missing):
+                service.try_ingest_many(keys)
+            await service.ingest_many(keys, times=times)
+            await service.stop(checkpoint=False)
+
+            async with Cluster(services=1, dir=tmp_path / "cluster") as cluster:
+                async with ClusterFrontend(cluster) as frontend:
+                    client = await ClusterClient.connect(*frontend.address)
+                    try:
+                        await client.create_tenant("t", spec)
+                        with pytest.raises(TypeError, match=missing):
+                            await cluster.ingest_many("t", keys)
+                        with pytest.raises(TypeError, match=missing):
+                            cluster.try_ingest_many("t", keys)
+                        with pytest.raises(RuntimeError,
+                                           match=f"^TypeError: .*{missing}"):
+                            await client.ingest_many("t", keys)
+                        reply = await client.ingest_many("t", keys,
+                                                         times=times)
+                        assert reply["admitted"] and reply["n"] == 10
+                        await client.admin("flush")
+                        data = [r for r in replay_records(
+                            tmp_path / "cluster" / "svc-0") if r.n]
+                        assert [r.n for r in data] == [10]
+                        assert data[0].columns["times"] is not None
+                        assert applied(cluster) == 10
+                    finally:
+                        await client.aclose()
+
+            async with Cluster.recover(tmp_path / "cluster") as recovered:
+                assert applied(recovered) == 10
+
+        def applied(cluster):
+            worker = cluster.service(cluster.placement()["t"])
+            return worker.sampler.events_applied_for("t")
+
+        run_async(body())
+        logged = list(replay_records(tmp_path / "svc"))
+        assert [r.n for r in logged] == [10]
+        assert logged[0].columns["times"] is not None
+        assert StreamService.recover(tmp_path / "svc").events_applied == 10
+
     def test_application_errors_become_error_replies(self):
         async def body():
             async with served() as (cluster, client):

@@ -59,6 +59,24 @@ class TestRouting:
                 assert seen.setdefault(key, index) == index
         assert shard_of(7, 4, salt=0) == int(batch_shard_indices([7], 4)[0])
 
+    def test_float_keys_route_alike_from_array_list_and_scalar_feeds(self):
+        """A float64 key array routes by its Python values, as the list
+        and the scalar ``update`` feeds do, so all three engines end in
+        the same state."""
+        rng = np.random.default_rng(8)
+        keys = rng.normal(0.0, 50.0, 300).round(2)
+        weights = rng.lognormal(0.0, 0.6, 300)
+        states = []
+        for batch in (keys, keys.tolist()):
+            engine = _engine()
+            engine.update_many(batch, weights)
+            states.append(engine.to_state())
+        scalar = _engine()
+        for key, w in zip(keys.tolist(), weights.tolist()):
+            scalar.update(key, w)
+        states.append(scalar.to_state())
+        assert states[0] == states[1] == states[2]
+
     def test_partition_respects_salt(self):
         keys = np.arange(512)
         assert not np.array_equal(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hashing import hash_array_to_unit
 from repro.samplers.distinct import (
@@ -198,6 +200,79 @@ class TestAdaptiveDistinctSketch:
         assert len(merged) <= 40
         est = merged.estimate_distinct()
         assert est == pytest.approx(3500.0, rel=0.6)
+
+
+#: Per-key weights spanning the float range, plus ``inf`` (priority 0).
+_WEIGHTS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.just(float("inf")),
+)
+
+
+@st.composite
+def _distinct_streams(draw):
+    """A key stream with duplicates (one weight per key), one key
+    container, random chunk sizes, a sketch size that leaves the store
+    underfull or full, and an optional mid-stream grow-resize."""
+    kind = draw(st.sampled_from(["int64", "list", "uint64", "float64", "str"]))
+    if kind == "uint64":
+        pool = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                             max_size=30, unique=True))
+    else:
+        pool = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1,
+                             max_size=30, unique=True))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=120))
+    weights = draw(st.lists(_WEIGHTS, min_size=len(pool), max_size=len(pool)))
+    if kind in ("int64", "uint64"):
+        keys = np.array([pool[i] for i in picks], dtype=kind)
+    elif kind == "float64":
+        keys = np.array([pool[i] for i in picks], dtype=float)
+    elif kind == "str":
+        keys = [f"k{pool[i]}" for i in picks]
+    else:
+        keys = [pool[i] for i in picks]
+    w = np.array([weights[i] for i in picks])
+    chunks = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    k = draw(st.sampled_from([2, 5, 200]))
+    grow_at = draw(st.one_of(st.none(), st.integers(0, len(picks))))
+    return keys, w, chunks, k, grow_at
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=_distinct_streams(), weighted=st.booleans())
+def test_batch_ingest_reaches_the_scalar_loop_state(stream, weighted):
+    """Both sketches' ``update_many`` — which computes exact priorities
+    only where a lower bound clears the threshold — reaches the scalar
+    ``update`` loop's ``to_state()`` under any chunking, duplicate keys,
+    weights from 1e-300 to 1e300 and ``inf``, an underfull or full store,
+    and a grow-resize cap."""
+    keys, w, chunks, k, grow_at = stream
+    n = len(keys)
+    scalar_keys = keys.tolist() if isinstance(keys, np.ndarray) else keys
+    cut = n if grow_at is None else grow_at
+
+    def run(cls, batched):
+        sketch = cls(k, salt=7)
+        use_w = weighted and cls is WeightedDistinctSketch
+        for segment, (lo, end) in enumerate(((0, cut), (cut, n))):
+            if segment and grow_at is not None:
+                sketch.resize(2 * k)
+            step = 0
+            while lo < end:
+                hi = min(lo + chunks[step % len(chunks)], end)
+                if batched:
+                    sketch.update_many(keys[lo:hi],
+                                       w[lo:hi] if use_w else None)
+                else:
+                    for i in range(lo, hi):
+                        sketch.update(scalar_keys[i],
+                                      float(w[i]) if use_w else 1.0)
+                lo, step = hi, step + 1
+        return sketch.to_state()
+
+    for cls in (WeightedDistinctSketch, AdaptiveDistinctSketch):
+        assert run(cls, True) == run(cls, False)
 
 
 class TestLCSUnionAdvantage:
