@@ -22,7 +22,7 @@ import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
 from ..api.protocol import _as_key_list, _as_optional_array
-from ..core.kernels import int_key_array
+from ..core.kernels import code_lookup, int_key_array
 from ..core.priorities import Uniform01Priority
 from ..core.sample import Sample
 
@@ -145,13 +145,9 @@ class FrequentItemsSketch(StreamSampler):
         nominal = self.nominal_size
         total = n if occ_counts is None else int(occ_counts.sum())
         kmax = int(arr.max()) + 1
+        lookup = code_lookup(range(kmax))
         tracked = np.zeros(kmax, dtype=bool)
-        in_range = [
-            k for k in counts
-            if isinstance(k, (int, np.integer)) and 0 <= k < kmax
-        ]
-        if in_range:
-            tracked[in_range] = True
+        tracked[lookup(counts)] = True
 
         heappush, heappop = heapq.heappush, heapq.heappop
         flush_from = 0          # first position whose increment is deferred
@@ -230,11 +226,7 @@ class FrequentItemsSketch(StreamSampler):
                     counts = self.counts  # _purge rebinds the map
                     if dropped:
                         dflags = np.zeros(kmax, dtype=bool)
-                        in_batch = [
-                            k for k in dropped
-                            if isinstance(k, (int, np.integer))
-                            and 0 <= k < kmax
-                        ]
+                        in_batch = lookup(dropped)
                         if in_batch:
                             dflags[in_batch] = True
                             tracked[in_batch] = False

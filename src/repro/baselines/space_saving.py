@@ -41,7 +41,7 @@ import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
 from ..api.protocol import _as_key_list, rng_from_state, rng_to_state
-from ..core.kernels import DrawBuffer, int_key_array
+from ..core.kernels import DrawBuffer, code_lookup, int_key_array
 from ..core.priorities import Uniform01Priority
 from ..core.rng import as_generator
 from ..core.sample import Sample
@@ -171,13 +171,9 @@ def _batch_ingest(sketch, raw_keys, handover_draw=None) -> bool | None:
     base = sketch.items_seen  # stream position of batch item i is base + i + 1
     kmax = int(arr.max()) + 1
 
+    lookup = code_lookup(range(kmax))
     tracked = np.zeros(kmax, dtype=bool)
-    in_range = [
-        k for k in counts
-        if isinstance(k, (int, np.integer)) and 0 <= k < kmax
-    ]
-    if in_range:
-        tracked[in_range] = True
+    tracked[lookup(counts)] = True
 
     heappush, heappop = heapq.heappush, heapq.heappop
     try:  # Counter.update's C core, without the method-wrapper overhead
@@ -245,30 +241,29 @@ def _batch_ingest(sketch, raw_keys, handover_draw=None) -> bool | None:
                         heappush(heap, (current, ins[min_key], min_key))
                 p1 = base + pos + rel + 1
                 new_count = min_count + 1
+                # Both outcomes re-insert a label, so the popped one leaves
+                # all three dicts first: a relabelled min counter moves to
+                # their end, as the scalar pop_min + insert moves it.
+                del counts[min_key]
+                del ins[min_key]
+                errors.pop(min_key, None)
                 if handover_draw is None or handover_draw() < 1.0 / new_count:
                     # Deterministic (or won handover): newcomer replaces it.
-                    del counts[min_key]
-                    del ins[min_key]
-                    errors.pop(min_key, None)
                     counts[key] = new_count
                     errors[key] = min_count
                     ins[key] = p1
                     heappush(heap, (new_count, p1, key))
                     tracked[key] = True
                     became_tracked.add(key)
-                    evicted = min_key
+                    victims = lookup((min_key,))  # its code, if it has one
                 else:
                     # Lost handover: the min counter keeps its label.
                     counts[min_key] = new_count
                     errors[min_key] = min_count
                     ins[min_key] = p1
                     heappush(heap, (new_count, p1, min_key))
-                    evicted = None
-                if (
-                    evicted is not None
-                    and type(evicted) is int
-                    and 0 <= evicted < kmax
-                ):
+                    victims = ()
+                for evicted in victims:
                     tracked[evicted] = False
                     # The victim's later occurrences in this chunk must be
                     # events again.  A victim first inserted within this

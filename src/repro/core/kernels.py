@@ -30,21 +30,21 @@ kernels practical:
   dropping ``choice``'s per-call overhead.
 * :func:`varopt_tau` — vectorized solve of the VarOpt threshold equation
   ``sum_i min(1, w_i / tau) = k`` over ``k + 1`` weights.
-* :func:`counter_segments` — segment boundaries for "threshold-run" loops:
-  samplers whose threshold can only move at periodic counter values (every
-  64th item, every 4096 updates, ...) process whole segments vectorized and
-  touch python only at the boundaries.
-* :func:`group_positions` — ``np.unique``-based dispatch of a batch into
-  per-group position lists (stratified / grouped samplers).
-* :func:`int_key_array` — the gate of the **chunked-scan** idiom used by
-  the key-table sketches (adaptive top-k, Space-Saving, Misra–Gries,
-  multi-stratified): for dense integer key batches, a numpy flag column
-  indexed directly by key value replaces per-item hash lookups, so one
+* :func:`key_codes` — the one factorization behind the **chunked scan**
+  of the adaptive top-k and multi-stratified samplers: any key batch
+  becomes small integer codes, two keys sharing a code exactly when a
+  dict (the samplers' scalar state) treats them as one key.  A numpy flag
+  column indexed by code then replaces per-item dict lookups, so one
   vectorized mask scan per chunk finds the *events* (occurrences of
   untracked keys) and everything between them is bulk work — counter
-  runs via ``Counter``'s C core or a deferred ``bincount``/``unique``
-  span materialized exactly at the recomputation/purge boundaries the
-  scalar loop would hit.
+  runs deferred into one ``bincount``/``unique`` span materialized
+  exactly at the recomputation/compaction boundaries the scalar loop
+  would hit.  :func:`code_lookup` maps a table's own keys (tracked at
+  batch start, discarded or compacted mid-batch) back to codes.
+* :func:`int_key_array` — the gate of the identity codes: a bounded
+  non-negative integer array is its own code array.  Space-Saving and
+  Misra–Gries scan such arrays directly and take the scalar loop
+  otherwise.
 
 Every kernel is deliberately *state-free*: samplers own their state and
 call kernels with plain arrays, which keeps the equivalence argument local
@@ -52,6 +52,8 @@ to each ``update_many`` implementation.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,9 +64,8 @@ __all__ = [
     "DrawBuffer",
     "categorical_draw",
     "varopt_tau",
-    "counter_segments",
-    "group_positions",
-    "KeyedBatch",
+    "key_codes",
+    "code_lookup",
     "int_key_array",
 ]
 
@@ -77,11 +78,10 @@ def int_key_array(keys) -> np.ndarray | None:
     """The batch as a dense-indexable integer array, or None.
 
     The key-table sketches carry an O(n)-scan batch path that indexes
-    numpy flag columns directly by key value — valid only for 1-D
-    non-negative integer key batches whose maximum stays under
-    :data:`INT_KEY_LIMIT` (the scratch columns are allocated per value).
-    Anything else returns None and the caller falls back to its generic
-    (or scalar) path.
+    numpy flag columns by key code; such an array is its own code array
+    — valid only for 1-D non-negative integer key batches whose maximum
+    stays under :data:`INT_KEY_LIMIT` (the scratch columns are allocated
+    per value).  Anything else returns None.
     """
     if not isinstance(keys, np.ndarray):
         return None
@@ -90,6 +90,78 @@ def int_key_array(keys) -> np.ndarray | None:
     if keys.size and (int(keys.min()) < 0 or int(keys.max()) >= INT_KEY_LIMIT):
         return None
     return keys
+
+
+def key_codes(keys) -> tuple[np.ndarray, Sequence, list | None]:
+    """Integer codes for a key batch: ``(codes, distinct, spelled)``.
+
+    ``codes[i]`` is the code of the ``i``-th key and ``distinct[c]`` a key
+    of code ``c`` (``len(distinct)`` codes in all).  Two keys share a code
+    exactly when a dict treats them as one key — the scalar loop's notion
+    — so NaNs stay apart and ``0.0`` meets ``-0.0``.
+
+    * An integer array that passes :func:`int_key_array`, or a list of
+      plain ``int`` that does once converted, is its own code array, and
+      ``distinct`` is ``range(max + 1)``.
+    * Any other 1-D integer array, or list of plain ``int`` within int64,
+      is factorized by ``np.unique``; ``distinct`` holds its keys as
+      Python ints.
+    * Any other batch (strings, floats, bools, tuples, objects) is
+      factorized by a dict over its ``.tolist()`` values (a list as
+      given); ``distinct`` holds each code's first-seen key.
+
+    ``spelled`` is None when every occurrence of code ``c`` *is* the key
+    ``distinct[c]``.  After a dict factorization it is the batch's key
+    list: equal keys can be spelled differently (``0.0`` and ``-0.0``,
+    ``1`` and ``True``), and the scalar loop stores — and hashes — the
+    spelling of the occurrence it acts on.
+    """
+    if not isinstance(keys, np.ndarray):
+        keys = keys if isinstance(keys, list) else list(keys)
+        if keys and set(map(type, keys)) == {int}:
+            try:
+                keys = np.fromiter(keys, dtype=np.int64, count=len(keys))
+            except OverflowError:
+                pass  # beyond int64: factorized as Python ints below
+    if (isinstance(keys, np.ndarray) and keys.ndim == 1
+            and keys.dtype.kind in "iu"):
+        if int_key_array(keys) is not None:
+            return keys, range(int(keys.max()) + 1 if keys.size else 0), None
+        uniq, codes = np.unique(keys, return_inverse=True)
+        return codes, uniq.tolist(), None
+    values = keys.tolist() if isinstance(keys, np.ndarray) else keys
+    index = dict.fromkeys(values)
+    for code, key in enumerate(index):
+        index[key] = code
+    codes = np.fromiter(
+        map(index.__getitem__, values), dtype=np.intp, count=len(values)
+    )
+    return codes, list(index), values
+
+
+def code_lookup(distinct: Sequence) -> Callable[[Iterable], list[int]]:
+    """``lookup(keys)``: the codes :func:`key_codes` gave those of ``keys``
+    that occur in its batch, under the same dict equality.
+
+    Built once per batch from its ``distinct``; the key-table samplers
+    pass their table's keys at batch start and the keys they drop
+    mid-batch.  Identity codes need no index: a key equal to the int
+    ``c`` hashes like ``c``, and ``hash(c) == c`` for ``0 <= c < 2**61 - 1``.
+    """
+    if isinstance(distinct, range):
+        size = len(distinct)
+
+        def lookup(keys: Iterable) -> list[int]:
+            found = []
+            for key in keys:
+                code = hash(key)
+                if 0 <= code < size and key == code:
+                    found.append(code)
+            return found
+
+        return lookup
+    index = dict(zip(distinct, range(len(distinct))))
+    return lambda keys: [c for c in map(index.get, keys) if c is not None]
 
 
 def bottomk_candidates(
@@ -249,107 +321,3 @@ def varopt_tau(weights: np.ndarray) -> float:
     if hits.size == 0:
         raise AssertionError("VarOpt threshold equation must have a solution")
     return float(taus[hits[0]])
-
-
-def counter_segments(start: int, n: int, stride: int) -> list[tuple[int, int]]:
-    """Split batch positions ``0..n`` at counter multiples of ``stride``.
-
-    A sampler whose item counter sits at ``start`` and only acts when the
-    counter is a multiple of ``stride`` can process each returned
-    ``(begin, end)`` slice as one vectorized segment, running the periodic
-    action exactly at every segment end that lands on a multiple.
-    """
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    bounds = []
-    begin = 0
-    while begin < n:
-        to_boundary = stride - (start + begin) % stride
-        end = min(n, begin + to_boundary)
-        bounds.append((begin, end))
-        begin = end
-    return bounds
-
-
-class KeyedBatch:
-    """Factorized occurrence index over a batch of keys.
-
-    The key-table sketches (adaptive top-k, Space-Saving, Misra–Gries) are
-    state machines whose transitions depend on whether each arriving key is
-    currently *tracked*.  Their exact batch kernels split the stream into
-    **events** (occurrences of untracked keys, which mutate the table and
-    may consume randomness) and **runs of increments** (occurrences of
-    tracked keys, which commute and can be counted in bulk).  ``KeyedBatch``
-    provides the shared index: unique keys as python objects, the
-    position-to-code mapping, and per-code occurrence lists for re-scheduling
-    a key's remaining occurrences after it is evicted mid-batch.
-
-    Uses one ``np.unique`` pass for homogeneous key arrays and falls back
-    to a dict factorization for anything numpy cannot sort safely.
-    """
-
-    __slots__ = ("keys", "inv", "_order", "_starts")
-
-    def __init__(self, keys: list):
-        arr = None
-        if isinstance(keys, np.ndarray):
-            if keys.ndim == 1 and keys.dtype.kind in "iufSU":
-                arr = keys
-        elif all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in keys):
-            arr = np.asarray(keys)
-        if arr is not None:
-            uniq, inv = np.unique(arr, return_inverse=True)
-            self.keys = uniq.tolist()
-            self.inv = np.asarray(inv)
-        else:
-            index: dict = {}
-            codes = np.empty(len(keys), dtype=np.intp)
-            for i, key in enumerate(keys):
-                code = index.get(key)
-                if code is None:
-                    code = len(index)
-                    index[key] = code
-                codes[i] = code
-            self.keys = list(index)
-            self.inv = codes
-        order = np.argsort(self.inv, kind="stable")
-        counts = np.bincount(self.inv, minlength=len(self.keys))
-        self._order = order
-        self._starts = np.concatenate(([0], np.cumsum(counts)))
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def occurrences(self, code: int) -> np.ndarray:
-        """All batch positions of the given key code, ascending."""
-        return self._order[self._starts[code]:self._starts[code + 1]]
-
-    def next_occurrence_after(self, code: int, position: int) -> int:
-        """First position of ``code`` strictly after ``position``, or -1."""
-        occ = self.occurrences(code)
-        j = int(np.searchsorted(occ, position, side="right"))
-        return int(occ[j]) if j < occ.size else -1
-
-
-def group_positions(labels) -> dict:
-    """Batch positions per group label, preserving within-group order.
-
-    ``np.unique``-based dispatch for stratified / grouped ingestion: one
-    sort of the label column replaces a python dict lookup per item.  Falls
-    back to a dict loop for label types numpy cannot sort (mixed types,
-    tuples of unequal shape).
-    """
-    try:
-        arr = np.asarray(labels)
-        if arr.ndim != 1 or arr.dtype.kind == "O":
-            raise TypeError
-        uniques, inverse = np.unique(arr, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        counts = np.bincount(inverse, minlength=uniques.size)
-        splits = np.split(order, np.cumsum(counts)[:-1])
-        return {uniques[i].item(): splits[i] for i in range(uniques.size)}
-    except TypeError:
-        out: dict = {}
-        for i, label in enumerate(labels):
-            out.setdefault(label, []).append(i)
-        return {label: np.asarray(idx) for label, idx in out.items()}

@@ -18,7 +18,6 @@ True
 from __future__ import annotations
 
 import zlib
-from typing import Iterable
 
 import numpy as np
 
@@ -92,13 +91,3 @@ def as_generator(
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"cannot interpret {type(rng).__name__} as a Generator")
-
-
-def interleave(streams: Iterable[np.random.Generator]) -> np.random.Generator:
-    """Return a generator seeded from the state of several streams.
-
-    Useful when a component must be deterministic given a *set* of inputs
-    regardless of their order.
-    """
-    tokens = sorted(int(s.integers(0, 2**32)) for s in streams)
-    return np.random.default_rng(np.random.SeedSequence(tokens))

@@ -23,21 +23,22 @@ move down, so no discarded item could have been needed.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_list, _as_optional_array
-from ..core.hashing import hash_array_to_unit, hash_to_unit
-from ..core.kernels import KeyedBatch, int_key_array
+from ..api.protocol import _as_optional_array
+from ..core.hashing import batch_hash_to_unit, hash_array_to_unit, hash_to_unit
+from ..core.kernels import code_lookup, key_codes
 from ..core.priorities import Uniform01Priority
 from ..core.sample import Sample
 
 __all__ = ["MultiStratifiedSampler", "StratumState"]
 
-#: Chunk length of the integer-key batch scan (see ``update_many``).
+#: Chunk length of the key-code batch scan (see ``update_many``).
 _CHUNK = 4096
 
 
@@ -163,18 +164,17 @@ class MultiStratifiedSampler(StreamSampler):
         The sampler deduplicates on key, so only *events* — the first
         occurrence of each unseen key, plus re-arrivals of keys dropped by
         a mid-batch compaction — touch the stratum machinery; every other
-        occurrence is a complete no-op.  Bounded non-negative integer key
-        arrays take a chunked-scan path: one vectorized mask lookup per
-        chunk finds the untracked-key positions (the only ones python
-        visits), with the coordinated hashes of each chunk's candidates
-        computed in one vectorized pass; a compaction turns its dropped
-        keys' remaining chunk occurrences back into events.  Other key
-        batches are factorized once (:class:`KeyedBatch`) and replayed
-        event-by-event.  State transitions match the scalar loop exactly
-        (stratum labels are validated on processed events only; duplicate
+        occurrence is a complete no-op.  The batch is factorized into key
+        codes once (:func:`key_codes`) and scanned in chunks: one
+        vectorized lookup of a flag column indexed by code finds the
+        untracked-key positions (the only ones python visits); integer
+        keys get their coordinated hashes from one vectorized pass, other
+        keys are hashed as their events are processed.  A compaction
+        turns its dropped keys' remaining chunk occurrences back into
+        events.  State transitions match the scalar loop exactly (stratum
+        labels are validated on processed events only; duplicate
         occurrences skip validation).
         """
-        raw = keys
         n = len(keys)
         self.check_columns({"strata": strata})
         strata = list(strata) if not isinstance(strata, list) else strata
@@ -183,26 +183,22 @@ class MultiStratifiedSampler(StreamSampler):
         if n == 0:
             return
         v = _as_optional_array(values, n, "values")
-        arr = int_key_array(raw) if isinstance(raw, np.ndarray) else None
-        if arr is not None:
-            self._update_many_ints(arr, strata, v)
-        else:
-            self._update_many_keyed(raw, strata, v)
-
-    def _update_many_ints(self, arr: np.ndarray, strata: list, v) -> None:
-        """Chunked-scan batch ingestion for dense integer key batches."""
-        n = arr.size
+        codes, distinct, spelled = key_codes(keys)
         items = self._items
         strata_map = self._strata
         n_dims, cap, salt = self.n_dims, self.k, self.salt
-        kmax = int(arr.max()) + 1
-        tracked = np.zeros(kmax, dtype=bool)
-        in_range = [
-            k for k in items
-            if isinstance(k, (int, np.integer)) and 0 <= k < kmax
-        ]
-        if in_range:
-            tracked[in_range] = True
+        size = len(distinct)
+        lookup = code_lookup(distinct)
+        tracked = np.zeros(size, dtype=bool)  # indexed by key code
+        tracked[lookup(items)] = True
+        # Coordinated hashes: identity codes are the keys themselves, other
+        # canonically spelled codes hash their distinct keys once, and
+        # keys that may be spelled differently hash per event.
+        unit = None
+        if isinstance(distinct, range):
+            unit = functools.partial(hash_array_to_unit, salt=salt)
+        elif spelled is None:
+            unit = batch_hash_to_unit(distinct, salt).__getitem__
         total_members = sum(len(st.members) for st in strata_map.values())
         heappush, heappop = heapq.heappush, heapq.heappop
         strata_get = strata_map.get
@@ -210,15 +206,15 @@ class MultiStratifiedSampler(StreamSampler):
         pos = 0
         while pos < n:
             ce = min(n, pos + _CHUNK)
-            chunk = arr[pos:ce]
+            chunk = codes[pos:ce]
             cand = np.flatnonzero(~tracked[chunk])
             if cand.size == 0:
                 pos = ce
                 continue
-            # Coordinated hashes for the chunk's candidates, one pass.
-            hashes = hash_array_to_unit(chunk[cand], salt)
+            ccodes = chunk[cand]
+            hashes = None if unit is None else unit(ccodes).tolist()
             cand_l = cand.tolist()
-            ckeys = chunk[cand].tolist()
+            ccodes_l = ccodes.tolist()
             ci = 0
             n_cand = len(cand_l)
             chunk_len = ce - pos
@@ -230,8 +226,8 @@ class MultiStratifiedSampler(StreamSampler):
                     if nxt_c >= chunk_len:
                         break
                     rel = nxt_c
-                    key = ckeys[ci]
-                    r = float(hashes[ci])
+                    code = ccodes_l[ci]
+                    r = None if hashes is None else hashes[ci]
                     ci += 1
                     while extra and extra[0] == rel:
                         heappop(extra)
@@ -239,19 +235,22 @@ class MultiStratifiedSampler(StreamSampler):
                     rel = nxt_e
                     while extra and extra[0] == rel:
                         heappop(extra)
-                    key = int(chunk[rel])
-                    r = hash_to_unit(key, salt)
-                if tracked[key]:
+                    code = int(chunk[rel])
+                    r = None
+                if tracked[code]:
                     continue  # re-added earlier in the batch: a no-op
                 labels = strata[pos + rel]
                 if len(labels) != n_dims:
                     raise ValueError(f"expected {n_dims} stratum labels")
+                key = distinct[code] if spelled is None else spelled[pos + rel]
+                if r is None:
+                    r = hash_to_unit(key, salt)
                 items[key] = (
                     tuple(labels),
                     r,
                     1.0 if v is None else float(v[pos + rel]),
                 )
-                tracked[key] = True
+                tracked[code] = True
                 for dim, label in enumerate(labels):
                     state = strata_get((dim, label))
                     if state is None:
@@ -263,14 +262,9 @@ class MultiStratifiedSampler(StreamSampler):
                     self._compact()
                     items = self._items  # _compact rebinds the dict
                     if len(items) != len(before):
-                        dropped = [
-                            k for k in before
-                            if k not in items
-                            and isinstance(k, (int, np.integer))
-                            and 0 <= k < kmax
-                        ]
+                        dropped = lookup(k for k in before if k not in items)
                         if dropped:
-                            dflags = np.zeros(kmax, dtype=bool)
+                            dflags = np.zeros(size, dtype=bool)
                             dflags[dropped] = True
                             tracked[dropped] = False
                             for r2 in np.flatnonzero(
@@ -278,69 +272,6 @@ class MultiStratifiedSampler(StreamSampler):
                             ).tolist():
                                 heappush(extra, rel + 1 + r2)
             pos = ce
-        self.items_seen += n
-
-    def _update_many_keyed(self, raw, strata: list, v) -> None:
-        """Event-heap batch ingestion for arbitrary hashable key batches."""
-        keys = _as_key_list(raw)
-        n = len(keys)
-        kb = KeyedBatch(raw if isinstance(raw, np.ndarray) else keys)
-        uniq, inv = kb.keys, kb.inv
-        items = self._items
-        strata_map = self._strata
-        n_dims, cap, salt = self.n_dims, self.k, self.salt
-        member = np.zeros(len(uniq), dtype=bool)
-        for code, key in enumerate(uniq):
-            if key in items:
-                member[code] = True
-        # Coordinated hashes, one vectorized pass for integer key batches.
-        try:
-            h_uniq = hash_array_to_unit(np.asarray(uniq), salt)
-        except (TypeError, ValueError):
-            h_uniq = None  # hash lazily per event
-        # One heap entry per untracked code: its next unprocessed
-        # occurrence (duplicate occurrences of tracked keys are no-ops and
-        # never enter the python loop).
-        ev_heap: list[tuple[int, int]] = [
-            (int(kb.occurrences(code)[0]), code)
-            for code in range(len(uniq))
-            if not member[code]
-        ]
-        heapq.heapify(ev_heap)
-        total_members = sum(len(st.members) for st in strata_map.values())
-
-        while ev_heap:
-            pos, code = heapq.heappop(ev_heap)
-            if member[code]:
-                continue  # re-added earlier in the batch: a no-op duplicate
-            labels = strata[pos]
-            if len(labels) != n_dims:
-                raise ValueError(f"expected {n_dims} stratum labels")
-            key = uniq[code]
-            r = float(h_uniq[code]) if h_uniq is not None else hash_to_unit(key, salt)
-            items[key] = (
-                tuple(labels),
-                r,
-                1.0 if v is None else float(v[pos]),
-            )
-            member[code] = True
-            for dim, label in enumerate(labels):
-                state = strata_map.get((dim, label))
-                if state is None:
-                    state = StratumState(dim, label, cap)
-                    strata_map[(dim, label)] = state
-                total_members += state.offer(key, r)
-            if len(items) > 4 * total_members:
-                before = len(items)
-                self._compact()
-                items = self._items  # _compact rebinds the dict
-                if len(items) != before:
-                    for dropped_code, dropped_key in enumerate(uniq):
-                        if member[dropped_code] and dropped_key not in items:
-                            member[dropped_code] = False
-                            nxt = kb.next_occurrence_after(dropped_code, pos)
-                            if nxt >= 0:
-                                heapq.heappush(ev_heap, (nxt, dropped_code))
         self.items_seen += n
 
     # ------------------------------------------------------------------

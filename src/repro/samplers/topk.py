@@ -42,15 +42,15 @@ from typing import Callable
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_list, rng_from_state, rng_to_state
-from ..core.kernels import DrawBuffer, KeyedBatch, int_key_array
+from ..api.protocol import rng_from_state, rng_to_state
+from ..core.kernels import code_lookup, key_codes
 from ..core.priorities import Uniform01Priority
 from ..core.rng import as_generator
 from ..core.sample import Sample
 
 __all__ = ["AdaptiveTopKSampler", "TopKEntry"]
 
-#: Chunk length of the integer-key batch scan (see ``update_many``).
+#: Chunk length of the key-code batch scan (see ``update_many``).
 _CHUNK = 4096
 
 
@@ -176,45 +176,29 @@ class AdaptiveTopKSampler(StreamSampler):
         The sampler is a key-table state machine: occurrences of *tracked*
         keys are pure counter increments (they commute until the next
         threshold recomputation), while occurrences of untracked keys are
-        *events* that consume randomness and can mutate the table.  Bounded
-        non-negative integer key arrays take a chunked-scan path: one
-        vectorized mask lookup per chunk finds the untracked-key positions
-        (the only ones the python loop visits), and the deferred increments
-        of each span are materialized in one ``bincount``/``unique`` pass
-        at the exact recomputation boundaries the scalar loop would hit.
-        Other key batches are factorized once (:class:`KeyedBatch`) and
-        driven by an event heap holding each untracked code's next
-        occurrence.  RNG draws are block-buffered with rewind on both
-        paths, so generator consumption — and therefore the sample — is
-        seed-for-seed identical to scalar ingestion.
+        *events* that consume randomness and can mutate the table.  The
+        batch is factorized into key codes once (:func:`key_codes`) and
+        scanned in chunks: one vectorized lookup of a flag column indexed
+        by code finds the untracked-key positions (the only ones the
+        python loop visits), and the deferred increments of each span are
+        materialized in one ``bincount``/``unique`` pass at the exact
+        recomputation boundaries the scalar loop would hit.  Because the
+        threshold only moves at recomputations, whole runs of *rejected*
+        draws are scored with one vectorized compare; only acceptances
+        (inserts) and recomputations touch python.  RNG draws are
+        block-buffered with rewind, so generator consumption — and
+        therefore the sample — is seed-for-seed identical to scalar
+        ingestion.
         """
-        arr = int_key_array(keys) if isinstance(keys, np.ndarray) else None
-        if arr is not None:
-            self._update_many_ints(arr)
-            return
-        self._update_many_keyed(keys)
-
-    def _update_many_ints(self, arr: np.ndarray) -> None:
-        """Chunked-scan batch ingestion for dense integer key batches.
-
-        Increments are deferred and materialized per span at recomputation
-        boundaries; untracked-key occurrences draw one uniform each, and —
-        because the threshold only moves at recomputations — whole runs of
-        *rejected* draws are evaluated with one vectorized compare.  Only
-        acceptances (inserts) and recomputations touch python.
-        """
-        n = arr.size
+        codes, distinct, spelled = key_codes(keys)
+        n = codes.size
         if n == 0:
             return
         table = self.table
-        kmax = int(arr.max()) + 1
-        tracked = np.zeros(kmax, dtype=bool)
-        in_range = [
-            k for k in table
-            if isinstance(k, (int, np.integer)) and 0 <= k < kmax
-        ]
-        if in_range:
-            tracked[in_range] = True
+        size = len(distinct)
+        lookup = code_lookup(distinct)
+        tracked = np.zeros(size, dtype=bool)  # indexed by key code
+        tracked[lookup(table)] = True
 
         threshold = self.threshold
         isr = self._inserts_since_recompute
@@ -226,7 +210,7 @@ class AdaptiveTopKSampler(StreamSampler):
         rng = self.rng
 
         flush_from = 0
-        event_keys: list[int] = []  # keys of drawn events since flush_from
+        event_codes: list[int] = []  # codes of drawn events since flush_from
 
         def flush(bound: int) -> None:
             """Apply the deferred increments in [flush_from, bound).
@@ -238,26 +222,27 @@ class AdaptiveTopKSampler(StreamSampler):
             """
             nonlocal flush_from
             if bound <= flush_from:
-                event_keys.clear()
+                event_codes.clear()
                 return
-            seg = arr[flush_from:bound]
-            if kmax <= 4 * seg.size:
-                pending = np.bincount(seg, minlength=kmax)
-                for key in event_keys:
-                    pending[key] -= 1
-                for key in np.flatnonzero(pending).tolist():
-                    table[key].count += int(pending[key])
+            seg = codes[flush_from:bound]
+            if size <= 4 * seg.size:
+                pending = np.bincount(seg, minlength=size)
+                for code in event_codes:
+                    pending[code] -= 1
+                hit = np.flatnonzero(pending)
+                for code, c in zip(hit.tolist(), pending[hit].tolist()):
+                    table[distinct[code]].count += c
             else:
                 corr: dict = {}
-                for key in event_keys:
-                    corr[key] = corr.get(key, 0) + 1
+                for code in event_codes:
+                    corr[code] = corr.get(code, 0) + 1
                 uniq, cnts = np.unique(seg, return_counts=True)
                 corr_get = corr.get
-                for key, c in zip(uniq.tolist(), cnts.tolist()):
-                    c -= corr_get(key, 0)
+                for code, c in zip(uniq.tolist(), cnts.tolist()):
+                    c -= corr_get(code, 0)
                     if c:
-                        table[key].count += c
-            event_keys.clear()
+                        table[distinct[code]].count += c
+            event_codes.clear()
             flush_from = bound
 
         def recompute(bound: int) -> list:
@@ -278,26 +263,25 @@ class AdaptiveTopKSampler(StreamSampler):
         while pos < n:
             ce = min(n, pos + _CHUNK)
             cbase = pos
-            chunk = arr[pos:ce]
+            chunk = codes[pos:ce]
             chunk_len = ce - pos
             # Candidate events: untracked-key positions.  Inserts filter
             # their key's remaining candidates, and discards reschedule
             # through ``extra``, so the candidate list always holds drawn
             # events only.
             cand = np.flatnonzero(~tracked[chunk])
-            ckeys = chunk[cand]
+            ccodes = chunk[cand]
             ci = 0
             extra: list[int] = []  # rescheduled (chunk-relative) positions
 
-            def reschedule(keys_, after_rel: int) -> None:
+            def reschedule(discarded: list, after_rel: int) -> None:
                 """Turn discarded keys' later occurrences into events."""
-                for dkey in keys_:
-                    if isinstance(dkey, (int, np.integer)) and 0 <= dkey < kmax:
-                        tracked[dkey] = False
-                        for r2 in np.flatnonzero(
-                            chunk[after_rel:] == dkey
-                        ).tolist():
-                            heappush(extra, after_rel + r2)
+                for dcode in lookup(discarded):
+                    tracked[dcode] = False
+                    for r2 in np.flatnonzero(
+                        chunk[after_rel:] == dcode
+                    ).tolist():
+                        heappush(extra, after_rel + r2)
 
             while True:
                 nxt_c = cand[ci] if ci < cand.size else _CHUNK
@@ -316,10 +300,10 @@ class AdaptiveTopKSampler(StreamSampler):
                     rel = nxt_e
                     while extra and extra[0] == rel:
                         heappop(extra)
-                    key = int(chunk[rel])
+                    code = int(chunk[rel])
                     usr += 1
                     pos += 1
-                    if tracked[key]:
+                    if tracked[code]:
                         # Re-tracked meanwhile: a deferred increment, but it
                         # still counts toward the forced-recompute cadence.
                         if usr >= cadence:
@@ -333,18 +317,22 @@ class AdaptiveTopKSampler(StreamSampler):
                         dpos += 1
                     else:
                         r = float(rng.random())
-                    event_keys.append(key)
+                    event_codes.append(code)
                     if r < threshold:
+                        key = (
+                            distinct[code] if spelled is None
+                            else spelled[cbase + rel]
+                        )
                         table[key] = TopKEntry(
                             priority=float(r), threshold=threshold, count=0
                         )
-                        tracked[key] = True
+                        tracked[code] = True
                         isr += 1
                         if len(table) > max_table:
                             max_table = len(table)
-                        keep = ckeys[ci:] != key
+                        keep = ccodes[ci:] != code
                         cand = cand[ci:][keep]
-                        ckeys = ckeys[ci:][keep]
+                        ccodes = ccodes[ci:][keep]
                         ci = 0
                     if isr >= recompute_every or usr >= cadence:
                         reschedule(recompute(pos), rel + 1)
@@ -401,7 +389,7 @@ class AdaptiveTopKSampler(StreamSampler):
                 if hits.size == 0:
                     # Every draw in the block rejected: consume and jump.
                     last_rel = int(cand[ci + m - 1])
-                    event_keys.extend(ckeys[ci:ci + m].tolist())
+                    event_codes.extend(ccodes[ci:ci + m].tolist())
                     if buffered:
                         dpos += m
                     ci += m
@@ -412,21 +400,24 @@ class AdaptiveTopKSampler(StreamSampler):
                     continue
                 j = int(hits[0])
                 rel = int(cand[ci + j])
-                key = int(ckeys[ci + j])
-                event_keys.extend(ckeys[ci:ci + j + 1].tolist())
+                code = int(ccodes[ci + j])
+                event_codes.extend(ccodes[ci:ci + j + 1].tolist())
                 r = float(u[j])
                 if buffered:
                     dpos += j + 1
                 usr += cbase + rel + 1 - pos
                 pos = cbase + rel + 1
+                key = (
+                    distinct[code] if spelled is None else spelled[cbase + rel]
+                )
                 table[key] = TopKEntry(priority=r, threshold=threshold, count=0)
-                tracked[key] = True
+                tracked[code] = True
                 isr += 1
                 if len(table) > max_table:
                     max_table = len(table)
-                keep = ckeys[ci + j + 1:] != key
+                keep = ccodes[ci + j + 1:] != code
                 cand = cand[ci + j + 1:][keep]
-                ckeys = ckeys[ci + j + 1:][keep]
+                ccodes = ccodes[ci + j + 1:][keep]
                 ci = 0
                 if isr >= recompute_every or usr >= cadence:
                     reschedule(recompute(pos), rel + 1)
@@ -439,118 +430,6 @@ class AdaptiveTopKSampler(StreamSampler):
         self._inserts_since_recompute = isr
         self._updates_since_recompute = usr
         self.max_table_size = max_table
-
-    def _update_many_keyed(self, keys) -> None:
-        """Event-heap batch ingestion for arbitrary hashable key batches."""
-        raw = keys
-        keys = _as_key_list(keys)
-        n = len(keys)
-        if n == 0:
-            return
-        kb = KeyedBatch(raw if isinstance(raw, np.ndarray) else keys)
-        uniq, inv = kb.keys, kb.inv
-        n_uniq = len(uniq)
-        table = self.table
-        uniq_index = dict(zip(uniq, range(n_uniq)))
-
-        member = np.zeros(n_uniq, dtype=bool)
-        for key in table:
-            code = uniq_index.get(key)
-            if code is not None:
-                member[code] = True
-
-        # One heap entry per untracked code: its next unprocessed
-        # occurrence.  Tracked occurrences never enter the heap — they are
-        # bulk increments, flushed at recomputation boundaries.
-        ev_heap: list[tuple[int, int]] = [
-            (int(kb.occurrences(code)[0]), code)
-            for code in range(n_uniq)
-            if not member[code]
-        ]
-        heapq.heapify(ev_heap)
-
-        prev = 0        # first unprocessed position
-        seg_start = 0   # first position not yet flushed into entry counts
-        seg_events: list[int] = []  # codes of events since seg_start
-        threshold = self.threshold
-        isr = self._inserts_since_recompute
-        usr = self._updates_since_recompute
-        recompute_every = self.recompute_every
-        cadence = self.FORCED_RECOMPUTE
-        max_table = self.max_table_size
-
-        def flush(bound: int) -> None:
-            """Apply the increments in [seg_start, bound) to live entries.
-
-            Every occurrence in the segment is an increment of a tracked
-            key except the event positions, whose codes are recorded in
-            ``seg_events`` (an inserting event starts at count 0; a
-            rejected event touches nothing) — subtract those and add the
-            rest in one ``np.bincount`` pass.
-            """
-            nonlocal seg_start
-            if bound <= seg_start:
-                return
-            pending = np.bincount(inv[seg_start:bound], minlength=n_uniq)
-            for code in seg_events:
-                pending[code] -= 1
-            seg_events.clear()
-            seg_start = bound
-            for code in np.flatnonzero(pending):
-                table[uniq[code]].count += int(pending[code])
-
-        def recompute(pos: int) -> None:
-            """Run the threshold recomputation exactly as the scalar loop."""
-            nonlocal threshold, isr, usr
-            flush(pos)
-            discarded = self.recompute_threshold()
-            isr = usr = 0
-            for key in discarded:
-                code = uniq_index.get(key)
-                if code is None:
-                    continue
-                member[code] = False
-                nxt = kb.next_occurrence_after(code, pos - 1)
-                if nxt >= 0:
-                    heapq.heappush(ev_heap, (nxt, code))
-            threshold = self.threshold
-
-        with DrawBuffer(self.rng, expected=len(ev_heap)) as draw:
-            while prev < n:
-                ev_pos = ev_heap[0][0] if ev_heap else n
-                bound = min(ev_pos, prev + cadence - usr, n)
-                if bound > prev:
-                    usr += bound - prev
-                    prev = bound
-                    if usr >= cadence:
-                        recompute(prev)
-                    continue
-                # Process the event at position prev.
-                pos, code = heapq.heappop(ev_heap)
-                usr += 1
-                prev += 1
-                seg_events.append(code)
-                r = draw()
-                if r < threshold:
-                    table[uniq[code]] = TopKEntry(
-                        priority=r, threshold=threshold, count=0
-                    )
-                    member[code] = True
-                    isr += 1
-                    if len(table) > max_table:
-                        max_table = len(table)
-                else:
-                    nxt = kb.next_occurrence_after(code, pos)
-                    if nxt >= 0:
-                        heapq.heappush(ev_heap, (nxt, code))
-                if isr >= recompute_every or usr >= cadence:
-                    recompute(prev)
-            flush(n)
-
-        self.items_seen += n
-        self._inserts_since_recompute = isr
-        self._updates_since_recompute = usr
-        self.max_table_size = max(self.max_table_size, max_table)
 
     # ------------------------------------------------------------------
     # The adaptive threshold

@@ -45,6 +45,9 @@ __all__ = [
 #: while the tenant's worker is down and failover has not restored it.
 REJECT_REASONS = ("rate", "share", "backpressure", "unavailable")
 
+#: The per-event columns a cluster block carries beside its keys.
+_BLOCK_COLUMNS = ("weights", "values", "times")
+
 
 def check_tenant_id(tenant) -> str:
     """Validate a tenant id: non-empty ``str`` outside the reserved
@@ -264,11 +267,25 @@ class TenantRegistry:
         service: str = "",
     ) -> TenantRecord:
         """Register a new tenant (its worker creates the sampler via an
-        in-stream admin op; the registry only owns the namespace)."""
+        in-stream admin op; the registry only owns the namespace).
+
+        The spec is built once here and the sampler discarded: a spec its
+        worker could not build, or one whose sampler needs a per-event
+        column that cluster blocks do not carry (``strata=``,
+        ``groups=``), is refused before the caller can register, enqueue
+        or log it — a create op that fails on its worker would crash it
+        and every WAL replay of its directory.
+        """
         check_tenant_id(tenant)
         if tenant in self._records:
             raise ValueError(f"tenant {tenant!r} already exists")
         spec = spec if isinstance(spec, SamplerSpec) else SamplerSpec.from_dict(spec)
+        for column in spec.build().required_columns:
+            if column not in _BLOCK_COLUMNS:
+                raise ValueError(
+                    f"sampler {spec.name!r} requires a {column}= column, "
+                    f"which cluster blocks do not carry"
+                )
         if quota is None:
             quota = TenantQuota()
         elif not isinstance(quota, TenantQuota):

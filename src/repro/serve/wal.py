@@ -209,11 +209,6 @@ class WriteAheadLog:
         """Number of segment files currently on disk."""
         return len(_segments(self._dir))
 
-    @property
-    def total_bytes(self) -> int:
-        """Total bytes across all segment files."""
-        return sum(path.stat().st_size for _, _, path in _segments(self._dir))
-
     def _hook(self, stage: str) -> None:
         if self.fault_hook is not None:
             self.fault_hook(stage)

@@ -34,6 +34,7 @@ from repro.api import (
     merged,
 )
 from repro.api.protocol import STATE_VERSION
+from repro.workloads.zipf import zipf_stream
 
 N = 400
 
@@ -457,6 +458,111 @@ class TestStreamingContract:
         assert np.isfinite(float(value))
         with pytest.raises(ValueError):
             sampler.estimate("no_such_kind_registered")
+
+
+#: The key-table sketches: their batch paths scan key codes or counters
+#: and must leave the state the scalar loop leaves, in the same order.
+KEY_TABLE_CASES = {
+    "top_k": {"k": 8},
+    "multi_stratified": {"n_dims": 2, "k": 8, "salt": 2},
+    "frequent_items": {"max_map_size": 64},
+    "space_saving": {"capacity": 32},
+    "unbiased_space_saving": {"capacity": 32},
+}
+
+_BASE = zipf_stream(2000, 600, 1.1, rng=17)
+
+
+def _signed_zeros() -> np.ndarray:
+    """Floats with a mid-frequency zero key, spelled -0.0 every other
+    time: the sketches drop and re-admit it under either spelling."""
+    keys = (_BASE - 12) * 0.5
+    zeros = np.flatnonzero(keys == 0.0)
+    keys[zeros[::2]] = -0.0
+    return keys
+
+
+def _with_nans() -> np.ndarray:
+    """Floats with ~5% NaN keys: each NaN is a key of its own."""
+    keys = _BASE * 0.25 - 3.0
+    keys[_BASE % 20 == 7] = np.nan
+    return keys
+
+
+#: Every key form a caller can send: arrays take the batch kernels, the
+#: scalar loop sees their ``.tolist()`` values.
+KEY_FORMS = {
+    "int64_array": lambda: _BASE.astype(np.int64),
+    "int_list": lambda: _BASE.tolist(),
+    "negative_int_array": lambda: -_BASE.astype(np.int64) - 1,
+    "int_array_past_dense_limit": lambda: _BASE.astype(np.int64) + 2**22,
+    "uint64_array_past_2_63": lambda: (
+        _BASE.astype(np.uint64) + np.uint64(2**63)
+    ),
+    "str_list": lambda: [f"k{b}" for b in _BASE.tolist()],
+    "str_array": lambda: np.array([f"k{b}" for b in _BASE.tolist()]),
+    "float64_signed_zeros": _signed_zeros,
+    "float64_nan": _with_nans,
+    "int_tuple_list": lambda: [(b % 7, b // 7) for b in _BASE.tolist()],
+    "bool_list": lambda: [b % 3 == 0 for b in _BASE.tolist()],
+}
+
+
+def _key_table_feed(sampler, keys, start: int) -> None:
+    """One ``update_many`` call over batch positions ``start...``; the
+    multi-stratified labels follow the stream position, not the key."""
+    if sampler.sampler_name != "multi_stratified":
+        sampler.update_many(keys)
+        return
+    sampler.update_many(keys, strata=[
+        (i % 3, (i // 7) % 4) for i in range(start, start + len(keys))
+    ])
+
+
+def _key_table_scalar(sampler, keys) -> None:
+    seq = keys.tolist() if isinstance(keys, np.ndarray) else keys
+    for i, key in enumerate(seq):
+        if sampler.sampler_name == "multi_stratified":
+            sampler.update(key, strata=(i % 3, (i // 7) % 4))
+        else:
+            sampler.update(key)
+
+
+@pytest.mark.parametrize("chunk", [None, 777], ids=["whole", "chunks_777"])
+@pytest.mark.parametrize("form", list(KEY_FORMS))
+@pytest.mark.parametrize("name", list(KEY_TABLE_CASES))
+def test_key_table_batch_matches_scalar_loop_on_every_key_form(
+    name, form, chunk
+):
+    """``update_many`` on any key form leaves the scalar loop's exact
+    ``to_state()`` — row order and key spellings included (``repr``
+    tells ``0.0`` from ``-0.0`` and compares NaN keys), which the
+    order-free :func:`sample_signature` cannot see."""
+    keys = KEY_FORMS[form]()
+    scalar = make_sampler(name, **KEY_TABLE_CASES[name])
+    _key_table_scalar(scalar, keys)
+    batch = make_sampler(name, **KEY_TABLE_CASES[name])
+    step = chunk or len(keys)
+    for lo in range(0, len(keys), step):
+        _key_table_feed(batch, keys[lo:lo + step], lo)
+    assert batch.items_seen == scalar.items_seen == len(keys)
+    assert repr(batch.to_state()) == repr(scalar.to_state())
+
+
+@pytest.mark.parametrize("name", list(KEY_TABLE_CASES))
+def test_key_table_batch_finds_table_keys_of_another_type(name):
+    """A table holding float keys meets an int batch: ``1`` finds the
+    ``1.0`` entry, as the scalar loop's dict lookup does.  (Compared
+    with ``==``: after a relabel the scalar Unbiased Space-Saving keeps
+    whichever spelling its lazy heap entry carried.)"""
+    floats = (_BASE[:500] * 1.0).tolist()
+    ints = _BASE[500:].astype(np.int64)
+    scalar = make_sampler(name, **KEY_TABLE_CASES[name])
+    _key_table_scalar(scalar, floats + ints.tolist())
+    batch = make_sampler(name, **KEY_TABLE_CASES[name])
+    _key_table_feed(batch, floats, 0)
+    _key_table_feed(batch, ints, 500)
+    assert batch.to_state() == scalar.to_state()
 
 
 @pytest.mark.parametrize("name,params,column,positional", [

@@ -96,3 +96,17 @@ class TestUnbiasedSpaceSaving:
         ids, counts = np.unique(stream, return_counts=True)
         truth = set(ids[np.argsort(counts)[::-1][:5]].tolist())
         assert len({k for k, _ in s.top(5)} & truth) >= 4
+
+    def test_batch_keeps_the_scalar_counter_order(self):
+        """A lost label handover re-inserts the min counter, which moves it
+        to the end of the counter map in the scalar loop; the batch path
+        must move it too, or ``top()`` breaks count ties differently."""
+        stream = zipf_stream(8000, 800, 1.2, rng=3)
+        scalar = UnbiasedSpaceSavingSketch(32, rng=0)
+        for item in stream.tolist():
+            scalar.update(item)
+        batch = UnbiasedSpaceSavingSketch(32, rng=0)
+        batch.update_many(stream)
+        assert batch.top(12) == scalar.top(12)
+        assert list(batch._store.counts) == list(scalar._store.counts)
+        assert list(batch._store.errors) == list(scalar._store.errors)

@@ -160,6 +160,96 @@ class TestLifecycle:
             Cluster(services=["a", "a"])
 
 
+#: Specs ``create_tenant`` used to accept although the tenant's worker
+#: could never build or feed them: the create op crashed the worker (and
+#: its healthy tenants) and every WAL replay of the directory.
+BAD_SPECS = {
+    "unknown_sampler": ({"name": "nope"}, ValueError, "unknown sampler"),
+    "bad_param": ({"name": "bottom_k", "params": {"k": 0}}, ValueError,
+                  "positive"),
+    "unknown_param": ({"name": "bottom_k", "params": {"k": 4, "bogus": 1}},
+                      TypeError, "bogus"),
+    "unshardable": (
+        {"name": "sharded", "params": {
+            "spec": {"name": "sliding_window",
+                     "params": {"k": 4, "window": 1.0}},
+            "n_shards": 2,
+        }},
+        ValueError, "not mergeable",
+    ),
+    "needs_strata": ({"name": "multi_stratified",
+                      "params": {"n_dims": 1, "k": 4}},
+                     ValueError, "strata= column"),
+    "needs_groups": ({"name": "grouped_distinct", "params": {"m": 2, "k": 4}},
+                     ValueError, "groups= column"),
+}
+
+
+def _beside(cluster, tenant: str) -> str:
+    """A fresh tenant id the ring places on ``tenant``'s worker."""
+    home = cluster.ring.node_for(tenant)
+    return next(
+        name for name in (f"bad-{i}" for i in range(1000))
+        if cluster.ring.node_for(name) == home
+    )
+
+
+class TestTenantSpecs:
+    @pytest.mark.parametrize("case", list(BAD_SPECS))
+    def test_refused_spec_leaves_its_worker_and_directory_healthy(
+        self, tmp_path, case
+    ):
+        spec, error, match = BAD_SPECS[case]
+        keys = tenant_stream(0, 200)
+
+        async def body():
+            async with Cluster(services=2, dir=tmp_path) as cluster:
+                await cluster.create_tenant("healthy", tenant_spec(0))
+                with pytest.raises(error, match=match):
+                    await cluster.create_tenant(
+                        _beside(cluster, "healthy"), spec
+                    )
+                assert cluster.tenants() == ("healthy",)
+                await cluster.ingest_many("healthy", keys)
+                await cluster.flush()
+                assert sig_of(await cluster.sample("healthy")) == \
+                    control_signature(0, keys)
+            recovered = Cluster.recover(tmp_path)
+            async with recovered:
+                assert recovered.tenants() == ("healthy",)
+                assert sig_of(await recovered.sample("healthy")) == \
+                    control_signature(0, keys)
+
+        run_async(body())
+
+    def test_bulk_create_with_one_bad_spec_registers_none(self, tmp_path):
+        async def body():
+            async with Cluster(services=2, dir=tmp_path) as cluster:
+                specs = {
+                    "a": tenant_spec(0),
+                    "b": BAD_SPECS["bad_param"][0],
+                    "c": tenant_spec(2),
+                }
+                with pytest.raises(ValueError, match="positive"):
+                    await cluster.create_tenants(specs)
+                assert cluster.tenants() == ()
+                await cluster.flush()
+                for name in cluster.services:
+                    worker = cluster.service(name).sampler
+                    assert not any(worker.has_tenant(t) for t in specs)
+                del specs["b"]
+                await cluster.create_tenants(specs)
+                await cluster.ingest_many("c", tenant_stream(2, 100))
+                await cluster.flush()
+            recovered = Cluster.recover(tmp_path)
+            async with recovered:
+                assert recovered.tenants() == ("a", "c")
+                assert sig_of(await recovered.sample("c")) == \
+                    control_signature(2, tenant_stream(2, 100))
+
+        run_async(body())
+
+
 class TestQuotas:
     def test_rate_quota_rejects_and_counts(self):
         async def body():

@@ -110,6 +110,29 @@ class TestVerbs:
 
         run_async(body())
 
+    def test_bad_tenant_spec_is_an_error_reply_on_a_live_connection(self):
+        """A spec the worker could not build or feed comes back as an
+        error reply; the connection and the other tenants carry on."""
+        async def body():
+            async with served() as (cluster, client):
+                await client.create_tenant("acme", tenant_spec(0))
+                with pytest.raises(RuntimeError,
+                                   match="ValueError: unknown sampler"):
+                    await client.create_tenant("ghost", {"name": "nope"})
+                with pytest.raises(RuntimeError, match="strata= column"):
+                    await client.create_tenant("survey", {
+                        "name": "multi_stratified",
+                        "params": {"n_dims": 1, "k": 4},
+                    })
+                keys = tenant_stream(0, 200)
+                await client.ingest_many("acme", keys.tolist())
+                await client.admin("flush")
+                assert (await client.admin("tenants"))["tenants"] == ["acme"]
+                assert sig_of(await cluster.sample("acme")) == \
+                    control_signature(0, keys)
+
+        run_async(body())
+
     def test_weighted_ingest_carries_columns(self):
         async def body():
             async with served() as (cluster, client):

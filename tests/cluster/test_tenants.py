@@ -118,6 +118,29 @@ class TestTenantRegistry:
         with pytest.raises(ValueError, match="already exists"):
             registry.create("acme", SPEC)
 
+    @pytest.mark.parametrize("spec,error,match", [
+        ({"name": "nope"}, ValueError, "unknown sampler"),
+        ({"name": "bottom_k", "params": {"k": 0}}, ValueError, "positive"),
+        ({"name": "bottom_k", "params": {"k": 4, "bogus": 1}}, TypeError,
+         "bogus"),
+        ({"name": "multi_stratified", "params": {"n_dims": 1, "k": 4}},
+         ValueError, "strata= column"),
+        ({"name": "grouped_distinct", "params": {"m": 2, "k": 4}},
+         ValueError, "groups= column"),
+    ], ids=["unknown", "bad_value", "unknown_param", "strata", "groups"])
+    def test_spec_it_cannot_build_or_feed_is_refused(self, spec, error, match):
+        """The spec is built before the tenant is registered; a sampler
+        needing a column cluster blocks lack is refused by name."""
+        registry = TenantRegistry()
+        with pytest.raises(error, match=match):
+            registry.create("acme", spec)
+        assert "acme" not in registry and len(registry) == 0
+        # Recovery rebuilds the namespace as written, without the check.
+        revived = TenantRegistry.from_dict({"acme": {
+            "tenant": "acme", "spec": {"name": "nope"},
+        }})
+        assert revived.get("acme").spec.name == "nope"
+
     def test_rejection_counters(self):
         registry = TenantRegistry()
         record = registry.create("acme", SPEC)
