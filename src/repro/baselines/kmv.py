@@ -2,20 +2,22 @@
 
 Keeps the ``k`` smallest coordinated hashes; the classic unbiased estimator
 is ``(k - 1) / h_(k)`` where ``h_(k)`` is the k-th smallest hash (Giroire;
-Beyer et al., cited as [15], [3]).  Unions merge the retained hash sets and
-re-sketch to the k smallest — the "basic bottom-k" union whose error Figure
-4 compares against Theta and the paper's per-item-threshold merge.
+Beyer et al., cited as [15], [3]): HT over a bottom-k set of ``k - 1``
+sample rows, whose threshold is that k-th minimum.  Unions merge the
+retained hash sets and re-sketch to the k smallest — the "basic bottom-k"
+union whose error Figure 4 compares against Theta and the paper's
+per-item-threshold merge.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable
 
 import numpy as np
 
 from ..api import StreamSampler, merged, query_support, register_sampler
 from ..api.protocol import _as_key_batch
+from ..core.bottomk_store import KeyedBottomK
 from ..core.hashing import batch_hash_to_unit, hash_to_unit
 from ..core.kernels import smallest_distinct
 from ..core.priorities import Uniform01Priority
@@ -46,14 +48,13 @@ class KMVSketch(StreamSampler):
             raise ValueError("k must be at least 2")
         self.k = int(k)
         self.salt = int(salt)
-        self._heap: list[float] = []  # max-heap (negated) of the k smallest
-        self._hashes: set[float] = set()
+        # The k smallest hashes, keyed by themselves.  The cap is the
+        # admission cap a grow-resize leaves behind: the threshold may
+        # never exceed the k-th minimum at resize time, so ``|retained| /
+        # threshold`` stays unbiased (1.0 = no cap; the capped estimator
+        # reduces to the classic ``(k-1)/h_(k)`` then).
+        self._rows = KeyedBottomK(self.k - 1, cap=1.0)
         self._exact = 0  # distinct count while underfull
-        # Admission cap left behind by a grow-resize: the effective
-        # threshold may never exceed the k-th minimum at resize time, so
-        # ``|retained| / threshold`` stays unbiased (1.0 = no cap; the
-        # capped estimator reduces to the classic ``(k-1)/h_(k)`` then).
-        self._cap = 1.0
 
     def update(
         self, key: object, weight: float = 1.0, *, value=None, time=None
@@ -81,23 +82,11 @@ class KMVSketch(StreamSampler):
             self._exact = self.k + 1
 
     def _offer(self, h: float) -> None:
-        if h >= self._cap:
-            return
-        if h in self._hashes:
-            return
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, -h)
-            self._hashes.add(h)
+        change = self._rows.offer(h, h)
+        if change > 0:
             self._exact += 1
-            return
-        worst = -self._heap[0]
-        if h >= worst:
+        elif change < 0:
             self._exact = self.k + 1  # saturated: no longer exact
-            return
-        heapq.heapreplace(self._heap, -h)
-        self._hashes.discard(worst)
-        self._hashes.add(h)
-        self._exact = self.k + 1
 
     @property
     def is_exact(self) -> bool:
@@ -107,18 +96,18 @@ class KMVSketch(StreamSampler):
     @property
     def kth_minimum(self) -> float:
         """The k-th smallest retained hash (1.0 while underfull)."""
-        if len(self._heap) < self.k:
+        if len(self._rows.members) < self.k:
             return 1.0
-        return -self._heap[0]
+        return -self._rows.heap[0][0]
 
     @property
     def threshold(self) -> float:
         """Effective sampling threshold: the k-th minimum, capped by any
         grow-resize (equal to :attr:`kth_minimum` when never resized)."""
-        return min(self._cap, self.kth_minimum)
+        return self._rows.threshold
 
     def __len__(self) -> int:
-        return len(self._hashes)
+        return len(self._rows.members)
 
     def estimate_distinct(self) -> float:
         """``|{h < threshold}| / threshold``, or the exact count while
@@ -132,9 +121,9 @@ class KMVSketch(StreamSampler):
         is ``"distinct"``).
         """
         if self.is_exact:
-            return float(len(self._hashes))
+            return float(len(self._rows.members))
         t = self.threshold
-        return sum(1 for h in self._hashes if h < t) / t
+        return sum(1 for h in self._rows.members if h < t) / t
 
     def sample(self) -> Sample:
         """Retained hashes below the k-th minimum as a uniform Sample.
@@ -143,7 +132,7 @@ class KMVSketch(StreamSampler):
         the sketch is saturated.
         """
         t = self.threshold if not self.is_exact else 1.0
-        hashes = sorted(h for h in self._hashes if h < t)
+        hashes = sorted(h for h in self._rows.members if h < t)
         n = len(hashes)
         return Sample(
             keys=hashes,
@@ -185,17 +174,16 @@ class KMVSketch(StreamSampler):
         k = int(k)
         if k == self.k:
             return self
+        rows = self._rows
         if k < self.k:
-            if len(self._hashes) > k or not self.is_exact:
-                keep = sorted(self._hashes)[:k]
-                self._hashes = set(keep)
-                self._heap = [-h for h in keep]
-                heapq.heapify(self._heap)
+            if len(rows.members) > k or not self.is_exact:
+                rows.load((h, h) for h in sorted(rows.members)[:k])
                 self._exact = k + 1
         elif not self.is_exact:
-            self._cap = self.threshold
+            rows.cap = self.threshold
             self._exact = k + 1
         self.k = k
+        rows.k = k - 1
         return self
 
     def merge(self, other: "KMVSketch") -> "KMVSketch":
@@ -210,11 +198,11 @@ class KMVSketch(StreamSampler):
         if other.salt != self.salt:
             raise ValueError("cannot merge sketches with different salts")
         limits = [s.k for s in (self, other) if not s.is_exact]
-        pool = self._hashes | other._hashes
+        pool = self._rows.members.keys() | other._rows.members.keys()
         self.k = min(limits) if limits else max(self.k, other.k)
-        self._cap = min(self._cap, other._cap)
-        self._heap = []
-        self._hashes = set()
+        self._rows = KeyedBottomK(
+            self.k - 1, cap=min(self._rows.cap, other._rows.cap)
+        )
         self._exact = 0
         for h in sorted(pool):
             self._offer(h)
@@ -235,17 +223,17 @@ class KMVSketch(StreamSampler):
 
     def _get_state(self) -> dict:
         return {
-            "hashes": sorted(self._hashes),
+            "hashes": sorted(self._rows.members),
             "exact": self._exact,
-            "cap": self._cap,
+            "cap": self._rows.cap,
         }
 
     def _set_state(self, state: dict) -> None:
-        self._hashes = set(state["hashes"])
-        self._heap = [-h for h in self._hashes]
-        heapq.heapify(self._heap)
+        self._rows = KeyedBottomK(
+            self.k - 1, cap=float(state.get("cap", 1.0))
+        )
+        self._rows.load((h, h) for h in state["hashes"])
         self._exact = int(state["exact"])
-        self._cap = float(state.get("cap", 1.0))
 
 
 def kmv_union(sketches: Iterable[KMVSketch]) -> KMVSketch:

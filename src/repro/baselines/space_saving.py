@@ -64,7 +64,9 @@ class _CounterStore:
     previously-held value after an eviction (the min counter is monotone),
     so an entry is current iff its count matches ``counts[key]`` —
     ``(count, insertion)`` pairs are unique and the key element of the
-    tuple is never compared.
+    tuple is never compared.  That element is the label as inserted
+    (``labels`` maps any equal spelling to it), so an occurrence spelled
+    ``1`` bumps the counter of ``1.0`` without respelling its label.
 
     Scalar ingestion pushes one entry per touch and lets ``pop_min`` skip
     stale ones (the textbook lazy heap).  Batch ingestion bulk-updates
@@ -76,7 +78,7 @@ class _CounterStore:
     changes eviction order.
     """
 
-    __slots__ = ("capacity", "counts", "errors", "ins", "_heap")
+    __slots__ = ("capacity", "counts", "errors", "ins", "labels", "_heap")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -85,12 +87,15 @@ class _CounterStore:
         self.counts: Counter = Counter()
         self.errors: dict[object, int] = {}
         self.ins: dict[object, int] = {}  # key -> insertion position
+        self.labels: dict[object, object] = {}  # key -> label as inserted
         self._heap: list[tuple[int, int, object]] = []
 
     def increment(self, key: object, by: int = 1) -> None:
         """Bump a tracked key's counter (lazy-heap entry appended)."""
         self.counts[key] += by
-        heapq.heappush(self._heap, (self.counts[key], self.ins[key], key))
+        heapq.heappush(
+            self._heap, (self.counts[key], self.ins[key], self.labels[key])
+        )
         if len(self._heap) > 8 * self.capacity + 64:
             self.compact()
 
@@ -99,6 +104,7 @@ class _CounterStore:
         self.counts[key] = count
         self.errors[key] = error
         self.ins[key] = position
+        self.labels[key] = key
         heapq.heappush(self._heap, (count, position, key))
 
     def pop_min(self, repair: bool = False):
@@ -115,6 +121,7 @@ class _CounterStore:
             if current == count:
                 del self.counts[key]
                 del self.ins[key]
+                del self.labels[key]
                 self.errors.pop(key, None)
                 return key, count
             if repair and current is not None:
@@ -166,6 +173,7 @@ def _batch_ingest(sketch, raw_keys, handover_draw=None) -> bool | None:
     counts = store.counts
     errors = store.errors
     ins = store.ins
+    labels = store.labels
     heap = store._heap
     capacity = sketch.capacity
     base = sketch.items_seen  # stream position of batch item i is base + i + 1
@@ -226,6 +234,7 @@ def _batch_ingest(sketch, raw_keys, handover_draw=None) -> bool | None:
                 counts[key] = 1
                 errors[key] = 0
                 ins[key] = p1
+                labels[key] = key
                 heappush(heap, (1, p1, key))
                 tracked[key] = True
                 became_tracked.add(key)
@@ -242,16 +251,18 @@ def _batch_ingest(sketch, raw_keys, handover_draw=None) -> bool | None:
                 p1 = base + pos + rel + 1
                 new_count = min_count + 1
                 # Both outcomes re-insert a label, so the popped one leaves
-                # all three dicts first: a relabelled min counter moves to
-                # their end, as the scalar pop_min + insert moves it.
+                # the dicts first: a relabelled min counter moves to their
+                # end, as the scalar pop_min + insert moves it.
                 del counts[min_key]
                 del ins[min_key]
+                del labels[min_key]
                 errors.pop(min_key, None)
                 if handover_draw is None or handover_draw() < 1.0 / new_count:
                     # Deterministic (or won handover): newcomer replaces it.
                     counts[key] = new_count
                     errors[key] = min_count
                     ins[key] = p1
+                    labels[key] = key
                     heappush(heap, (new_count, p1, key))
                     tracked[key] = True
                     became_tracked.add(key)
@@ -261,6 +272,7 @@ def _batch_ingest(sketch, raw_keys, handover_draw=None) -> bool | None:
                     counts[min_key] = new_count
                     errors[min_key] = min_count
                     ins[min_key] = p1
+                    labels[min_key] = min_key
                     heappush(heap, (new_count, p1, min_key))
                     victims = ()
                 for evicted in victims:

@@ -16,13 +16,13 @@ retained union)``.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable
 
 import numpy as np
 
 from ..api import StreamSampler, merged, query_support, register_sampler
 from ..api.protocol import _as_key_batch
+from ..core.bottomk_store import KeyedBottomK
 from ..core.hashing import batch_hash_to_unit, hash_to_unit
 from ..core.kernels import smallest_distinct
 from ..core.priorities import Uniform01Priority
@@ -53,16 +53,16 @@ class ThetaSketch(StreamSampler):
             raise ValueError("k must be a positive integer")
         self.k = int(k)
         self.salt = int(salt)
-        self._heap: list[float] = []  # max-heap (negated) of k+1 smallest hashes
-        self._hashes: set[float] = set()
-        self._theta_cap = 1.0  # carries the min-theta of unions
+        # The k+1 smallest hashes, keyed by themselves; the cap carries
+        # the min-theta of unions and grow-resizes.
+        self._rows = KeyedBottomK(self.k, cap=1.0)
 
     def update(
         self, key: object, weight: float = 1.0, *, value=None, time=None
     ) -> None:
         """Offer a key; duplicates are idempotent (same hash)."""
         h = hash_to_unit(key, self.salt)
-        self._offer(h)
+        self._rows.offer(h, h)
 
     def update_many(self, keys, weights=None, values=None, times=None) -> None:
         """Vectorized bulk :meth:`update`.
@@ -74,36 +74,18 @@ class ThetaSketch(StreamSampler):
         if not len(keys):
             return
         h = batch_hash_to_unit(keys, self.salt)
-        for hv in smallest_distinct(h, self.k + 2):
-            self._offer(float(hv))
-
-    def _offer(self, h: float) -> None:
-        if not h < self._theta_cap:
-            return
-        if h in self._hashes:
-            return
-        if len(self._heap) <= self.k:
-            heapq.heappush(self._heap, -h)
-            self._hashes.add(h)
-            return
-        worst = -self._heap[0]
-        if h >= worst:
-            return
-        heapq.heapreplace(self._heap, -h)
-        self._hashes.discard(worst)
-        self._hashes.add(h)
+        for hv in smallest_distinct(h, self.k + 2).tolist():
+            self._rows.offer(hv, hv)
 
     @property
     def theta(self) -> float:
         """Sampling threshold: min of the union cap and the (k+1)-th hash."""
-        if len(self._heap) <= self.k:
-            return self._theta_cap
-        return min(-self._heap[0], self._theta_cap)
+        return self._rows.threshold
 
     def retained(self) -> list[float]:
         """Hash values strictly below theta (the usable entries)."""
         t = self.theta
-        return [h for h in self._hashes if h < t]
+        return [h for h in self._rows.members if h < t]
 
     def __len__(self) -> int:
         return len(self.retained())
@@ -149,8 +131,8 @@ class ThetaSketch(StreamSampler):
         keep = min(k + 2, hashes.size)
         if keep:
             smallest = np.partition(hashes, keep - 1)[:keep]
-            for h in np.sort(smallest):
-                out._offer(float(h))
+            for h in np.sort(smallest).tolist():
+                out._rows.offer(h, h)
         return out
 
     def resize(self, k: int) -> "ThetaSketch":
@@ -166,14 +148,12 @@ class ThetaSketch(StreamSampler):
         k = int(k)
         if k == self.k:
             return self
+        rows = self._rows
         if k < self.k:
-            keep = sorted(self._hashes)[: k + 1]
-            self._hashes = set(keep)
-            self._heap = [-h for h in keep]
-            heapq.heapify(self._heap)
+            rows.load((h, h) for h in sorted(rows.members)[: k + 1])
         else:
-            self._theta_cap = self.theta
-        self.k = k
+            rows.cap = self.theta
+        self.k = rows.k = k
         return self
 
     def merge(self, other: "ThetaSketch") -> "ThetaSketch":
@@ -182,13 +162,10 @@ class ThetaSketch(StreamSampler):
         if other.salt != self.salt:
             raise ValueError("cannot merge sketches with different salts")
         pool = set(self.retained()) | set(other.retained())
-        cap = min(self.theta, other.theta)
         self.k = max(self.k, other.k)
-        self._theta_cap = cap
-        self._heap = []
-        self._hashes = set()
+        self._rows = KeyedBottomK(self.k, cap=min(self.theta, other.theta))
         for h in pool:
-            self._offer(h)
+            self._rows.offer(h, h)
         return self
 
     def union(self, other: "ThetaSketch") -> "ThetaSketch":
@@ -203,13 +180,12 @@ class ThetaSketch(StreamSampler):
         return {"k": self.k, "salt": self.salt}
 
     def _get_state(self) -> dict:
-        return {"hashes": sorted(self._hashes), "theta_cap": self._theta_cap}
+        return {"hashes": sorted(self._rows.members),
+                "theta_cap": self._rows.cap}
 
     def _set_state(self, state: dict) -> None:
-        self._hashes = set(state["hashes"])
-        self._heap = [-h for h in self._hashes]
-        heapq.heapify(self._heap)
-        self._theta_cap = float(state["theta_cap"])
+        self._rows = KeyedBottomK(self.k, cap=float(state["theta_cap"]))
+        self._rows.load((h, h) for h in state["hashes"])
 
 
 def theta_union(sketches: Iterable[ThetaSketch]) -> ThetaSketch:

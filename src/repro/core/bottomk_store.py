@@ -1,9 +1,14 @@
-"""The bottom-k store: the ``k + 1`` smallest priorities as sorted columns.
+"""Bottom-k state in two shapes: sorted columns and a keyed heap.
 
 The bottom-k sketch of §2.5.1, with the 1-substitutable cap of §3.5: the
-state of ``bottom_k`` (and the sketches of ``multi_objective``),
-``time_decay``, ``weighted_distinct`` and the stream part of
-``adaptive_distinct``.
+``k + 1`` smallest priorities offered below a cap.  The threshold is the
+``(k+1)``-st priority capped by the cap, and the cap itself while ``k``
+rows or fewer are held; the rows below it are the sample.
+
+:class:`BottomKStore` keeps the rows as ascending columns, for the
+samplers that offer batches and read their sample as column slices:
+``bottom_k`` (and the sketches of ``multi_objective``), ``time_decay``,
+``weighted_distinct`` and the stream part of ``adaptive_distinct``.
 
 * **offer** — :func:`~repro.core.kernels.bottomk_candidates` picks the
   batch rows below the threshold (at most ``k + 1``, in batch order);
@@ -11,25 +16,37 @@ state of ``bottom_k`` (and the sketches of ``multi_objective``),
   rows.  On a tie the row that arrived first stays (stored rows, then
   batch order), as in a scalar loop rejecting ``priority >= threshold``.
   :meth:`~BottomKStore.update` is a one-row offer.
-* **threshold** — the ``(k+1)``-st priority, capped by the cap; the cap
-  itself (``+inf`` when unset) while the store is underfull.  The rows
-  below it are the sample, and their number is ``len(store)``.
+* **threshold** — the rows below it are the sample, and their number is
+  ``len(store)``.
 * **shrink** cuts to ``k + 1`` rows; **grow** freezes the threshold as
   the cap; **merge** (equal ``k`` only) takes the smaller cap,
   concatenates the rows and cuts.
 
-Drawing or hashing priorities and duplicate keys stay in the samplers.
+:class:`KeyedBottomK` keeps the rows as a dict in arrival order beside a
+max-heap, for the per-row state machines: ``kmv`` and ``theta``, each
+stratum of ``multi_stratified`` and each dedicated sketch of
+``grouped_distinct``.  They offer one row at a time and read the
+threshold after most offers.  On the columns each of those steps is a
+numpy call: on a 2-core Xeon host an insert costs 9-12 µs there against
+0.5-0.7 µs on the heap, and a move onto the columns cut grouped_distinct's
+batch speedup on a 100k-event Zipf stream from 31x to 3.9x.  On the heap
+the threshold and the eviction are one top lookup, and the dict's arrival
+order is the row order these samplers' checkpoints record.
+
+Drawing or hashing priorities stays in the samplers, and so do duplicate
+keys for the columns.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
 from .kernels import bottomk_candidates
 
-__all__ = ["BottomKStore", "take_keys"]
+__all__ = ["BottomKStore", "KeyedBottomK", "take_keys"]
 
 
 def take_keys(keys, positions) -> list:
@@ -186,3 +203,51 @@ class BottomKStore:
         self.keys = _object_column(fields["keys"])[order]
         for name in self.columns:
             self.columns[name] = np.asarray(fields[name], dtype=float)[order]
+
+
+class KeyedBottomK:
+    """The ``k + 1`` smallest priorities offered below :attr:`cap`, one
+    row per key: ``members`` maps each key to its priority in arrival
+    order, and ``heap`` holds the same rows as ``(-priority, key)``, so
+    its top is the largest priority held."""
+
+    __slots__ = ("k", "cap", "members", "heap")
+
+    def __init__(self, k: int, cap: float = math.inf):
+        self.k = k
+        self.cap = cap
+        self.members: dict = {}
+        self.heap: list[tuple[float, object]] = []
+
+    @property
+    def threshold(self) -> float:
+        """The ``(k+1)``-st smallest priority capped by :attr:`cap`; the
+        cap while ``k`` rows or fewer are held."""
+        if len(self.members) <= self.k:
+            return self.cap
+        return min(-self.heap[0][0], self.cap)
+
+    def offer(self, key, priority: float) -> int:
+        """Offer one row: +1 when the key joins a set with room, -1 when
+        it meets a full set (displacing the largest priority, or
+        rejected), 0 for a held key or a priority at or above the cap."""
+        members = self.members
+        if key in members or priority >= self.cap:
+            return 0
+        if len(members) <= self.k:
+            members[key] = priority
+            heapq.heappush(self.heap, (-priority, key))
+            return 1
+        top, worst = self.heap[0]
+        if priority < -top:
+            heapq.heapreplace(self.heap, (-priority, key))
+            del members[worst]
+            members[key] = priority
+        return -1
+
+    def load(self, pairs) -> None:
+        """Replace the rows with ``(key, priority)`` pairs, kept as given
+        and in their order (a checkpoint, or a cut the caller made)."""
+        self.members = dict(pairs)
+        self.heap = [(-p, key) for key, p in self.members.items()]
+        heapq.heapify(self.heap)

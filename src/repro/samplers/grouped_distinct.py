@@ -11,8 +11,8 @@ so small groups are sampled at the rate appropriate for the heavy hitters
 (their tolerated error becomes a fraction of the *heavy* group sizes, the
 trade the paper spells out).  Mechanics on a new item of group ``g``:
 
-* ``g`` has a dedicated sketch → update it (possibly lowering ``T_g`` and
-  therefore ``T_max``, which prunes the pool);
+* ``g`` has a dedicated sketch → update it (possibly lowering ``T_g``;
+  when ``g`` held the max that lowers ``T_max``, which prunes the pool);
 * otherwise admit ``(key, g)`` to the pool iff its hash < ``T_max``; when
   a pooled group accumulates more than ``k`` retained items it is promoted
   to a dedicated sketch, demoting the dedicated group with the *largest*
@@ -27,44 +27,12 @@ import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
 from ..api.protocol import _as_key_list
+from ..core.bottomk_store import KeyedBottomK
 from ..core.hashing import hash_to_unit
 from ..core.priorities import Uniform01Priority
 from ..core.sample import Sample
 
 __all__ = ["GroupedDistinctSketch"]
-
-
-class _GroupSketch:
-    """Plain bottom-k set of (hash, key) pairs for one group."""
-
-    __slots__ = ("k", "entries")
-
-    def __init__(self, k: int):
-        self.k = k
-        self.entries: dict[object, float] = {}
-
-    def offer(self, key: object, h: float) -> None:
-        """Offer a hashed key to this group's dedicated sketch."""
-        if key in self.entries:
-            return
-        self.entries[key] = h
-        if len(self.entries) > self.k + 1:
-            worst = max(self.entries, key=self.entries.get)
-            del self.entries[worst]
-
-    @property
-    def threshold(self) -> float:
-        """This group's bottom-k threshold (1.0 while underfull)."""
-        if len(self.entries) <= self.k:
-            return 1.0
-        return max(self.entries.values())
-
-    def estimate(self) -> float:
-        """Distinct-count estimate from this group's sketch alone."""
-        t = self.threshold
-        if t >= 1.0:
-            return float(len(self.entries))
-        return sum(1 for h in self.entries.values() if h < t) / t
 
 
 @register_sampler("grouped_distinct")
@@ -98,7 +66,9 @@ class GroupedDistinctSketch(StreamSampler):
         self.m = int(m)
         self.k = int(k)
         self.salt = int(salt)
-        self.dedicated: dict[Hashable, _GroupSketch] = {}
+        # group -> its bottom-k set of key -> hash, capped at 1.0 (the
+        # threshold while underfull)
+        self.dedicated: dict[Hashable, KeyedBottomK] = {}
         # pool: group -> {key: hash}, all below t_max
         self.pool: dict[Hashable, dict[object, float]] = {}
         self.items_seen = 0
@@ -131,11 +101,11 @@ class GroupedDistinctSketch(StreamSampler):
             before = sketch.threshold
             sketch.offer(key, h)
             if sketch.threshold < before:
-                self._prune_pool()
+                self._after_drop(before)
             return
         if len(self.dedicated) < self.m:
             # Spare dedicated capacity: groups become dedicated on sight.
-            sketch = _GroupSketch(self.k)
+            sketch = KeyedBottomK(self.k, cap=1.0)
             sketch.offer(key, h)
             self.dedicated[group] = sketch
             return
@@ -151,22 +121,30 @@ class GroupedDistinctSketch(StreamSampler):
         """Swap a pool-heavy group with the loosest dedicated sketch."""
         loosest = max(self.dedicated, key=lambda g: self.dedicated[g].threshold)
         demoted = self.dedicated.pop(loosest)
-        sketch = _GroupSketch(self.k)
+        sketch = KeyedBottomK(self.k, cap=1.0)
         for key, h in self.pool.pop(group).items():
             sketch.offer(key, h)
         self.dedicated[group] = sketch
         # Demoted entries drop into the pool (subject to the new t_max).
         t = self.t_max
         bucket = self.pool.setdefault(loosest, {})
-        for key, h in demoted.entries.items():
+        for key, h in demoted.members.items():
             if h < t:
                 bucket[key] = h
         if not bucket:
             self.pool.pop(loosest, None)
-        self._prune_pool()
+        self._prune_pool(t)
 
-    def _prune_pool(self) -> None:
+    def _after_drop(self, before: float) -> float:
+        """After a dedicated threshold fell from ``before``: prune the
+        pool if ``t_max`` fell with it (only when that sketch held the
+        max).  Returns the current ``t_max``."""
         t = self.t_max
+        if t < before:
+            self._prune_pool(t)
+        return t
+
+    def _prune_pool(self, t: float) -> None:
         for group in list(self.pool):
             bucket = {k: h for k, h in self.pool[group].items() if h < t}
             if bucket:
@@ -203,7 +181,7 @@ class GroupedDistinctSketch(StreamSampler):
         for group, key in zip(groups, keys):
             sketch = dedicated.get(group)
             if sketch is not None:
-                if key in sketch.entries:
+                if key in sketch.members:
                     continue  # retained: the scalar offer is a no-op
                 pair = (group, key)
                 h = hash_cache.get(pair)
@@ -212,15 +190,14 @@ class GroupedDistinctSketch(StreamSampler):
                 before = sketch.threshold
                 sketch.offer(key, h)
                 if sketch.threshold < before:
-                    self._prune_pool()
-                    t_max = None
+                    t_max = self._after_drop(before)
                 continue
             if len(dedicated) < m:
                 pair = (group, key)
                 h = hash_cache.get(pair)
                 if h is None:
                     hash_cache[pair] = h = hash_to_unit(pair, salt)
-                sketch = _GroupSketch(k)
+                sketch = KeyedBottomK(k, cap=1.0)
                 sketch.offer(key, h)
                 dedicated[group] = sketch
                 t_max = None
@@ -251,7 +228,10 @@ class GroupedDistinctSketch(StreamSampler):
         """Estimated distinct count of ``group`` (0 if never seen)."""
         sketch = self.dedicated.get(group)
         if sketch is not None:
-            return sketch.estimate()
+            t = sketch.threshold
+            if t >= 1.0:
+                return float(len(sketch.members))
+            return sum(1 for h in sketch.members.values() if h < t) / t
         bucket = self.pool.get(group)
         if not bucket:
             return 0.0
@@ -266,7 +246,7 @@ class GroupedDistinctSketch(StreamSampler):
 
     def memory_entries(self) -> int:
         """Total stored entries — the footprint §3.6 aims to bound."""
-        dedicated = sum(len(s.entries) for s in self.dedicated.values())
+        dedicated = sum(len(s.members) for s in self.dedicated.values())
         pooled = sum(len(b) for b in self.pool.values())
         return dedicated + pooled
 
@@ -280,7 +260,7 @@ class GroupedDistinctSketch(StreamSampler):
         keys, priorities, thresholds = [], [], []
         for group, sketch in self.dedicated.items():
             t = sketch.threshold
-            for key, h in sketch.entries.items():
+            for key, h in sketch.members.items():
                 if h < t:
                     keys.append((group, key))
                     priorities.append(h)
@@ -309,7 +289,7 @@ class GroupedDistinctSketch(StreamSampler):
     def _get_state(self) -> dict:
         return {
             "dedicated": [
-                (group, list(sketch.entries.items()))
+                (group, list(sketch.members.items()))
                 for group, sketch in self.dedicated.items()
             ],
             "pool": [
@@ -322,8 +302,8 @@ class GroupedDistinctSketch(StreamSampler):
     def _set_state(self, state: dict) -> None:
         self.dedicated = {}
         for group, entries in state["dedicated"]:
-            sketch = _GroupSketch(self.k)
-            sketch.entries = dict(entries)
+            sketch = KeyedBottomK(self.k, cap=1.0)
+            sketch.load(entries)
             self.dedicated[group] = sketch
         self.pool = {group: dict(bucket) for group, bucket in state["pool"]}
         self.items_seen = int(state["items_seen"])

@@ -31,51 +31,16 @@ import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
 from ..api.protocol import _as_optional_array
+from ..core.bottomk_store import KeyedBottomK
 from ..core.hashing import batch_hash_to_unit, hash_array_to_unit, hash_to_unit
 from ..core.kernels import code_lookup, key_codes
 from ..core.priorities import Uniform01Priority
 from ..core.sample import Sample
 
-__all__ = ["MultiStratifiedSampler", "StratumState"]
+__all__ = ["MultiStratifiedSampler"]
 
 #: Chunk length of the key-code batch scan (see ``update_many``).
 _CHUNK = 4096
-
-
-class StratumState:
-    """Bottom-k candidate set for one stratum of one dimension."""
-
-    __slots__ = ("dim", "label", "k", "heap", "members")
-
-    def __init__(self, dim: int, label: Hashable, k: int):
-        self.dim = dim
-        self.label = label
-        self.k = k
-        self.heap: list[tuple[float, object]] = []  # max-heap (negated priority)
-        self.members: dict[object, float] = {}  # key -> priority
-
-    def offer(self, key: object, priority: float) -> int:
-        """Offer one member; returns the change in ``len(self.members)``."""
-        if key in self.members:
-            return 0
-        if len(self.members) <= self.k:
-            self.members[key] = priority
-            heapq.heappush(self.heap, (-priority, key))
-            return 1
-        worst_p, worst_key = self.heap[0]
-        if priority >= -worst_p:
-            return 0
-        heapq.heapreplace(self.heap, (-priority, key))
-        del self.members[worst_key]
-        self.members[key] = priority
-        return 0
-
-    @property
-    def threshold(self) -> float:
-        """(k+1)-st smallest member priority, +inf while underfull."""
-        if len(self.members) <= self.k:
-            return float("inf")
-        return -self.heap[0][0]
 
 
 @register_sampler("multi_stratified")
@@ -110,8 +75,10 @@ class MultiStratifiedSampler(StreamSampler):
         self.k = int(k)
         self.salt = int(salt)
         self.family = Uniform01Priority()
-        self._strata: dict[tuple[int, Hashable], StratumState] = {}
+        # One bottom-k set per (dimension, label), uncapped.
+        self._strata: dict[tuple[int, Hashable], KeyedBottomK] = {}
         self._items: dict[object, tuple[tuple[Hashable, ...], float, float]] = {}
+        self._n_members = 0  # members summed over the strata
         self.items_seen = 0
 
     # ------------------------------------------------------------------
@@ -143,11 +110,12 @@ class MultiStratifiedSampler(StreamSampler):
         for dim, label in enumerate(strata):
             state = self._strata.get((dim, label))
             if state is None:
-                state = StratumState(dim, label, self.k)
+                state = KeyedBottomK(self.k)
                 self._strata[(dim, label)] = state
-            state.offer(key, r)
+            if state.offer(key, r) > 0:
+                self._n_members += 1
         # Items retained by no stratum can be dropped to bound memory.
-        if len(self._items) > 4 * sum(len(s.members) for s in self._strata.values()):
+        if len(self._items) > 4 * self._n_members:
             self._compact()
 
     def _compact(self) -> None:
@@ -186,7 +154,7 @@ class MultiStratifiedSampler(StreamSampler):
         codes, distinct, spelled = key_codes(keys)
         items = self._items
         strata_map = self._strata
-        n_dims, cap, salt = self.n_dims, self.k, self.salt
+        n_dims, k, salt = self.n_dims, self.k, self.salt
         size = len(distinct)
         lookup = code_lookup(distinct)
         tracked = np.zeros(size, dtype=bool)  # indexed by key code
@@ -199,7 +167,6 @@ class MultiStratifiedSampler(StreamSampler):
             unit = functools.partial(hash_array_to_unit, salt=salt)
         elif spelled is None:
             unit = batch_hash_to_unit(distinct, salt).__getitem__
-        total_members = sum(len(st.members) for st in strata_map.values())
         heappush, heappop = heapq.heappush, heapq.heappop
         strata_get = strata_map.get
 
@@ -254,10 +221,11 @@ class MultiStratifiedSampler(StreamSampler):
                 for dim, label in enumerate(labels):
                     state = strata_get((dim, label))
                     if state is None:
-                        state = StratumState(dim, label, cap)
+                        state = KeyedBottomK(k)
                         strata_map[(dim, label)] = state
-                    total_members += state.offer(key, r)
-                if len(items) > 4 * total_members:
+                    if state.offer(key, r) > 0:
+                        self._n_members += 1
+                if len(items) > 4 * self._n_members:
                     before = items
                     self._compact()
                     items = self._items  # _compact rebinds the dict
@@ -385,10 +353,10 @@ class MultiStratifiedSampler(StreamSampler):
         }
         self._strata = {}
         for dim, label, members in state["strata"]:
-            st = StratumState(dim, label, self.k)
-            for key, priority in members:
-                st.offer(key, priority)
+            st = KeyedBottomK(self.k)
+            st.load(members)
             self._strata[(dim, label)] = st
+        self._n_members = sum(len(st.members) for st in self._strata.values())
         self.items_seen = int(state["items_seen"])
 
     def stratum_counts(self, sample: Sample) -> dict[tuple[int, Hashable], int]:

@@ -11,6 +11,12 @@ The ``sliding_window`` tree was written by the per-record implementation
 that preceded its priority-ordered columns.  Its ``records`` rows are in
 arrival order, and its ``arrival_order`` still lists three evicted ids.
 
+The ``kmv``, ``theta``, ``multi_stratified`` and ``grouped_distinct``
+trees were written by the hand-rolled heaps that preceded
+:class:`~repro.core.bottomk_store.KeyedBottomK`.  The two hash lists
+ascend; the item, stratum, dedicated and pool rows are in arrival order,
+and the layout check compares them exactly.
+
 Both restore paths must reproduce those samples, and so must fresh
 sketches fed the same inputs, writing the same rows.  A changed row
 layout fails the restore; a priority change (such as hashing a float64
@@ -83,6 +89,59 @@ def _sliding_window():
     s.update_many(FLOAT_KEYS, values=VALUES, times=TIMES * 0.5 + 2.0)
     s = repro.sampler_from_state(s.to_state())
     s.update_many(INT_KEYS, values=VALUES, times=TIMES * 0.5 + 4.0)
+    return s
+
+
+def _kmv():
+    # Saturated by int keys, grow-resized (the k-th minimum becomes the
+    # cap), fed floats, then merged with a sketch that is still exact.
+    s = make_sampler("kmv", k=4, salt=3)
+    s.update_many(INT_KEYS)
+    s.resize(6)
+    s.update_many(FLOAT_KEYS)
+    exact = make_sampler("kmv", k=8, salt=3)
+    for key in STR_KEYS[:5]:
+        exact.update(key)
+    return s.merge(exact)
+
+
+def _theta():
+    # Shrunk, then unioned with a fuller sketch: the union keeps the
+    # smaller theta as its cap.
+    a = make_sampler("theta", k=6, salt=3)
+    a.update_many(INT_KEYS)
+    a.update_many(FLOAT_KEYS)
+    a.resize(4)
+    b = make_sampler("theta", k=5, salt=3)
+    b.update_many(STR_KEYS)
+    for key in FLOAT_KEYS[:4].tolist():
+        b.update(key)
+    return a.merge(b)
+
+
+def _multi_stratified():
+    # int, str and tuple keys; the 33rd item compacts the item table,
+    # and keys 3 and 15, dropped by it, arrive again.
+    s = make_sampler("multi_stratified", n_dims=2, k=1, salt=3)
+    s.update_many(INT_KEYS, values=VALUES,
+                  strata=[("x", i % 2) for i in range(8)])
+    for i, key in enumerate(STR_KEYS):
+        s.update(key, value=float(i), strata=("x" if i % 3 else "y", i % 2))
+    tuples = [(i, "t") for i in range(24)]
+    s.update_many(tuples, strata=[("y", i % 2) for i in range(24)])
+    s.update_many(INT_KEYS[:3], strata=[("x", 0)] * 3)
+    return s
+
+
+def _grouped_distinct():
+    # Groups c, d and e are promoted from the pool in turn, each swapped
+    # with the loosest dedicated group; the pool is pruned on the way.
+    s = make_sampler("grouped_distinct", m=2, k=3, salt=3)
+    s.update_many(INT_KEYS, groups=["a", "b"] * 4)
+    for key in STR_KEYS:
+        s.update(key, group="c" if key < "e" else "d")
+    s.update_many(FLOAT_KEYS, groups=["d", "c", "e", "a"] * 2)
+    s.update_many(INT_KEYS, groups=["e"] * 8)
     return s
 
 
@@ -282,6 +341,146 @@ SLIDING_WINDOW_SIGNATURE = (
     ("79", 80.0, 1.0, 0.043942007961, 0.254869587654),
 )
 
+# Written by the per-sampler heaps; see the module docstring.
+KMV_STATE = {
+    "sampler": "kmv",
+    "version": 2,
+    "params": {"k": 6, "salt": 3},
+    "state": {
+        "hashes": [
+            0.012445390234078584,
+            0.013246398217360324,
+            0.03341706197589114,
+            0.1427587077189459,
+            0.18384504974732988,
+            0.3408837735364685,
+        ],
+        "exact": 7,
+        "cap": 0.7368776179981673,
+    },
+}
+
+# The sixth hash is the k-th minimum, the threshold itself.
+KMV_SIGNATURE = (
+    ("0.012445390234078584", 1.0, 1.0, 0.012445390234, 0.340883773536),
+    ("0.013246398217360324", 1.0, 1.0, 0.013246398217, 0.340883773536),
+    ("0.03341706197589114", 1.0, 1.0, 0.033417061976, 0.340883773536),
+    ("0.1427587077189459", 1.0, 1.0, 0.142758707719, 0.340883773536),
+    ("0.18384504974732988", 1.0, 1.0, 0.183845049747, 0.340883773536),
+)
+
+THETA_STATE = {
+    "sampler": "theta",
+    "version": 2,
+    "params": {"k": 5, "salt": 3},
+    "state": {
+        "hashes": [
+            0.012445390234078584,
+            0.013246398217360324,
+            0.03341706197589114,
+            0.14121393168250534,
+            0.1427587077189459,
+            0.18384504974732988,
+        ],
+        "theta_cap": 0.3408837735364685,
+    },
+}
+
+THETA_SIGNATURE = (
+    ("0.012445390234078584", 1.0, 1.0, 0.012445390234, 0.183845049747),
+    ("0.013246398217360324", 1.0, 1.0, 0.013246398217, 0.183845049747),
+    ("0.03341706197589114", 1.0, 1.0, 0.033417061976, 0.183845049747),
+    ("0.14121393168250534", 1.0, 1.0, 0.141213931683, 0.183845049747),
+    ("0.1427587077189459", 1.0, 1.0, 0.142758707719, 0.183845049747),
+)
+
+MULTI_STRATIFIED_STATE = {
+    "sampler": "multi_stratified",
+    "version": 2,
+    "params": {"n_dims": 2, "k": 1, "salt": 3},
+    "state": {
+        "items": [
+            (14, ["x", 1], 0.013246398217360324, 20.0),
+            (35, ["x", 1], 0.012445390234078584, 60.0),
+            ("dd", ["y", 1], 0.1427587077189459, 3.0),
+            ((5, "t"), ["y", 1], 0.13321345426048192, 1.0),
+            ((6, "t"), ["y", 0], 0.1579913408849779, 1.0),
+            ((10, "t"), ["y", 0], 0.272612590481329, 1.0),
+            ((17, "t"), ["y", 1], 0.007695834726601786, 1.0),
+            ((18, "t"), ["y", 0], 0.5448560848480993, 1.0),
+            ((19, "t"), ["y", 1], 0.11248357238842921, 1.0),
+            ((20, "t"), ["y", 0], 0.4275516892516954, 1.0),
+            ((21, "t"), ["y", 1], 0.6924442174366348, 1.0),
+            ((22, "t"), ["y", 0], 0.5543608553562677, 1.0),
+            ((23, "t"), ["y", 1], 0.658407020124353, 1.0),
+            (3, ["x", 0], 0.7368776179981673, 1.0),
+            (15, ["x", 0], 0.758355000804108, 1.0),
+        ],
+        "strata": [
+            (0, "x", [(14, 0.013246398217360324),
+                      (35, 0.012445390234078584)]),
+            (1, 0, [((6, "t"), 0.1579913408849779),
+                    ((10, "t"), 0.272612590481329)]),
+            (1, 1, [(35, 0.012445390234078584),
+                    ((17, "t"), 0.007695834726601786)]),
+            (0, "y", [((17, "t"), 0.007695834726601786),
+                      ((19, "t"), 0.11248357238842921)]),
+        ],
+        "items_seen": 43,
+    },
+}
+
+MULTI_STRATIFIED_SIGNATURE = (
+    ("(17, 't')", 1.0, 1.0, 0.007695834727, 0.112483572388),
+    ("(6, 't')", 1.0, 1.0, 0.157991340885, 0.272612590481),
+    ("35", 60.0, 1.0, 0.012445390234, 0.013246398217),
+)
+
+GROUPED_DISTINCT_STATE = {
+    "sampler": "grouped_distinct",
+    "version": 2,
+    "params": {"m": 2, "k": 3, "salt": 3},
+    "state": {
+        "dedicated": [
+            ("b", [(14, 0.07564910563671845),
+                   (92, 0.28535835124022985),
+                   (35, 0.5631815253418285),
+                   (79, 0.26481872683979885)]),
+            ("e", [(4.125, 0.3274864064632608),
+                   (3, 0.10075691626890464),
+                   (15, 0.24255943994514748),
+                   (79, 0.2812246921036163)]),
+        ],
+        "pool": [
+            ("a", [(89, 0.3696251442659971),
+                   (7.75, 0.07350011388018073),
+                   (6.0, 0.27116073866884166)]),
+            ("c", [("a", 0.08082607951657832),
+                   ("bb", 0.16081360835980876)]),
+            ("d", [("ff", 0.12396506054091905),
+                   ("g", 0.17941567811495843)]),
+        ],
+        "items_seen": 32,
+    },
+}
+
+# Pooled rows take the loosest dedicated threshold, group b's.
+GROUPED_DISTINCT_SIGNATURE = (
+    ("('a', 6.0)", 1.0, 1.0, 0.271160738669, 0.563181525342),
+    ("('a', 7.75)", 1.0, 1.0, 0.07350011388, 0.563181525342),
+    ("('a', 89)", 1.0, 1.0, 0.369625144266, 0.563181525342),
+    ("('b', 14)", 1.0, 1.0, 0.075649105637, 0.563181525342),
+    ("('b', 79)", 1.0, 1.0, 0.26481872684, 0.563181525342),
+    ("('b', 92)", 1.0, 1.0, 0.28535835124, 0.563181525342),
+    ("('c', 'a')", 1.0, 1.0, 0.080826079517, 0.563181525342),
+    ("('c', 'bb')", 1.0, 1.0, 0.16081360836, 0.563181525342),
+    ("('d', 'ff')", 1.0, 1.0, 0.123965060541, 0.563181525342),
+    ("('d', 'g')", 1.0, 1.0, 0.179415678115, 0.563181525342),
+    ("('e', 15)", 1.0, 1.0, 0.242559439945, 0.327486406463),
+    ("('e', 3)", 1.0, 1.0, 0.100756916269, 0.327486406463),
+    ("('e', 79)", 1.0, 1.0, 0.281224692104, 0.327486406463),
+)
+
 #: name -> (feed, literal checkpoint, its sample signature, and the
 #: priority field of each row list the store keeps sorted).
 CASES = {
@@ -295,6 +494,12 @@ CASES = {
                           ADAPTIVE_DISTINCT_SIGNATURE, {"stream_entries": 1}),
     "sliding_window": (_sliding_window, SLIDING_WINDOW_STATE,
                        SLIDING_WINDOW_SIGNATURE, {}),
+    "kmv": (_kmv, KMV_STATE, KMV_SIGNATURE, {}),
+    "theta": (_theta, THETA_STATE, THETA_SIGNATURE, {}),
+    "multi_stratified": (_multi_stratified, MULTI_STRATIFIED_STATE,
+                         MULTI_STRATIFIED_SIGNATURE, {}),
+    "grouped_distinct": (_grouped_distinct, GROUPED_DISTINCT_STATE,
+                         GROUPED_DISTINCT_SIGNATURE, {}),
 }
 NAMES = sorted(CASES)
 

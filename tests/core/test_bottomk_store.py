@@ -1,11 +1,12 @@
-"""Tests for the bottom-k store (repro.core.bottomk_store)."""
+"""Tests for the bottom-k store and the keyed bottom-k set
+(repro.core.bottomk_store)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.bottomk_store import BottomKStore
+from repro.core.bottomk_store import BottomKStore, KeyedBottomK
 
 
 def _store(k=3, priorities=(), keys=None, cap=math.inf):
@@ -100,3 +101,43 @@ class TestRows:
             True, False, True]
         assert bool(store.holds(0.4))
         assert not bool(BottomKStore(3).holds(0.4))
+
+
+class TestKeyedBottomK:
+    def test_offer_reports_join_meet_and_no_op(self):
+        rows = KeyedBottomK(2, cap=0.9)
+        assert [rows.offer(key, p) for key, p in
+                [("a", 0.5), ("b", 0.2), ("a", 0.1), ("c", 0.95),
+                 ("d", 0.7)]] == [1, 1, 0, 0, 1]
+        assert rows.threshold == 0.7
+        # A full set: a smaller priority displaces the largest, a larger
+        # one (or a tie with it) is rejected; both report -1.
+        assert rows.offer("e", 0.3) == -1
+        assert rows.offer("f", 0.5) == -1
+        assert rows.offer("g", 0.6) == -1
+        assert rows.members == {"a": 0.5, "b": 0.2, "e": 0.3}
+        assert rows.threshold == 0.5
+
+    def test_threshold_is_the_cap_while_underfull_and_capped_after(self):
+        rows = KeyedBottomK(2, cap=0.4)
+        rows.offer("a", 0.1)
+        assert rows.threshold == 0.4
+        rows.offer("b", 0.3)
+        rows.offer("c", 0.35)
+        assert rows.threshold == 0.35
+        assert KeyedBottomK(1).threshold == math.inf
+
+    def test_members_keep_arrival_order(self):
+        rows = KeyedBottomK(3)
+        for i, p in enumerate([0.9, 0.1, 0.5, 0.3, 0.2, 0.4]):
+            rows.offer(i, p)
+        # 0.9 and then 0.5 were displaced; newcomers join at the end.
+        assert list(rows.members) == [1, 3, 4, 5]
+
+    def test_load_keeps_the_given_rows_and_order(self):
+        rows = KeyedBottomK(2)
+        rows.load([(("t", 1), 0.4), ("s", 0.1), (7, 0.3)])
+        assert list(rows.members) == [("t", 1), "s", 7]
+        assert rows.threshold == 0.4
+        assert rows.offer("x", 0.2) == -1
+        assert rows.members == {"s": 0.1, 7: 0.3, "x": 0.2}

@@ -50,8 +50,9 @@ HASHED_IDS = [
     for name, params, _, _ in HASHED_CONFIGS
 ]
 
-#: The configs whose state is a ``BottomKStore`` (kmv's ``len`` counts its
-#: k-th-minimum witness by design, and theta keeps its own hash set).
+#: The configs whose state is a ``BottomKStore`` (kmv and theta keep a
+#: ``KeyedBottomK``, and kmv's ``len`` counts its k-th-minimum witness by
+#: design).
 STORE_CONFIGS = [
     cfg for cfg in RESIZABLE_CONFIGS if cfg[0] not in ("kmv", "theta")
 ]
