@@ -15,19 +15,15 @@ estimate — both conventions are reproduced here and used by
 
 from __future__ import annotations
 
-import heapq
 import statistics
 
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_list, _as_optional_array
-from ..core.kernels import code_lookup, int_key_array
+from ..api.protocol import _as_optional_array
+from ..core.kernels import KeyScan
 from ..core.priorities import Uniform01Priority
 from ..core.sample import Sample
-
-#: Chunk length of the batch ingestion scan (see ``update_many``).
-_CHUNK = 4096
 
 __all__ = ["FrequentItemsSketch"]
 
@@ -106,20 +102,15 @@ class FrequentItemsSketch(StreamSampler):
         Occurrences of tracked keys are pure counter additions and commute
         between purges; purges can only trigger on an *untracked* key's
         arrival, and purges are the only point where the exact counter
-        values matter (the median).  The batch path therefore defers all
-        increments: it scans the stream in chunks (one vectorized mask
-        lookup per chunk finds the untracked-key positions), replays only
-        the untracked-key events in stream order, and materializes the
-        deferred span of increments in a single ``bincount``/``unique``
-        pass right before each purge — whose dropped keys turn their
-        remaining chunk occurrences back into events.  The sketch is
-        deterministic, so the resulting state is identical to scalar
-        ingestion.
-
-        Key batches that are not bounded non-negative integer arrays fall
-        back to the scalar loop.
+        values matter (the median).  So the batch path replays only the
+        untracked-key events of a :class:`~repro.core.kernels.KeyScan`,
+        for every key type, and adds the deferred span of increments
+        right before each purge, whose dropped keys turn their remaining
+        occurrences back into events.  The sketch is deterministic, so the
+        resulting state is identical to scalar ingestion.  Where the scan
+        stops (a later chunk made mostly of events), the scalar loop
+        takes the rest of the call.
         """
-        raw = keys
         n = len(keys)
         if n == 0:
             return
@@ -130,126 +121,35 @@ class FrequentItemsSketch(StreamSampler):
             occ_counts = w.astype(np.int64)
             if np.any(occ_counts <= 0):
                 raise ValueError("count must be positive")
-        arr = int_key_array(raw if isinstance(raw, np.ndarray) else None)
-        if arr is None:
-            key_list = _as_key_list(raw)
-            if occ_counts is None:
-                for key in key_list:
-                    self.update(key)
-            else:
-                for key, count in zip(key_list, occ_counts.tolist()):
-                    self.update(key, count=count)
-            return
-
         counts = self.counts
+        scan = KeyScan(keys, counts, weights=occ_counts)
+        distinct, spelled = scan.distinct, scan.spelled
+        tracked, skipped = scan.tracked, scan.skipped
         nominal = self.nominal_size
-        total = n if occ_counts is None else int(occ_counts.sum())
-        kmax = int(arr.max()) + 1
-        lookup = code_lookup(range(kmax))
-        tracked = np.zeros(kmax, dtype=bool)
-        tracked[lookup(counts)] = True
-
-        heappush, heappop = heapq.heappush, heapq.heappop
-        flush_from = 0          # first position whose increment is deferred
-        event_corr: dict = {}   # key -> deferred-span weight of its events
-
-        def flush(bound: int) -> None:
-            """Apply the deferred increments in [flush_from, bound).
-
-            Every occurrence in the span is an increment of a tracked key
-            except the event positions (an inserting event's own occurrence
-            entered the map via the insert); their weights are recorded in
-            ``event_corr`` and subtracted.
-            """
-            nonlocal flush_from
-            if bound <= flush_from:
-                event_corr.clear()
-                return
-            seg = arr[flush_from:bound]
-            wseg = None if occ_counts is None else occ_counts[flush_from:bound]
-            if kmax <= 4 * seg.size:
-                if wseg is None:
-                    pending = np.bincount(seg, minlength=kmax)
-                else:
-                    pending = np.bincount(seg, weights=wseg, minlength=kmax)
-                for key, c in event_corr.items():
-                    pending[key] -= c
-                for key in np.flatnonzero(pending).tolist():
-                    counts[key] += int(pending[key])
-            else:
-                if wseg is None:
-                    uniq, cnts = np.unique(seg, return_counts=True)
-                else:
-                    uniq, inv = np.unique(seg, return_inverse=True)
-                    cnts = np.bincount(inv, weights=wseg)
-                corr_get = event_corr.get
-                for key, c in zip(uniq.tolist(), cnts.tolist()):
-                    c = int(c) - corr_get(key, 0)
-                    if c:
-                        counts[key] += c
-            event_corr.clear()
-            flush_from = bound
-
-        pos = 0
-        bailed = False
-        while pos < n:
-            ce = min(n, pos + _CHUNK)
-            chunk = arr[pos:ce]
-            cand = np.flatnonzero(~tracked[chunk]).tolist()
-            if not cand:
-                pos = ce
-                continue
-            if pos and 2 * len(cand) > ce - pos:
-                bailed = True  # event-dominated past warm-up: go scalar
-                break
-            ci = 0
-            n_cand = len(cand)
-            chunk_len = ce - pos
-            extra: list[int] = []  # re-dropped keys' remaining positions
-            while True:
-                nxt_c = cand[ci] if ci < n_cand else _CHUNK
-                nxt_e = extra[0] if extra else _CHUNK
-                rel = nxt_c if nxt_c <= nxt_e else nxt_e
-                if rel >= chunk_len:
-                    break
-                while ci < n_cand and cand[ci] == rel:
-                    ci += 1
-                while extra and extra[0] == rel:
-                    heappop(extra)
-                key = int(chunk[rel])
-                if tracked[key]:
-                    continue  # tracked since the mask was built: deferred
-                count = 1 if occ_counts is None else int(occ_counts[pos + rel])
-                if len(counts) >= nominal:
-                    flush(pos + rel)
-                    dropped = self._purge()
-                    counts = self.counts  # _purge rebinds the map
-                    if dropped:
-                        dflags = np.zeros(kmax, dtype=bool)
-                        in_batch = lookup(dropped)
-                        if in_batch:
-                            dflags[in_batch] = True
-                            tracked[in_batch] = False
-                            for r2 in np.flatnonzero(
-                                dflags[chunk[rel + 1:]]
-                            ).tolist():
-                                heappush(extra, rel + 1 + r2)
-                counts[key] = count
-                tracked[key] = True
-                event_corr[key] = event_corr.get(key, 0) + count
-            pos = ce
-        flush(pos)
+        for i, code in scan.events(bail=True):
+            count = 1 if occ_counts is None else int(occ_counts[i])
+            if len(counts) >= nominal:
+                for c, x in scan.counts(i):
+                    counts[distinct[c]] += x
+                dropped = self._purge()
+                counts = self.counts  # _purge rebinds the map
+                scan.untrack(dropped, i)
+            counts[distinct[code] if spelled is None else spelled[i]] = count
+            tracked[code] = True
+            skipped[code] = skipped.get(code, 0) + count
+        stop = scan.stop
+        for c, x in scan.counts(stop):
+            counts[distinct[c]] += x
         self.items_seen += (
-            pos if occ_counts is None else int(occ_counts[:pos].sum())
+            stop if occ_counts is None else int(occ_counts[:stop].sum())
         )
-        if bailed:
-            rest = arr[pos:].tolist()
-            if occ_counts is None:
-                for key in rest:
-                    self.update(key)
-            else:
-                for key, count in zip(rest, occ_counts[pos:].tolist()):
-                    self.update(key, count=count)
+        rest = scan.rest()
+        if occ_counts is None:
+            for key in rest:
+                self.update(key)
+        else:
+            for key, count in zip(rest, occ_counts[stop:].tolist()):
+                self.update(key, count=count)
 
     def _purge(self) -> list:
         """Subtract the median count, drop non-positive entries.

@@ -32,7 +32,6 @@ eviction tie-breaks.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from collections import Counter
 from typing import Callable
@@ -40,19 +39,13 @@ from typing import Callable
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_list, rng_from_state, rng_to_state
-from ..core.kernels import DrawBuffer, code_lookup, int_key_array
+from ..api.protocol import rng_from_state, rng_to_state
+from ..core.kernels import DrawBuffer, KeyScan, count_into
 from ..core.priorities import Uniform01Priority
 from ..core.rng import as_generator
 from ..core.sample import Sample
 
 __all__ = ["SpaceSavingSketch", "UnbiasedSpaceSavingSketch"]
-
-#: Chunk length of the batch ingestion scan; bounds both the cost of the
-#: per-eviction "reschedule remaining occurrences" rescan and the staleness
-#: of the per-chunk untracked-key candidate mask.
-_CHUNK = 2048
-
 
 class _CounterStore:
     """Capacity-bounded counter map with O(log m) min-counter access.
@@ -72,10 +65,10 @@ class _CounterStore:
     stale ones (the textbook lazy heap).  Batch ingestion bulk-updates
     ``counts`` without pushing and calls ``pop_min(repair=True)``, which
     re-pushes the current entry of any live key it pops stale; at batch end
-    every live key gets a fresh current entry so plain ``pop_min`` stays
-    correct afterwards.  The heap is compacted once the stale fraction
-    grows; compaction preserves exactly the current entries, so it never
-    changes eviction order.
+    every live key the batch bulk-counted gets a fresh current entry, so
+    plain ``pop_min`` stays correct afterwards.  The heap is compacted once
+    the stale fraction grows; compaction preserves exactly the current
+    entries, so it never changes eviction order.
     """
 
     __slots__ = ("capacity", "counts", "errors", "ins", "labels", "_heap")
@@ -139,36 +132,25 @@ class _CounterStore:
         return len(self.counts)
 
 
-def _batch_ingest(sketch, raw_keys, handover_draw=None) -> bool | None:
+def _batch_ingest(sketch, keys, handover_draw=None) -> list:
     """Shared exact batch driver for the two Space-Saving variants.
 
-    Occurrences of *tracked* keys commute between evictions, so runs of
-    them are bulk-added at C speed (``Counter``'s ``_count_elements``) with
-    no heap pushes, while occurrences of untracked keys (the *events*)
-    replay in stream order with the store's pop/insert logic inlined.  The
-    stream is scanned in chunks: one vectorized mask lookup finds each
-    chunk's untracked-key positions, and an eviction of a key tracked since
-    before the chunk consults a lazily-built per-chunk occurrence index to
-    turn the victim's later occurrences back into events (a victim first
-    inserted within the chunk is already covered by the candidate mask).
+    Occurrences of *tracked* keys commute between evictions, so the runs
+    between the events of a :class:`~repro.core.kernels.KeyScan` are
+    bulk-added at C speed (``Counter``'s ``_count_elements``) with no heap
+    pushes, while the events (occurrences of untracked keys) replay in
+    stream order with the store's pop/insert logic inlined; an evicted
+    key's later occurrences become events again.
 
     ``handover_draw`` is None for deterministic Space-Saving; the unbiased
     variant passes its uniform source and relabels the min counter with
     probability ``1 / new_count``.
 
-    Requires a bounded non-negative integer key array; other key batches
-    fall back to the scalar loop (``None`` is returned for dispatch).
-    Returns the number of leading items ingested: on a near-distinct
-    stream (a later chunk still mostly untracked keys) the event machinery
-    cannot beat the scalar loop, so the driver restores the heap
-    invariant and hands the remainder back to the caller's scalar path.
+    Returns the keys left for the caller's scalar loop: on a near-distinct
+    stream (a later chunk still mostly untracked keys) the event
+    machinery cannot beat the scalar loop, so the scan stops there and
+    the driver restores the heap invariant first.
     """
-    arr = int_key_array(raw_keys)
-    if arr is None:
-        return None
-    n = arr.size
-    if n == 0:
-        return n
     store = sketch._store
     counts = store.counts
     errors = store.errors
@@ -177,134 +159,78 @@ def _batch_ingest(sketch, raw_keys, handover_draw=None) -> bool | None:
     heap = store._heap
     capacity = sketch.capacity
     base = sketch.items_seen  # stream position of batch item i is base + i + 1
-    kmax = int(arr.max()) + 1
-
-    lookup = code_lookup(range(kmax))
-    tracked = np.zeros(kmax, dtype=bool)
-    tracked[lookup(counts)] = True
+    scan = KeyScan(keys, counts)
+    if scan.n == 0:
+        return []
+    tracked, values = scan.tracked, scan.values
 
     heappush, heappop = heapq.heappush, heapq.heappop
-    try:  # Counter.update's C core, without the method-wrapper overhead
-        from _collections import _count_elements as count_into
-    except ImportError:  # pragma: no cover - non-CPython
-        def count_into(mapping, iterable):
-            for elem in iterable:
-                mapping[elem] = mapping.get(elem, 0) + 1
-    bisect_left = bisect.bisect_left
     counts_get = counts.get
-    pos = 0
-    while pos < n:
-        ce = min(n, pos + _CHUNK)
-        chunk = arr[pos:ce]
-        lst = chunk.tolist()
-        cand = np.flatnonzero(~tracked[chunk]).tolist()
-        if pos and 2 * len(cand) > ce - pos:
-            break  # still event-dominated past warm-up: bail to scalar
-        ci = 0
-        n_cand = len(cand)
-        chunk_len = ce - pos
-        extra: list[int] = []  # rescheduled (chunk-relative) event positions
-        became_tracked: set = set()  # keys first inserted within this chunk
-        # Occurrence index for eviction rescans, built on first use: chunk
-        # positions grouped by key (order within a key is irrelevant — the
-        # rescheduled positions go through a heap).
-        occ_order = occ_keys = None
-        run_start = 0
+    run = 0  # first position of the run not yet counted
+    for i, code in scan.events(bail=True):
+        if i > run:
+            count_into(counts, values[run:i])
+        run = i + 1
+        key = values[i]
+        p1 = base + i + 1
+        if len(counts) < capacity:
+            counts[key] = 1
+            errors[key] = 0
+            ins[key] = p1
+            labels[key] = key
+            heappush(heap, (1, p1, key))
+            tracked[code] = True
+            continue
+        # Inlined pop_min(repair=True): pop the current min entry, lazily
+        # re-pushing current entries of bulk-counted keys.
         while True:
-            nxt_c = cand[ci] if ci < n_cand else _CHUNK
-            nxt_e = extra[0] if extra else _CHUNK
-            rel = nxt_c if nxt_c <= nxt_e else nxt_e
-            if rel >= chunk_len:
-                if chunk_len > run_start:
-                    count_into(counts, lst[run_start:])
+            min_count, _, min_key = heappop(heap)
+            current = counts_get(min_key)
+            if current == min_count:
                 break
-            if rel > run_start:
-                count_into(counts, lst[run_start:rel])
-            # Consume every source entry pointing at this position.
-            while ci < n_cand and cand[ci] == rel:
-                ci += 1
-            while extra and extra[0] == rel:
-                heappop(extra)
-            key = lst[rel]
-            if tracked[key]:
-                # Tracked since the chunk mask was built: plain increment.
-                counts[key] += 1
-            elif len(counts) < capacity:
-                p1 = base + pos + rel + 1
-                counts[key] = 1
-                errors[key] = 0
-                ins[key] = p1
-                labels[key] = key
-                heappush(heap, (1, p1, key))
-                tracked[key] = True
-                became_tracked.add(key)
-            else:
-                # Inlined pop_min(repair=True): pop the current min entry,
-                # lazily re-pushing current entries of bulk-counted keys.
-                while True:
-                    min_count, _, min_key = heappop(heap)
-                    current = counts_get(min_key)
-                    if current == min_count:
-                        break
-                    if current is not None:
-                        heappush(heap, (current, ins[min_key], min_key))
-                p1 = base + pos + rel + 1
-                new_count = min_count + 1
-                # Both outcomes re-insert a label, so the popped one leaves
-                # the dicts first: a relabelled min counter moves to their
-                # end, as the scalar pop_min + insert moves it.
-                del counts[min_key]
-                del ins[min_key]
-                del labels[min_key]
-                errors.pop(min_key, None)
-                if handover_draw is None or handover_draw() < 1.0 / new_count:
-                    # Deterministic (or won handover): newcomer replaces it.
-                    counts[key] = new_count
-                    errors[key] = min_count
-                    ins[key] = p1
-                    labels[key] = key
-                    heappush(heap, (new_count, p1, key))
-                    tracked[key] = True
-                    became_tracked.add(key)
-                    victims = lookup((min_key,))  # its code, if it has one
-                else:
-                    # Lost handover: the min counter keeps its label.
-                    counts[min_key] = new_count
-                    errors[min_key] = min_count
-                    ins[min_key] = p1
-                    labels[min_key] = min_key
-                    heappush(heap, (new_count, p1, min_key))
-                    victims = ()
-                for evicted in victims:
-                    tracked[evicted] = False
-                    # The victim's later occurrences in this chunk must be
-                    # events again.  A victim first inserted within this
-                    # chunk was untracked when the candidate mask was
-                    # built, so ``cand`` already covers it; only a victim
-                    # tracked since before the chunk needs a rescan.
-                    # Later chunks rescan the updated mask either way.
-                    if evicted not in became_tracked:
-                        if occ_order is None:
-                            order = np.argsort(chunk)
-                            occ_order = order.tolist()
-                            occ_keys = chunk[order].tolist()
-                        j = bisect_left(occ_keys, evicted)
-                        while j < chunk_len and occ_keys[j] == evicted:
-                            r2 = occ_order[j]
-                            if r2 > rel:
-                                heappush(extra, r2)
-                            j += 1
-            run_start = rel + 1
-        pos = ce
+            if current is not None:
+                heappush(heap, (current, ins[min_key], min_key))
+        new_count = min_count + 1
+        # Both outcomes re-insert a label, so the popped one leaves the
+        # dicts first: a relabelled min counter moves to their end, as the
+        # scalar pop_min + insert moves it.
+        del counts[min_key]
+        del ins[min_key]
+        del labels[min_key]
+        errors.pop(min_key, None)
+        if handover_draw is None or handover_draw() < 1.0 / new_count:
+            # Deterministic (or won handover): the newcomer replaces it.
+            counts[key] = new_count
+            errors[key] = min_count
+            ins[key] = p1
+            labels[key] = key
+            heappush(heap, (new_count, p1, key))
+            tracked[code] = True
+            scan.untrack((min_key,), i)
+        else:
+            # Lost handover: the min counter keeps its label.
+            counts[min_key] = new_count
+            errors[min_key] = min_count
+            ins[min_key] = p1
+            labels[min_key] = min_key
+            heappush(heap, (new_count, p1, min_key))
+    stop = scan.stop
+    if stop > run:
+        count_into(counts, values[run:stop])
 
-    # Restore the boundary invariant — every live key gets a current heap
-    # entry (bulk counting above pushed none) — then shed stale entries.
-    for key, count in counts.items():
-        heappush(heap, (count, ins[key], key))
+    # Restore the boundary invariant — every live key has a current heap
+    # entry — for the keys bulk counting touched (it pushed none): the
+    # batch's live keys when the batch is the smaller side, else all.
+    if scan.n < len(counts):
+        for key in counts.keys() & set(values):
+            heappush(heap, (counts[key], ins[key], labels[key]))
+    else:
+        for key, count in counts.items():
+            heappush(heap, (count, ins[key], key))
     if len(heap) > 8 * capacity + 64:
         store.compact()
-    sketch.items_seen += pos
-    return pos
+    sketch.items_seen += stop
+    return scan.rest()
 
 
 @register_sampler("space_saving")
@@ -348,13 +274,8 @@ class SpaceSavingSketch(StreamSampler):
 
     def update_many(self, keys, weights=None, values=None, times=None) -> None:
         """Vectorized bulk :meth:`update` (see :func:`_batch_ingest`)."""
-        done = _batch_ingest(self, keys)
-        if done is None:
-            for key in _as_key_list(keys):
-                self.update(key)
-        elif done < len(keys):
-            for key in _as_key_list(keys)[done:]:
-                self.update(key)
+        for key in _batch_ingest(self, keys):
+            self.update(key)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -464,15 +385,11 @@ class UnbiasedSpaceSavingSketch(StreamSampler):
         and therefore every label decision — matches scalar ingestion.
         """
         with DrawBuffer(self.rng, expected=len(keys)) as draw:
-            done = _batch_ingest(self, keys, handover_draw=draw)
+            rest = _batch_ingest(self, keys, handover_draw=draw)
         # Any scalar remainder draws from the generator directly, after the
         # DrawBuffer context has rewound its unused block.
-        if done is None:
-            for key in _as_key_list(keys):
-                self.update(key)
-        elif done < len(keys):
-            for key in _as_key_list(keys)[done:]:
-                self.update(key)
+        for key in rest:
+            self.update(key)
 
     def __len__(self) -> int:
         return len(self._store)

@@ -72,13 +72,22 @@ class GroupedDistinctSketch(StreamSampler):
         # pool: group -> {key: hash}, all below t_max
         self.pool: dict[Hashable, dict[object, float]] = {}
         self.items_seen = 0
+        # t_max, cleared wherever a dedicated threshold or the dedicated
+        # set changes (a threshold drop, a new dedicated group, a
+        # promotion, a restore)
+        self._t_max: float | None = None
 
     @property
     def t_max(self) -> float:
         """The pool's admission threshold: max over dedicated thresholds."""
-        if len(self.dedicated) < self.m:
-            return 1.0
-        return max(s.threshold for s in self.dedicated.values())
+        t = self._t_max
+        if t is None:
+            if len(self.dedicated) < self.m:
+                t = 1.0
+            else:
+                t = max(s.threshold for s in self.dedicated.values())
+            self._t_max = t
+        return t
 
     def update(
         self,
@@ -108,6 +117,7 @@ class GroupedDistinctSketch(StreamSampler):
             sketch = KeyedBottomK(self.k, cap=1.0)
             sketch.offer(key, h)
             self.dedicated[group] = sketch
+            self._t_max = None
             return
         if h >= self.t_max:
             return
@@ -125,6 +135,7 @@ class GroupedDistinctSketch(StreamSampler):
         for key, h in self.pool.pop(group).items():
             sketch.offer(key, h)
         self.dedicated[group] = sketch
+        self._t_max = None
         # Demoted entries drop into the pool (subject to the new t_max).
         t = self.t_max
         bucket = self.pool.setdefault(loosest, {})
@@ -135,14 +146,14 @@ class GroupedDistinctSketch(StreamSampler):
             self.pool.pop(loosest, None)
         self._prune_pool(t)
 
-    def _after_drop(self, before: float) -> float:
+    def _after_drop(self, before: float) -> None:
         """After a dedicated threshold fell from ``before``: prune the
         pool if ``t_max`` fell with it (only when that sketch held the
-        max).  Returns the current ``t_max``."""
+        max)."""
+        self._t_max = None
         t = self.t_max
         if t < before:
             self._prune_pool(t)
-        return t
 
     def _prune_pool(self, t: float) -> None:
         for group in list(self.pool):
@@ -161,10 +172,9 @@ class GroupedDistinctSketch(StreamSampler):
         pair, which the batch path exploits three ways: duplicate pairs
         whose key is already retained short-circuit before hashing (the
         scalar path BLAKE2b-hashes *every* occurrence), each distinct pair
-        is hashed at most once per batch, and the pool admission threshold
-        ``t_max`` — a max over all dedicated sketches, recomputed from
-        scratch per scalar item — is cached and invalidated only when a
-        dedicated threshold can actually have moved.  State transitions are
+        is hashed at most once per batch.  Both paths read the pool
+        admission threshold ``t_max`` from the cache that drops, new
+        dedicated groups and promotions clear.  State transitions are
         byte-identical to the scalar loop's.
         """
         keys = _as_key_list(keys)
@@ -177,7 +187,6 @@ class GroupedDistinctSketch(StreamSampler):
         pool = self.pool
         m, k, salt = self.m, self.k, self.salt
         hash_cache: dict[tuple, float] = {}
-        t_max: float | None = None
         for group, key in zip(groups, keys):
             sketch = dedicated.get(group)
             if sketch is not None:
@@ -190,7 +199,7 @@ class GroupedDistinctSketch(StreamSampler):
                 before = sketch.threshold
                 sketch.offer(key, h)
                 if sketch.threshold < before:
-                    t_max = self._after_drop(before)
+                    self._after_drop(before)
                 continue
             if len(dedicated) < m:
                 pair = (group, key)
@@ -200,7 +209,7 @@ class GroupedDistinctSketch(StreamSampler):
                 sketch = KeyedBottomK(k, cap=1.0)
                 sketch.offer(key, h)
                 dedicated[group] = sketch
-                t_max = None
+                self._t_max = None
                 continue
             bucket = pool.get(group)
             if bucket is not None and key in bucket:
@@ -209,6 +218,7 @@ class GroupedDistinctSketch(StreamSampler):
             h = hash_cache.get(pair)
             if h is None:
                 hash_cache[pair] = h = hash_to_unit(pair, salt)
+            t_max = self._t_max
             if t_max is None:
                 t_max = self.t_max
             if h >= t_max:
@@ -218,7 +228,6 @@ class GroupedDistinctSketch(StreamSampler):
             bucket[key] = h
             if len(bucket) > k:
                 self._promote(group)
-                t_max = None
         self.items_seen += n
 
     # ------------------------------------------------------------------
@@ -307,3 +316,4 @@ class GroupedDistinctSketch(StreamSampler):
             self.dedicated[group] = sketch
         self.pool = {group: dict(bucket) for group, bucket in state["pool"]}
         self.items_seen = int(state["items_seen"])
+        self._t_max = None

@@ -23,7 +23,6 @@ move down, so no discarded item could have been needed.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from typing import Hashable, Sequence
 
@@ -32,15 +31,12 @@ import numpy as np
 from ..api import StreamSampler, query_support, register_sampler
 from ..api.protocol import _as_optional_array
 from ..core.bottomk_store import KeyedBottomK
-from ..core.hashing import batch_hash_to_unit, hash_array_to_unit, hash_to_unit
-from ..core.kernels import code_lookup, key_codes
+from ..core.hashing import batch_hash_to_unit, hash_to_unit
+from ..core.kernels import KeyScan
 from ..core.priorities import Uniform01Priority
 from ..core.sample import Sample
 
 __all__ = ["MultiStratifiedSampler"]
-
-#: Chunk length of the key-code batch scan (see ``update_many``).
-_CHUNK = 4096
 
 
 @register_sampler("multi_stratified")
@@ -132,16 +128,14 @@ class MultiStratifiedSampler(StreamSampler):
         The sampler deduplicates on key, so only *events* — the first
         occurrence of each unseen key, plus re-arrivals of keys dropped by
         a mid-batch compaction — touch the stratum machinery; every other
-        occurrence is a complete no-op.  The batch is factorized into key
-        codes once (:func:`key_codes`) and scanned in chunks: one
-        vectorized lookup of a flag column indexed by code finds the
-        untracked-key positions (the only ones python visits); integer
-        keys get their coordinated hashes from one vectorized pass, other
-        keys are hashed as their events are processed.  A compaction
-        turns its dropped keys' remaining chunk occurrences back into
-        events.  State transitions match the scalar loop exactly (stratum
-        labels are validated on processed events only; duplicate
-        occurrences skip validation).
+        occurrence is a complete no-op.  The batch path replays the events
+        of a :class:`~repro.core.kernels.KeyScan` over the batch's key
+        codes (the only positions python visits); integer keys get their
+        coordinated hashes from one vectorized pass, other keys are hashed
+        as their events are processed.  A compaction turns its dropped
+        keys' remaining occurrences back into events.  State transitions
+        match the scalar loop exactly (stratum labels are validated on
+        processed events only; duplicate occurrences skip validation).
         """
         n = len(keys)
         self.check_columns({"strata": strata})
@@ -151,95 +145,48 @@ class MultiStratifiedSampler(StreamSampler):
         if n == 0:
             return
         v = _as_optional_array(values, n, "values")
-        codes, distinct, spelled = key_codes(keys)
         items = self._items
+        scan = KeyScan(keys, items)
+        distinct, spelled, tracked = scan.distinct, scan.spelled, scan.tracked
         strata_map = self._strata
         n_dims, k, salt = self.n_dims, self.k, self.salt
-        size = len(distinct)
-        lookup = code_lookup(distinct)
-        tracked = np.zeros(size, dtype=bool)  # indexed by key code
-        tracked[lookup(items)] = True
-        # Coordinated hashes: identity codes are the keys themselves, other
-        # canonically spelled codes hash their distinct keys once, and
-        # keys that may be spelled differently hash per event.
-        unit = None
-        if isinstance(distinct, range):
-            unit = functools.partial(hash_array_to_unit, salt=salt)
-        elif spelled is None:
-            unit = batch_hash_to_unit(distinct, salt).__getitem__
-        heappush, heappop = heapq.heappush, heapq.heappop
+        # Coordinated hashes of the batch's untracked integer keys in one
+        # pass; keys that may be spelled differently hash per event.
+        hashes: dict[int, float] = {}
+        if spelled is None:
+            new = scan.present()
+            new = new[~tracked[new]]
+            batch = (
+                new if isinstance(distinct, range)
+                else [distinct[code] for code in new.tolist()]
+            )
+            hashes = dict(
+                zip(new.tolist(), batch_hash_to_unit(batch, salt).tolist())
+            )
         strata_get = strata_map.get
-
-        pos = 0
-        while pos < n:
-            ce = min(n, pos + _CHUNK)
-            chunk = codes[pos:ce]
-            cand = np.flatnonzero(~tracked[chunk])
-            if cand.size == 0:
-                pos = ce
-                continue
-            ccodes = chunk[cand]
-            hashes = None if unit is None else unit(ccodes).tolist()
-            cand_l = cand.tolist()
-            ccodes_l = ccodes.tolist()
-            ci = 0
-            n_cand = len(cand_l)
-            chunk_len = ce - pos
-            extra: list[int] = []  # re-dropped keys' remaining positions
-            while True:
-                nxt_c = cand_l[ci] if ci < n_cand else _CHUNK
-                nxt_e = extra[0] if extra else _CHUNK
-                if nxt_c <= nxt_e:
-                    if nxt_c >= chunk_len:
-                        break
-                    rel = nxt_c
-                    code = ccodes_l[ci]
-                    r = None if hashes is None else hashes[ci]
-                    ci += 1
-                    while extra and extra[0] == rel:
-                        heappop(extra)
-                else:
-                    rel = nxt_e
-                    while extra and extra[0] == rel:
-                        heappop(extra)
-                    code = int(chunk[rel])
-                    r = None
-                if tracked[code]:
-                    continue  # re-added earlier in the batch: a no-op
-                labels = strata[pos + rel]
-                if len(labels) != n_dims:
-                    raise ValueError(f"expected {n_dims} stratum labels")
-                key = distinct[code] if spelled is None else spelled[pos + rel]
-                if r is None:
-                    r = hash_to_unit(key, salt)
-                items[key] = (
-                    tuple(labels),
-                    r,
-                    1.0 if v is None else float(v[pos + rel]),
-                )
-                tracked[code] = True
-                for dim, label in enumerate(labels):
-                    state = strata_get((dim, label))
-                    if state is None:
-                        state = KeyedBottomK(k)
-                        strata_map[(dim, label)] = state
-                    if state.offer(key, r) > 0:
-                        self._n_members += 1
-                if len(items) > 4 * self._n_members:
-                    before = items
-                    self._compact()
-                    items = self._items  # _compact rebinds the dict
-                    if len(items) != len(before):
-                        dropped = lookup(k for k in before if k not in items)
-                        if dropped:
-                            dflags = np.zeros(size, dtype=bool)
-                            dflags[dropped] = True
-                            tracked[dropped] = False
-                            for r2 in np.flatnonzero(
-                                dflags[chunk[rel + 1:]]
-                            ).tolist():
-                                heappush(extra, rel + 1 + r2)
-            pos = ce
+        for i, code in scan.events():
+            labels = strata[i]
+            if len(labels) != n_dims:
+                raise ValueError(f"expected {n_dims} stratum labels")
+            key = distinct[code] if spelled is None else spelled[i]
+            r = hashes.get(code)
+            if r is None:
+                r = hash_to_unit(key, salt)
+            items[key] = (tuple(labels), r, 1.0 if v is None else float(v[i]))
+            tracked[code] = True
+            for dim, label in enumerate(labels):
+                state = strata_get((dim, label))
+                if state is None:
+                    state = KeyedBottomK(k)
+                    strata_map[(dim, label)] = state
+                if state.offer(key, r) > 0:
+                    self._n_members += 1
+            if len(items) > 4 * self._n_members:
+                before = items
+                self._compact()
+                items = self._items  # _compact rebinds the dict
+                if len(items) != len(before):
+                    scan.untrack([x for x in before if x not in items], i)
         self.items_seen += n
 
     # ------------------------------------------------------------------

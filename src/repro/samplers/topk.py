@@ -43,7 +43,7 @@ import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
 from ..api.protocol import rng_from_state, rng_to_state
-from ..core.kernels import code_lookup, key_codes
+from ..core.kernels import KeyScan, count_into
 from ..core.priorities import Uniform01Priority
 from ..core.rng import as_generator
 from ..core.sample import Sample
@@ -176,29 +176,26 @@ class AdaptiveTopKSampler(StreamSampler):
         The sampler is a key-table state machine: occurrences of *tracked*
         keys are pure counter increments (they commute until the next
         threshold recomputation), while occurrences of untracked keys are
-        *events* that consume randomness and can mutate the table.  The
-        batch is factorized into key codes once (:func:`key_codes`) and
-        scanned in chunks: one vectorized lookup of a flag column indexed
-        by code finds the untracked-key positions (the only ones the
-        python loop visits), and the deferred increments of each span are
-        materialized in one ``bincount``/``unique`` pass at the exact
-        recomputation boundaries the scalar loop would hit.  Because the
-        threshold only moves at recomputations, whole runs of *rejected*
-        draws are scored with one vectorized compare; only acceptances
-        (inserts) and recomputations touch python.  RNG draws are
+        *events* that consume randomness and can mutate the table.  A
+        :class:`~repro.core.kernels.KeyScan` gives the key codes, the
+        tracked flags and the deferred span counts, added at the exact
+        recomputation boundaries the scalar loop would hit.  The walk over
+        each chunk's untracked-key positions is the sampler's own: because
+        the threshold only moves at recomputations, whole runs of
+        *rejected* draws are scored with one vectorized compare, so only
+        acceptances (inserts) and recomputations touch python, and an
+        insert drops its key's remaining candidates.  RNG draws are
         block-buffered with rewind, so generator consumption — and
         therefore the sample — is seed-for-seed identical to scalar
         ingestion.
         """
-        codes, distinct, spelled = key_codes(keys)
-        n = codes.size
+        table = self.table
+        scan = KeyScan(keys, table)
+        n = scan.n
         if n == 0:
             return
-        table = self.table
-        size = len(distinct)
-        lookup = code_lookup(distinct)
-        tracked = np.zeros(size, dtype=bool)  # indexed by key code
-        tracked[lookup(table)] = True
+        codes, distinct, spelled = scan.codes, scan.distinct, scan.spelled
+        tracked, skipped = scan.tracked, scan.skipped
 
         threshold = self.threshold
         isr = self._inserts_since_recompute
@@ -209,41 +206,12 @@ class AdaptiveTopKSampler(StreamSampler):
         heappush, heappop = heapq.heappush, heapq.heappop
         rng = self.rng
 
-        flush_from = 0
-        event_codes: list[int] = []  # codes of drawn events since flush_from
-
         def flush(bound: int) -> None:
-            """Apply the deferred increments in [flush_from, bound).
-
-            Every occurrence in the span increments a tracked entry except
-            the drawn-event positions (an inserting event starts at count
-            0; a rejected event touches nothing) — subtract those and add
-            the rest in one vectorized pass.
-            """
-            nonlocal flush_from
-            if bound <= flush_from:
-                event_codes.clear()
-                return
-            seg = codes[flush_from:bound]
-            if size <= 4 * seg.size:
-                pending = np.bincount(seg, minlength=size)
-                for code in event_codes:
-                    pending[code] -= 1
-                hit = np.flatnonzero(pending)
-                for code, c in zip(hit.tolist(), pending[hit].tolist()):
-                    table[distinct[code]].count += c
-            else:
-                corr: dict = {}
-                for code in event_codes:
-                    corr[code] = corr.get(code, 0) + 1
-                uniq, cnts = np.unique(seg, return_counts=True)
-                corr_get = corr.get
-                for code, c in zip(uniq.tolist(), cnts.tolist()):
-                    c -= corr_get(code, 0)
-                    if c:
-                        table[distinct[code]].count += c
-            event_codes.clear()
-            flush_from = bound
+            """Add the deferred increments up to ``bound``: every occurrence
+            but the drawn events (an inserting event starts at count 0; a
+            rejected one touches nothing)."""
+            for code, c in scan.counts(bound):
+                table[distinct[code]].count += c
 
         def recompute(bound: int) -> list:
             """Flush and recompute exactly where the scalar loop would."""
@@ -276,7 +244,7 @@ class AdaptiveTopKSampler(StreamSampler):
 
             def reschedule(discarded: list, after_rel: int) -> None:
                 """Turn discarded keys' later occurrences into events."""
-                for dcode in lookup(discarded):
+                for dcode in scan.codes_of(discarded):
                     tracked[dcode] = False
                     for r2 in np.flatnonzero(
                         chunk[after_rel:] == dcode
@@ -317,7 +285,7 @@ class AdaptiveTopKSampler(StreamSampler):
                         dpos += 1
                     else:
                         r = float(rng.random())
-                    event_codes.append(code)
+                    skipped[code] = skipped.get(code, 0) + 1
                     if r < threshold:
                         key = (
                             distinct[code] if spelled is None
@@ -389,7 +357,7 @@ class AdaptiveTopKSampler(StreamSampler):
                 if hits.size == 0:
                     # Every draw in the block rejected: consume and jump.
                     last_rel = int(cand[ci + m - 1])
-                    event_codes.extend(ccodes[ci:ci + m].tolist())
+                    count_into(skipped, ccodes[ci:ci + m].tolist())
                     if buffered:
                         dpos += m
                     ci += m
@@ -401,7 +369,7 @@ class AdaptiveTopKSampler(StreamSampler):
                 j = int(hits[0])
                 rel = int(cand[ci + j])
                 code = int(ccodes[ci + j])
-                event_codes.extend(ccodes[ci:ci + j + 1].tolist())
+                count_into(skipped, ccodes[ci:ci + j + 1].tolist())
                 r = float(u[j])
                 if buffered:
                     dpos += j + 1

@@ -519,16 +519,23 @@ def _key_table_feed(sampler, keys, start: int) -> None:
     ])
 
 
+def _key_table_update(sampler, key, i: int) -> None:
+    """One scalar ``update`` at stream position ``i``."""
+    if sampler.sampler_name == "multi_stratified":
+        sampler.update(key, strata=(i % 3, (i // 7) % 4))
+    else:
+        sampler.update(key)
+
+
 def _key_table_scalar(sampler, keys) -> None:
     seq = keys.tolist() if isinstance(keys, np.ndarray) else keys
     for i, key in enumerate(seq):
-        if sampler.sampler_name == "multi_stratified":
-            sampler.update(key, strata=(i % 3, (i // 7) % 4))
-        else:
-            sampler.update(key)
+        _key_table_update(sampler, key, i)
 
 
-@pytest.mark.parametrize("chunk", [None, 777], ids=["whole", "chunks_777"])
+@pytest.mark.parametrize(
+    "chunk", [None, 777, 64], ids=["whole", "chunks_777", "chunks_64"]
+)
 @pytest.mark.parametrize("form", list(KEY_FORMS))
 @pytest.mark.parametrize("name", list(KEY_TABLE_CASES))
 def test_key_table_batch_matches_scalar_loop_on_every_key_form(
@@ -537,7 +544,10 @@ def test_key_table_batch_matches_scalar_loop_on_every_key_form(
     """``update_many`` on any key form leaves the scalar loop's exact
     ``to_state()`` — row order and key spellings included (``repr``
     tells ``0.0`` from ``-0.0`` and compares NaN keys), which the
-    order-free :func:`sample_signature` cannot see."""
+    order-free :func:`sample_signature` cannot see.  64-event calls are
+    smaller than the tables, so they find their tracked keys by looking
+    the batch's keys up in the table rather than the table in the
+    batch."""
     keys = KEY_FORMS[form]()
     scalar = make_sampler(name, **KEY_TABLE_CASES[name])
     _key_table_scalar(scalar, keys)
@@ -561,6 +571,56 @@ def test_key_table_batch_finds_table_keys_of_another_type(name):
     batch = make_sampler(name, **KEY_TABLE_CASES[name])
     _key_table_feed(batch, floats, 0)
     _key_table_feed(batch, ints, 500)
+    assert repr(batch.to_state()) == repr(scalar.to_state())
+
+
+@pytest.mark.parametrize("name", list(KEY_TABLE_CASES))
+def test_key_table_batch_calls_interleave_with_scalar_updates(name):
+    """16-event ``update_many`` calls, shorter than the tables, between
+    runs of scalar ``update``: each path continues from the state the
+    other leaves (the counter sketches' heap must hold a current entry
+    for every key a batch counted, or the scalar path misses victims)."""
+    keys = KEY_FORMS["int64_array"]()
+    scalar = make_sampler(name, **KEY_TABLE_CASES[name])
+    _key_table_scalar(scalar, keys)
+    mixed = make_sampler(name, **KEY_TABLE_CASES[name])
+    seq = keys.tolist()
+    for lo in range(0, len(keys), 24):
+        _key_table_feed(mixed, keys[lo:lo + 16], lo)
+        for i in range(lo + 16, min(lo + 24, len(keys))):
+            _key_table_update(mixed, seq[i], i)
+    assert repr(mixed.to_state()) == repr(scalar.to_state())
+
+
+def _head_then_near_distinct() -> np.ndarray:
+    """A Zipf head, then near-distinct keys (~1 repeat in 8): the later
+    chunks of one ``update_many`` call are mostly untracked-key events,
+    so the counter sketches hand the rest of the call to the scalar
+    loop."""
+    head = zipf_stream(4096, 300, 1.1, rng=23)
+    tail = 10**6 + np.random.default_rng(29).permutation(
+        np.arange(12288) % 10752
+    )
+    return np.concatenate([head, tail]).astype(np.int64)
+
+
+@pytest.mark.parametrize("form", ["int64_array", "int_list"])
+@pytest.mark.parametrize(
+    "name", ["frequent_items", "space_saving", "unbiased_space_saving"]
+)
+def test_key_table_batch_bails_out_to_the_scalar_loop_exactly(name, form):
+    """The hand-over to the scalar loop mid-call keeps the scalar
+    state, and unbiased Space-Saving draws its remaining handovers from
+    the generator only after the batch path's buffered draws are
+    rewound."""
+    keys = _head_then_near_distinct()
+    if form == "int_list":
+        keys = keys.tolist()
+    scalar = make_sampler(name, **KEY_TABLE_CASES[name])
+    _key_table_scalar(scalar, keys)
+    batch = make_sampler(name, **KEY_TABLE_CASES[name])
+    batch.update_many(keys)
+    assert batch.items_seen == scalar.items_seen == len(keys)
     assert repr(batch.to_state()) == repr(scalar.to_state())
 
 

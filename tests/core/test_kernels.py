@@ -1,9 +1,11 @@
-"""Tests for the bottom-k candidate kernel and the key-code factorization
-(repro.core.kernels)."""
+"""Tests for the bottom-k candidate kernel, the key-code factorization
+and the key scan (repro.core.kernels)."""
+
+from collections import Counter
 
 import numpy as np
 
-from repro.core.kernels import bottomk_candidates, code_lookup, key_codes
+from repro.core.kernels import KeyScan, bottomk_candidates, key_codes
 
 
 def _scalar_survivors(priorities, k, threshold):
@@ -111,10 +113,86 @@ def test_key_codes_routes():
     assert codes.size == 0 and len(distinct) == 0
 
 
-def test_code_lookup_uses_dict_equality():
-    _, distinct, _ = key_codes(np.array([0, 1, 5]))
-    lookup = code_lookup(distinct)
-    assert lookup([1.0, True, np.int64(5), 6, -1, "1", 2**61 + 4]) == [1, 1, 5]
-    _, distinct, _ = key_codes(["x", (1, 2), 3.0])
-    lookup = code_lookup(distinct)
-    assert lookup([3, (1, 2), "y", "x"]) == [2, 1, 0]
+def test_key_scan_tracks_by_dict_equality_from_either_side():
+    """The starting flags mark exactly the codes whose key a dict holding
+    the table finds, whether the scan looks the table's keys up among the
+    batch's codes (a table no larger than the batch) or the batch's keys
+    up in the table."""
+    keys = [1.0, True, np.int64(5), 6, -1, "1", 2**61 + 4]
+    table = dict.fromkeys(keys)
+    for batch in (np.array([0, 1, 5]), np.array([0, 1, 5, 9, 9, 9, 9, 9])):
+        scan = KeyScan(batch, table)
+        assert scan.tracked[scan.codes].tolist() == [
+            key in table for key in batch.tolist()
+        ]
+    assert KeyScan(np.array([0, 1, 5]), {}).codes_of(keys) == [1, 1, 5]
+    keys = [3, (1, 2), "y", "x"]
+    table = dict.fromkeys(keys)
+    for batch in (["x", (1, 2), 3.0], ["x", (1, 2), 3.0, "z", "x"] * 2):
+        scan = KeyScan(batch, table)
+        assert scan.tracked[scan.codes].tolist() == [
+            key in table for key in batch
+        ]
+    assert KeyScan(["x", (1, 2), 3.0], {}).codes_of(keys) == [2, 1, 0]
+
+
+def test_key_scan_present_codes():
+    """Identity codes skip the values a batch lacks, sparse or dense."""
+    assert KeyScan(np.array([5, 900, 5]), {}).present().tolist() == [5, 900]
+    assert KeyScan([2, 0, 2] * 10, {}).present().tolist() == [0, 2]
+    assert KeyScan(["b", "a", "b"], {}).present().tolist() == [0, 1]
+
+
+def _walk(scan, drops=None, bail=True):
+    """Replay a scan the way a key-table sketch does: insert every event's
+    key and drop the keys ``drops`` names at an event position."""
+    seen = []
+    for i, code in scan.events(bail=bail):
+        seen.append(i)
+        scan.tracked[code] = True
+        if drops and i in drops:
+            scan.untrack(drops[i], i)
+    return seen
+
+
+def test_key_scan_events_untrack_and_bail_out():
+    keys = [3, 1, 3, 2, 1, 4, 3, 1, 2]
+    assert _walk(KeyScan(keys, {3: 0})) == [1, 3, 5]
+    # One dropped key (occurrence index) and several (mask pass): their
+    # later occurrences are events again.
+    assert _walk(KeyScan(keys, {3: 0}), {3: [1]}) == [1, 3, 4, 5]
+    assert _walk(KeyScan(keys, {3: 0}), {3: [1, 3]}) == [1, 3, 4, 5, 6]
+    assert _walk(KeyScan([str(k) for k in keys], {"3": 0}), {3: ["1"]}) == [
+        1, 3, 4, 5
+    ]
+    # A later chunk made mostly of events ends the walk at its start.
+    keys = [0] * 4096 + list(range(1, 4097))
+    scan = KeyScan(keys, {})
+    assert _walk(scan) == [0] and scan.stop == 4096
+    scan = KeyScan(keys, {})
+    assert len(_walk(scan, bail=False)) == 4097 and scan.stop == len(keys)
+
+
+def test_key_scan_span_counts_leave_out_the_events():
+    scan = KeyScan([5, 5, 7, 5, 7], {5: 0, 7: 0})
+    scan.skipped[7] = 1
+    assert sorted(scan.counts(4)) == [(5, 3)]
+    assert scan.skipped == {} and scan.counts(5) == [(7, 1)]
+    weights = np.array([2, 1, 3, 1, 4], dtype=np.int64)
+    scan = KeyScan(["a", "a", "b", "a", "b"], {}, weights=weights)
+    scan.skipped[1] = 3
+    assert sorted(scan.counts(5)) == [(0, 4), (1, 4)]
+    # Long spans: bincount over dense codes, unique over sparse ones.
+    rng = np.random.default_rng(3)
+    for keys in (rng.integers(0, 10, 1000), rng.integers(0, 10, 1000) * 10**5):
+        weights = rng.integers(1, 5, keys.size)
+        for w in (None, weights):
+            scan = KeyScan(keys, {}, weights=w)
+            expect = Counter()
+            for i, code in enumerate(scan.codes.tolist()):
+                expect[code] += 1 if w is None else int(w[i])
+            scan.skipped[int(scan.codes[0])] = 1
+            expect[int(scan.codes[0])] -= 1
+            got = scan.counts(keys.size)
+            assert all(type(c) is int for _, c in got)
+            assert dict(got) == {c: x for c, x in expect.items() if x}

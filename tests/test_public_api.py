@@ -1,7 +1,11 @@
 """Public API hygiene: exports exist, are importable, and documented."""
 
+import ast
 import importlib
 import inspect
+import pathlib
+import re
+import sys
 
 import pytest
 
@@ -72,3 +76,36 @@ class TestDocumentation:
             module = getattr(experiments, name)
             assert callable(getattr(module, "run", None)), name
             assert callable(getattr(module, "main", None)), name
+
+
+class TestPackaging:
+    def test_every_third_party_import_is_a_declared_dependency(self):
+        """Each non-stdlib top-level module imported under ``src/repro``
+        is named in ``[project] dependencies``, so an install from the
+        package metadata alone can import every module.  The TOML is read
+        as text: ``tomllib`` needs Python 3.11 and CI also runs 3.10."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        text = (root / "pyproject.toml").read_text()
+        block = re.search(
+            r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S
+        ).group(1)
+        declared = {
+            re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
+            for spec in re.findall(r'"([^"]+)"', block)
+        }
+        imported = set()
+        for path in (root / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                imported.update(name.split(".")[0] for name in names)
+        third_party = {
+            name for name in imported
+            if name not in sys.stdlib_module_names and name != "repro"
+        }
+        assert "numpy" in third_party
+        assert third_party <= declared, sorted(third_party - declared)
