@@ -8,6 +8,7 @@ See :mod:`repro.api.protocol` for the :class:`StreamSampler` contract and
 
 from .protocol import (
     QUERY_AGGREGATES,
+    PrioritySampler,
     StreamSampler,
     family_from_name,
     family_to_name,
@@ -27,6 +28,7 @@ from .registry import (
 
 __all__ = [
     "StreamSampler",
+    "PrioritySampler",
     "QUERY_AGGREGATES",
     "query_support",
     "merged",

@@ -38,19 +38,22 @@ from __future__ import annotations
 import abc
 import functools
 import inspect
-from typing import ClassVar, Mapping
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
+from ..core.hashing import batch_hash_to_unit, hash_to_unit
 from ..core.priorities import (
     ExponentialPriority,
     InverseWeightPriority,
     PriorityFamily,
     Uniform01Priority,
 )
+from ..core.rng import as_generator
 
 __all__ = [
     "StreamSampler",
+    "PrioritySampler",
     "QUERY_AGGREGATES",
     "query_support",
     "merged",
@@ -671,6 +674,80 @@ class StreamSampler(abc.ABC):
             raise NotImplementedError(
                 f"{type(self).__name__} does not implement state restoration"
             )
+
+
+class PrioritySampler(StreamSampler):
+    """A threshold sampler over per-item priorities ``R = F^{-1}(U | w)``.
+
+    ``U`` is a draw from ``rng`` or, when ``coordinated``, a salted hash
+    of the key, so sketches sharing a salt rank every key alike (§2.1,
+    §2.9).  Subclasses pass ``family``, ``coordinated``, ``salt`` and
+    ``rng`` to this constructor, draw through :meth:`_priority` and
+    :meth:`_batch_priorities`, and put :meth:`_priority_config` last in
+    their ``_config()``.
+
+    Parameters
+    ----------
+    family:
+        Priority family or its config name (``"inverse_weight"``,
+        ``"exponential"``, ``"uniform"``); ``InverseWeightPriority`` by
+        default.
+    coordinated:
+        Hash-based priorities (stable per key) instead of RNG draws.
+    salt:
+        Hash salt of the coordinated priorities.
+    rng:
+        Seed or generator for the drawn priorities (seed 0 by default).
+    """
+
+    def __init__(
+        self,
+        family: PriorityFamily | str | None = None,
+        coordinated: bool = False,
+        salt: int = 0,
+        rng=None,
+    ):
+        family = family_from_name(family)
+        self.family = family if family is not None else InverseWeightPriority()
+        self.coordinated = bool(coordinated)
+        self.salt = int(salt)
+        self.rng = as_generator(rng if rng is not None else 0)
+
+    def _priority(self, key: object, weight: float) -> float:
+        """The priority of one item."""
+        if self.coordinated:
+            u = hash_to_unit(key, self.salt)
+        else:
+            u = float(self.rng.random())
+        return float(self.family.inverse_cdf(u, weight))
+
+    def _batch_priorities(self, keys, weights: np.ndarray | None) -> np.ndarray:
+        """The priorities of a batch (unit weights when ``weights`` is
+        None), bit-equal to ``len(keys)`` :meth:`_priority` calls, which
+        advance the generator just as far."""
+        u = (batch_hash_to_unit(keys, self.salt) if self.coordinated
+             else self.rng.random(len(keys)))
+        return np.asarray(
+            self.family.inverse_cdf(u, 1.0 if weights is None else weights),
+            dtype=float,
+        )
+
+    def _priority_config(self) -> dict:
+        """The draw's constructor arguments, as ``_config()`` writes them."""
+        return {
+            "family": family_to_name(self.family),
+            "coordinated": self.coordinated,
+            "salt": self.salt,
+        }
+
+    def estimate_total(
+        self, predicate: Callable[[object], bool] | None = None
+    ) -> float:
+        """HT estimate of the (subset) sum of item values."""
+        sample = self.sample()
+        if predicate is not None:
+            sample = sample.select(predicate)
+        return sample.ht_total()
 
 
 def merged(a: StreamSampler, b: StreamSampler) -> StreamSampler:

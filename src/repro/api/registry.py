@@ -118,3 +118,17 @@ class SamplerSpec:
     def from_dict(cls, spec: dict) -> "SamplerSpec":
         """Build a spec from ``{"name": ..., "params": {...}}``."""
         return cls(name=spec["name"], params=dict(spec.get("params", {})))
+
+    @classmethod
+    def of(cls, spec: "SamplerSpec | dict | str") -> "SamplerSpec":
+        """A spec from a spec, its dict form or a bare registry name."""
+        if isinstance(spec, SamplerSpec):
+            return spec
+        if isinstance(spec, str):
+            return cls(spec)
+        if isinstance(spec, dict):
+            return cls.from_dict(spec)
+        raise TypeError(
+            "spec must be a SamplerSpec, a {'name': ..., 'params': ...} "
+            f"dict, or a registry name; got {type(spec).__name__}"
+        )

@@ -33,8 +33,9 @@ batch speedup on a 100k-event Zipf stream from 31x to 3.9x.  On the heap
 the threshold and the eviction are one top lookup, and the dict's arrival
 order is the row order these samplers' checkpoints record.
 
-Drawing or hashing priorities stays in the samplers, and so do duplicate
-keys for the columns.
+Both shapes take priorities already drawn or hashed (``bottom_k`` draws
+its own through :class:`~repro.api.protocol.PrioritySampler`) and leave
+duplicate keys to the samplers.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ kernels practical:
   for the tie rule of :class:`repro.core.bottomk_store.BottomKStore`.
 * :func:`smallest_distinct` — the distinct-sketch variant: the ``m``
   smallest *unique* values of a hash batch (KMV/Theta ingestion).
-* :func:`merge_into_sorted` — bulk merge of a pre-sorted batch into a
-  sorted column set, replacing per-item ``bisect.insort`` (the budget and
-  variance-target samplers keep their state in ascending priority order).
+* :func:`merge_into_sorted` — bulk merge of a batch into a sorted column
+  set, placing ties as per-item ``bisect.insort`` does (the
+  variance-target sampler keeps its state in ascending priority order).
 * :class:`DrawBuffer` — block-buffered ``rng.random()`` draws that consume
   the *exact* same generator stream as per-item scalar draws, even when the
   number of draws is data-dependent (PCG64's ``advance`` rewinds the unused
@@ -426,11 +426,16 @@ def merge_into_sorted(
     as ``existing_0, new_0, existing_1, new_1, ...``.  Returns the merged
     priority column followed by each merged extra column.  Equivalent to
     repeated ``bisect.insort`` (``bisect_left`` semantics) but one
-    ``O((s + m) log m)`` numpy pass instead of ``m`` list inserts.
+    ``O((s + m) log m)`` numpy pass instead of ``m`` list inserts: among
+    equal priorities, each later arrival lands before every earlier one,
+    stored or new.
     """
     if len(columns) % 2:
         raise ValueError("columns must come in (existing, new) pairs")
-    order = np.argsort(new_priorities, kind="stable")
+    m = new_priorities.size
+    # A stable sort of the reversed batch puts later arrivals first
+    # among equals.
+    order = m - 1 - np.argsort(new_priorities[::-1], kind="stable")
     new_sorted = new_priorities[order]
     # Position of each new element in the merged array: its index among the
     # existing elements (bisect_left) plus its rank within the batch.

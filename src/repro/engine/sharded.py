@@ -135,7 +135,7 @@ class ShardedSampler(StreamSampler):
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be a positive integer")
-        self.spec = self._normalize_spec(spec)
+        self.spec = SamplerSpec.of(spec)
         self.n_shards = int(n_shards)
         self.seed = int(seed)
         self.salt = int(salt)
@@ -168,19 +168,6 @@ class ShardedSampler(StreamSampler):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _normalize_spec(spec: SamplerSpec | dict | str) -> SamplerSpec:
-        if isinstance(spec, SamplerSpec):
-            return spec
-        if isinstance(spec, str):
-            return SamplerSpec(spec)
-        if isinstance(spec, dict):
-            return SamplerSpec.from_dict(spec)
-        raise TypeError(
-            "spec must be a SamplerSpec, a {'name': ..., 'params': ...} "
-            f"dict, or a registry name; got {type(spec).__name__}"
-        )
-
     def _build_shard(self, index: int) -> StreamSampler:
         params = dict(self.spec.params)
         init_params = inspect.signature(self._shard_cls.__init__).parameters

@@ -20,23 +20,18 @@ the sketch of the concatenated stream.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from ..api import StreamSampler, query_support, register_sampler
+from ..api import PrioritySampler, query_support, register_sampler
 from ..api.protocol import (
     _as_key_batch,
     _as_optional_array,
-    family_from_name,
-    family_to_name,
     rng_from_state,
     rng_to_state,
 )
 from ..core.bottomk_store import BottomKStore
-from ..core.hashing import batch_hash_to_unit, hash_to_unit
-from ..core.priorities import InverseWeightPriority, PriorityFamily
-from ..core.rng import as_generator
+from ..core.priorities import PriorityFamily
 from ..core.sample import Sample
 
 __all__ = ["BottomKSampler"]
@@ -46,7 +41,7 @@ _ROW = ("priorities", "keys", "weights", "values", "times")
 
 
 @register_sampler("bottom_k")
-class BottomKSampler(StreamSampler):
+class BottomKSampler(PrioritySampler):
     """Weighted bottom-k sampler with an adaptive, substitutable threshold.
 
     Parameters
@@ -86,11 +81,7 @@ class BottomKSampler(StreamSampler):
         salt: int = 0,
         rng=None,
     ):
-        family = family_from_name(family)
-        self.family = family if family is not None else InverseWeightPriority()
-        self.coordinated = bool(coordinated)
-        self.salt = int(salt)
-        self.rng = as_generator(rng if rng is not None else 0)
+        super().__init__(family, coordinated, salt, rng)
         # The k+1 smallest priorities seen; an untimed row's time is NaN.
         self._store = BottomKStore(k, ("weights", "values", "times"))
         self.items_seen = 0
@@ -103,13 +94,6 @@ class BottomKSampler(StreamSampler):
     # ------------------------------------------------------------------
     # Stream interface
     # ------------------------------------------------------------------
-    def _priority(self, key: object, weight: float) -> float:
-        if self.coordinated:
-            u = hash_to_unit(key, self.salt)
-        else:
-            u = float(self.rng.random())
-        return float(self.family.inverse_cdf(u, weight))
-
     def update(
         self, key: object, weight: float = 1.0, *, value=None, time=None
     ) -> bool:
@@ -139,11 +123,7 @@ class BottomKSampler(StreamSampler):
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
         t = _as_optional_array(times, n, "times")
-        u = (batch_hash_to_unit(keys, self.salt) if self.coordinated
-             else self.rng.random(n))
-        pr = np.asarray(
-            self.family.inverse_cdf(u, 1.0 if w is None else w), dtype=float
-        )
+        pr = self._batch_priorities(keys, w)
         self.items_seen += n
         w = np.ones(n) if w is None else w
         self._store.offer(pr, keys, weights=w, values=w if v is None else v,
@@ -182,13 +162,6 @@ class BottomKSampler(StreamSampler):
     # ------------------------------------------------------------------
     # Convenience estimators
     # ------------------------------------------------------------------
-    def estimate_total(self, predicate: Callable[[object], bool] | None = None) -> float:
-        """HT estimate of the (subset) sum of item values."""
-        sample = self.sample()
-        if predicate is not None:
-            sample = sample.select(predicate)
-        return sample.ht_total()
-
     def estimate_distinct(self) -> float:
         """HT population-size estimate ``sum 1/F_i(T)``.
 
@@ -239,12 +212,7 @@ class BottomKSampler(StreamSampler):
     # Serialization
     # ------------------------------------------------------------------
     def _config(self) -> dict:
-        return {
-            "k": self.k,
-            "family": family_to_name(self.family),
-            "coordinated": self.coordinated,
-            "salt": self.salt,
-        }
+        return {"k": self.k, **self._priority_config()}
 
     def _get_state(self) -> dict:
         cap = self._store.cap

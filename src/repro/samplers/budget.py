@@ -20,29 +20,24 @@ test-suite cross-checks the streaming sampler against
 from __future__ import annotations
 
 import bisect
-from typing import Callable
 
 import numpy as np
 
-from ..api import StreamSampler, query_support, register_sampler
+from ..api import PrioritySampler, query_support, register_sampler
 from ..api.protocol import (
     _as_key_list,
     _as_optional_array,
-    family_from_name,
-    family_to_name,
     rng_from_state,
     rng_to_state,
 )
-from ..core.hashing import batch_hash_to_unit, hash_to_unit
-from ..core.priorities import InverseWeightPriority, PriorityFamily
-from ..core.rng import as_generator
+from ..core.priorities import PriorityFamily
 from ..core.sample import Sample
 
 __all__ = ["BudgetSampler"]
 
 
 @register_sampler("budget")
-class BudgetSampler(StreamSampler):
+class BudgetSampler(PrioritySampler):
     """Adaptive-threshold sampler honoring a hard memory budget.
 
     Parameters
@@ -72,12 +67,8 @@ class BudgetSampler(StreamSampler):
     ):
         if budget <= 0:
             raise ValueError("budget must be positive")
+        super().__init__(family, coordinated, salt, rng)
         self.budget = float(budget)
-        family = family_from_name(family)
-        self.family = family if family is not None else InverseWeightPriority()
-        self.coordinated = bool(coordinated)
-        self.salt = int(salt)
-        self.rng = as_generator(rng if rng is not None else 0)
         # Ascending priority order: parallel lists managed with bisect.
         self._priorities: list[float] = []
         self._records: list[tuple[object, float, float, float]] = []  # key, w, v, size
@@ -89,13 +80,6 @@ class BudgetSampler(StreamSampler):
     # ------------------------------------------------------------------
     # Stream interface
     # ------------------------------------------------------------------
-    def _priority(self, key: object, weight: float) -> float:
-        if self.coordinated:
-            u = hash_to_unit(key, self.salt)
-        else:
-            u = float(self.rng.random())
-        return float(self.family.inverse_cdf(u, weight))
-
     def update(
         self,
         key: object,
@@ -105,15 +89,7 @@ class BudgetSampler(StreamSampler):
         time=None,
         size: float = 1.0,
     ) -> bool:
-        """Offer one item of the given size; returns True if retained.
-
-        .. warning::
-           ``size`` is keyword-only under the StreamSampler protocol.  The
-           pre-protocol signature ``update(key, size, weight=1.0)`` took
-           size as the second *positional* argument — old positional calls
-           now bind that value to ``weight`` instead, so they must be
-           migrated to ``update(key, weight, size=...)`` explicitly.
-        """
+        """Offer one item of the given size; returns True if retained."""
         if size < 0:
             raise ValueError("item size must be non-negative")
         self.items_seen += 1
@@ -171,13 +147,7 @@ class BudgetSampler(StreamSampler):
         s = _as_optional_array(sizes, n, "sizes")
         if s is not None and np.any(s < 0):
             raise ValueError("item size must be non-negative")
-        if self.coordinated:
-            u = batch_hash_to_unit(keys, self.salt)
-        else:
-            u = self.rng.random(n)
-        pr = np.asarray(
-            self.family.inverse_cdf(u, 1.0 if w is None else w), dtype=float
-        )
+        pr = self._batch_priorities(keys, w)
         self.items_seen += n
         self.max_item_size_seen = max(
             self.max_item_size_seen, 1.0 if s is None else float(s.max())
@@ -235,13 +205,6 @@ class BudgetSampler(StreamSampler):
             population_size=self.items_seen,
         )
 
-    def estimate_total(self, predicate: Callable[[object], bool] | None = None) -> float:
-        """HT estimate of the (subset) sum of item values."""
-        sample = self.sample()
-        if predicate is not None:
-            sample = sample.select(predicate)
-        return sample.ht_total()
-
     @staticmethod
     def conservative_bottomk_size(budget: float, max_item_size: float) -> int:
         """The k a bottom-k sketch must use to honor the same budget.
@@ -257,12 +220,7 @@ class BudgetSampler(StreamSampler):
     # Serialization
     # ------------------------------------------------------------------
     def _config(self) -> dict:
-        return {
-            "budget": self.budget,
-            "family": family_to_name(self.family),
-            "coordinated": self.coordinated,
-            "salt": self.salt,
-        }
+        return {"budget": self.budget, **self._priority_config()}
 
     def _get_state(self) -> dict:
         return {

@@ -13,25 +13,21 @@ from typing import Callable
 
 import numpy as np
 
-from ..api import StreamSampler, query_support, register_sampler
+from ..api import PrioritySampler, query_support, register_sampler
 from ..api.protocol import (
     _as_key_list,
     _as_optional_array,
-    family_from_name,
-    family_to_name,
     rng_from_state,
     rng_to_state,
 )
-from ..core.hashing import batch_hash_to_unit, hash_to_unit
-from ..core.priorities import InverseWeightPriority, PriorityFamily, Uniform01Priority
-from ..core.rng import as_generator
+from ..core.priorities import PriorityFamily, Uniform01Priority
 from ..core.sample import Sample
 
 __all__ = ["PoissonSampler"]
 
 
 @register_sampler("poisson")
-class PoissonSampler(StreamSampler):
+class PoissonSampler(PrioritySampler):
     """Stream sampler with a fixed threshold per item.
 
     Parameters
@@ -65,12 +61,8 @@ class PoissonSampler(StreamSampler):
         salt: int = 0,
         rng=None,
     ):
+        super().__init__(family, coordinated, salt, rng)
         self._threshold = threshold
-        family = family_from_name(family)
-        self.family = family if family is not None else InverseWeightPriority()
-        self.coordinated = bool(coordinated)
-        self.salt = int(salt)
-        self.rng = as_generator(rng if rng is not None else 0)
         self._keys: list = []
         self._values: list[float] = []
         self._weights: list[float] = []
@@ -83,13 +75,6 @@ class PoissonSampler(StreamSampler):
         if callable(self._threshold):
             return float(self._threshold(key, weight))
         return float(self._threshold)
-
-    def _priority(self, key: object, weight: float) -> float:
-        if self.coordinated:
-            u = hash_to_unit(key, self.salt)
-        else:
-            u = float(self.rng.random())
-        return float(self.family.inverse_cdf(u, weight))
 
     def update(
         self, key: object, weight: float = 1.0, *, value=None, time=None
@@ -121,12 +106,7 @@ class PoissonSampler(StreamSampler):
             return
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
-        if self.coordinated:
-            u = batch_hash_to_unit(keys, self.salt)
-        else:
-            u = self.rng.random(n)
-        wcol = 1.0 if w is None else w
-        pr = np.asarray(self.family.inverse_cdf(u, wcol), dtype=float)
+        pr = self._batch_priorities(keys, w)
         if callable(self._threshold):
             ts = np.fromiter(
                 (
@@ -162,13 +142,6 @@ class PoissonSampler(StreamSampler):
             family=self.family,
             population_size=self.items_seen,
         )
-
-    def estimate_total(self, predicate: Callable[[object], bool] | None = None) -> float:
-        """HT estimate of the (subset) sum of item values."""
-        sample = self.sample()
-        if predicate is not None:
-            sample = sample.select(predicate)
-        return sample.ht_total()
 
     def merge(self, other: "PoissonSampler") -> "PoissonSampler":
         """Absorb a Poisson sample of a *disjoint* stream (in-place).
@@ -216,9 +189,7 @@ class PoissonSampler(StreamSampler):
             )
         return {
             "threshold": float(self._threshold),
-            "family": family_to_name(self.family),
-            "coordinated": self.coordinated,
-            "salt": self.salt,
+            **self._priority_config(),
         }
 
     def _get_state(self) -> dict:

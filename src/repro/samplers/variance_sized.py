@@ -40,18 +40,15 @@ import bisect
 
 import numpy as np
 
-from ..api import StreamSampler, query_support, register_sampler
+from ..api import PrioritySampler, query_support, register_sampler
 from ..api.protocol import (
-    family_from_name,
-    family_to_name,
+    _as_key_list,
+    _as_optional_array,
     rng_from_state,
     rng_to_state,
 )
-from ..api.protocol import _as_key_list, _as_optional_array
-from ..core.hashing import batch_hash_to_unit, hash_to_unit
 from ..core.kernels import merge_into_sorted
 from ..core.priorities import InverseWeightPriority, PriorityFamily
-from ..core.rng import as_generator
 from ..core.sample import Sample
 
 __all__ = [
@@ -287,7 +284,7 @@ def solve_first_crossing(
 
 
 @register_sampler("variance_target")
-class VarianceTargetSampler(StreamSampler):
+class VarianceTargetSampler(PrioritySampler):
     """Streaming sampler that stops sampling once the variance target holds.
 
     Parameters
@@ -326,14 +323,10 @@ class VarianceTargetSampler(StreamSampler):
             raise ValueError("oversample must be >= 1")
         if horizon is not None and horizon < 1:
             raise ValueError("horizon must be positive when given")
+        super().__init__(family, coordinated, salt, rng)
         self.delta = float(delta)
         self.horizon = None if horizon is None else int(horizon)
         self.oversample = float(oversample)
-        family = family_from_name(family)
-        self.family = family if family is not None else InverseWeightPriority()
-        self.coordinated = bool(coordinated)
-        self.salt = int(salt)
-        self.rng = as_generator(rng if rng is not None else 0)
         self._priorities: list[float] = []
         self._records: list[tuple[object, float, float]] = []  # key, weight, value
         self._cap = float("inf")
@@ -343,13 +336,6 @@ class VarianceTargetSampler(StreamSampler):
         # every ~12% of stream growth — the solver is O(sample^2) in the
         # worst case, so a fixed cadence would dominate ingestion.
         self._next_tighten = 256
-
-    def _priority(self, key: object, weight: float) -> float:
-        if self.coordinated:
-            u = hash_to_unit(key, self.salt)
-        else:
-            u = float(self.rng.random())
-        return float(self.family.inverse_cdf(u, weight))
 
     def update(
         self, key: object, weight: float = 1.0, *, value=None, time=None
@@ -441,13 +427,7 @@ class VarianceTargetSampler(StreamSampler):
             return
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
-        if self.coordinated:
-            u = batch_hash_to_unit(keys, self.salt)
-        else:
-            u = self.rng.random(n)
-        pr = np.asarray(
-            self.family.inverse_cdf(u, 1.0 if w is None else w), dtype=float
-        )
+        pr = self._batch_priorities(keys, w)
         wcol = np.ones(n) if w is None else w
         vcol = wcol if v is None else v
         key_col = np.empty(n, dtype=object)
@@ -552,13 +532,6 @@ class VarianceTargetSampler(StreamSampler):
         """The finalized sample (see :meth:`finalize` for the soundness flag)."""
         return self.finalize()[0]
 
-    def estimate_total(self, predicate=None) -> float:
-        """HT estimate of the (subset) sum of item values."""
-        sample = self.sample()
-        if predicate is not None:
-            sample = sample.select(predicate)
-        return sample.ht_total()
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -567,9 +540,7 @@ class VarianceTargetSampler(StreamSampler):
             "delta": self.delta,
             "horizon": self.horizon,
             "oversample": self.oversample,
-            "family": family_to_name(self.family),
-            "coordinated": self.coordinated,
-            "salt": self.salt,
+            **self._priority_config(),
         }
 
     def _get_state(self) -> dict:

@@ -328,24 +328,6 @@ class VarOptSampler(StreamSampler):
         if tau > self.threshold:
             self.threshold = tau
 
-    @staticmethod
-    def _solve_tau(weights: np.ndarray, k: int) -> float:
-        """Solve ``sum_i min(1, w_i / tau) = k`` for k+1 weights.
-
-        With weights ascending, if the ``t`` smallest are "small"
-        (``w <= tau``), then ``tau = (sum of t smallest) / (t - 1)``; scan
-        ``t`` until the bracketing condition ``w_t <= tau < w_{t+1}`` holds.
-        """
-        ws = np.sort(weights)
-        n = ws.size  # == k + 1
-        prefix = np.cumsum(ws)
-        for t in range(2, n + 1):
-            tau = prefix[t - 1] / (t - 1)
-            upper = ws[t] if t < n else np.inf
-            if ws[t - 1] <= tau + 1e-12 and tau < upper + 1e-12:
-                return float(tau)
-        raise AssertionError("VarOpt threshold equation must have a solution")
-
     def __len__(self) -> int:
         return len(self._keys)
 

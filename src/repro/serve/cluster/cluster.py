@@ -453,16 +453,12 @@ class Cluster:
         flush-and-retry if they arrive first.
         """
         self._check_started()
-        if isinstance(spec, str):
-            spec = SamplerSpec(spec)
-        elif not isinstance(spec, SamplerSpec):
-            spec = SamplerSpec.from_dict(spec)
         placed = self.ring.node_for(tenant)
         record = self.registry.create(
             tenant, spec, quota=quota, service=placed
         )
         try:
-            self._workers[placed].enqueue_admin(create_op(tenant, spec))
+            self._workers[placed].enqueue_admin(create_op(tenant, record.spec))
         except BaseException:
             self.registry.drop(tenant)
             raise
@@ -490,10 +486,6 @@ class Cluster:
         records: list[TenantRecord] = []
         try:
             for tenant, spec in specs.items():
-                if isinstance(spec, str):
-                    spec = SamplerSpec(spec)
-                elif not isinstance(spec, SamplerSpec):
-                    spec = SamplerSpec.from_dict(spec)
                 records.append(self.registry.create(
                     tenant, spec, quota=quotas.get(tenant),
                     service=self.ring.node_for(tenant),

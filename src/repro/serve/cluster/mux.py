@@ -174,7 +174,7 @@ class TenantMuxSampler(StreamSampler):
         check_tenant_id(tenant)
         if tenant in self._children:
             raise ValueError(f"tenant {tenant!r} already exists")
-        spec = spec if isinstance(spec, SamplerSpec) else SamplerSpec.from_dict(spec)
+        spec = SamplerSpec.of(spec)
         self._children[tenant] = spec.build()
         self._specs[tenant] = spec.as_dict()
         self._applied[tenant] = 0

@@ -340,9 +340,7 @@ def _fresh_state(spec) -> dict:
     that already applied it would raise ``tenant already exists`` inside
     the consumer and crash an otherwise healthy worker.
     """
-    if not isinstance(spec, SamplerSpec):
-        spec = SamplerSpec.from_dict(spec)
-    return spec.build().to_state()
+    return SamplerSpec.of(spec).build().to_state()
 
 
 async def remove_service(cluster, name: str) -> RebalancePlan:

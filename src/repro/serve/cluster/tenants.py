@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ...api.registry import SamplerSpec
+from ...api import SamplerSpec, StreamSampler
 
 __all__ = [
     "TenantQuota",
@@ -261,7 +261,7 @@ class TenantRegistry:
     def create(
         self,
         tenant: str,
-        spec: SamplerSpec | dict,
+        spec: SamplerSpec | dict | str,
         *,
         quota: TenantQuota | dict | None = None,
         service: str = "",
@@ -270,7 +270,8 @@ class TenantRegistry:
         in-stream admin op; the registry only owns the namespace).
 
         The spec is built once here and the sampler discarded: a spec its
-        worker could not build, or one whose sampler needs a per-event
+        worker could not build, a registered offline design (``cps``, the
+        layouts; a ``TypeError``), or one whose sampler needs a per-event
         column that cluster blocks do not carry (``strata=``,
         ``groups=``), is refused before the caller can register, enqueue
         or log it — a create op that fails on its worker would crash it
@@ -279,8 +280,14 @@ class TenantRegistry:
         check_tenant_id(tenant)
         if tenant in self._records:
             raise ValueError(f"tenant {tenant!r} already exists")
-        spec = spec if isinstance(spec, SamplerSpec) else SamplerSpec.from_dict(spec)
-        for column in spec.build().required_columns:
+        spec = SamplerSpec.of(spec)
+        sampler = spec.build()
+        if not isinstance(sampler, StreamSampler):
+            raise TypeError(
+                f"{type(sampler).__name__} is not a StreamSampler; "
+                "an offline design cannot be served"
+            )
+        for column in sampler.required_columns:
             if column not in _BLOCK_COLUMNS:
                 raise ValueError(
                     f"sampler {spec.name!r} requires a {column}= column, "

@@ -227,22 +227,14 @@ class StreamService:
         fault_hook: Callable[[str], object] | None = None,
         trace=None,
     ):
-        if isinstance(sampler, StreamSampler):
-            self._sampler = sampler
-        elif isinstance(sampler, (SamplerSpec, dict, str)):
-            spec = (
-                sampler
-                if isinstance(sampler, SamplerSpec)
-                else SamplerSpec(sampler)
-                if isinstance(sampler, str)
-                else SamplerSpec.from_dict(sampler)
-            )
-            self._sampler = spec.build()
-        else:
-            raise TypeError(
-                "sampler must be a StreamSampler, SamplerSpec, spec dict, "
-                f"or registry name; got {type(sampler).__name__}"
-            )
+        if not isinstance(sampler, StreamSampler):
+            sampler = SamplerSpec.of(sampler).build()
+            if not isinstance(sampler, StreamSampler):
+                raise TypeError(
+                    f"{type(sampler).__name__} is not a StreamSampler; "
+                    "an offline design cannot be served"
+                )
+        self._sampler = sampler
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
         if batch_size < 1:

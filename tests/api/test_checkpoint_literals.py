@@ -17,6 +17,13 @@ trees were written by the hand-rolled heaps that preceded
 ascend; the item, stratum, dedicated and pool rows are in arrival order,
 and the layout check compares them exactly.
 
+The ``poisson``, ``budget`` and ``variance_target`` trees were written
+by the samplers that each drew their own priorities, before
+:class:`~repro.api.protocol.PrioritySampler`.  Between them they cover a
+non-default family drawn from the generator, hashed priorities and item
+sizes; their rows are in arrival order (``poisson``) or priority order,
+and the layout check compares them exactly.
+
 Both restore paths must reproduce those samples, and so must fresh
 sketches fed the same inputs, writing the same rows.  A changed row
 layout fails the restore; a priority change (such as hashing a float64
@@ -39,6 +46,7 @@ STR_KEYS = ["a", "bb", "ccc", "dd", "e", "ff", "g", "hh"]
 WEIGHTS = np.array([1.0, 2.5, 0.5, 4.0, 1.5, 3.0, 0.75, 2.0])
 VALUES = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0])
 TIMES = np.arange(8) * 0.5
+SIZES = np.array([0.5, 1.25, 2.0, 0.75, 1.0, 1.5, 0.25, 1.75])
 
 
 def _bottom_k():
@@ -142,6 +150,39 @@ def _grouped_distinct():
         s.update(key, group="c" if key < "e" else "d")
     s.update_many(FLOAT_KEYS, groups=["d", "c", "e", "a"] * 2)
     s.update_many(INT_KEYS, groups=["e"] * 8)
+    return s
+
+
+def _poisson():
+    # Exponential priorities from the generator; floats fed one by one.
+    s = make_sampler("poisson", threshold=0.4, family="exponential", rng=7)
+    s.update_many(INT_KEYS, WEIGHTS)
+    for key, w in zip(FLOAT_KEYS.tolist(), WEIGHTS.tolist()):
+        s.update(key, w)
+    s.update_many(STR_KEYS, WEIGHTS, values=VALUES)
+    return s
+
+
+def _budget():
+    # Hashed priorities and item sizes; the budget binds.
+    s = make_sampler("budget", budget=5.0, coordinated=True, salt=3)
+    s.update_many(INT_KEYS, WEIGHTS, sizes=SIZES)
+    for key, w, size in zip(FLOAT_KEYS.tolist(), WEIGHTS.tolist(),
+                            SIZES.tolist()):
+        s.update(key, w, size=size)
+    s.update_many(STR_KEYS, WEIGHTS, values=VALUES, sizes=SIZES[::-1])
+    return s
+
+
+def _variance_target():
+    # Uniform priorities from the generator; the sample is cut at the
+    # first variance crossing.
+    s = make_sampler("variance_target", delta=40.0, horizon=24,
+                     family="uniform", rng=7)
+    s.update_many(INT_KEYS, WEIGHTS, values=VALUES)
+    for key, w in zip(FLOAT_KEYS.tolist(), WEIGHTS.tolist()):
+        s.update(key, w)
+    s.update_many(STR_KEYS, WEIGHTS, values=VALUES)
     return s
 
 
@@ -481,6 +522,210 @@ GROUPED_DISTINCT_SIGNATURE = (
     ("('e', 79)", 1.0, 1.0, 0.281224692104, 0.327486406463),
 )
 
+# Written by the samplers that drew their own priorities; see the module
+# docstring.
+POISSON_STATE = {
+    "sampler": "poisson",
+    "version": 2,
+    "params": {
+        "threshold": 0.4,
+        "family": "exponential",
+        "coordinated": False,
+        "salt": 0,
+    },
+    "state": {
+        "keys": [92, 65, 89, 2.25, 7.75, 3.0, 9.5, "e", "ff", "hh"],
+        "values": [4.0, 1.5, 0.75, 2.5, 4.0, 1.5, 3.0, 50.0, 60.0, 80.0],
+        "weights": [4.0, 1.5, 0.75, 2.5, 4.0, 1.5, 3.0, 1.5, 3.0, 2.0],
+        "priorities": [
+            0.06378990682358919,
+            0.23794168135423455,
+            0.007038953509409275,
+            0.2523958112095993,
+            0.08157995108784995,
+            0.19613068386224783,
+            0.19630822092163178,
+            0.16164325646751687,
+            0.05820194675590825,
+            0.022468353321143764,
+        ],
+        "thresholds": [0.4] * 10,
+        "items_seen": 24,
+        "rng": {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": 24577368018281870019634082382682937184,
+                "inc": 261136684632268670825940853076396136793,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+    },
+}
+
+POISSON_SIGNATURE = (
+    ("'e'", 50.0, 1.5, 0.161643256468, 0.4),
+    ("'ff'", 60.0, 3.0, 0.058201946756, 0.4),
+    ("'hh'", 80.0, 2.0, 0.022468353321, 0.4),
+    ("2.25", 2.5, 2.5, 0.25239581121, 0.4),
+    ("3.0", 1.5, 1.5, 0.196130683862, 0.4),
+    ("65", 1.5, 1.5, 0.237941681354, 0.4),
+    ("7.75", 4.0, 4.0, 0.081579951088, 0.4),
+    ("89", 0.75, 0.75, 0.007038953509, 0.4),
+    ("9.5", 3.0, 3.0, 0.196308220922, 0.4),
+    ("92", 4.0, 4.0, 0.063789906824, 0.4),
+)
+
+BUDGET_STATE = {
+    "sampler": "budget",
+    "version": 2,
+    "params": {
+        "budget": 5.0,
+        "family": "inverse_weight",
+        "coordinated": True,
+        "salt": 3,
+    },
+    "state": {
+        "priorities": [
+            0.004148463411359528,
+            0.0052985592869441295,
+            0.013366824790356455,
+            0.03568967692973647,
+        ],
+        "records": [
+            [35, 3.0, 3.0, 1.5],
+            [14, 2.5, 2.5, 1.25],
+            [2.25, 2.5, 2.5, 1.25],
+            ["dd", 4.0, 40.0, 1.0],
+        ],
+        "threshold": 0.04707131056083511,
+        "items_seen": 24,
+        "max_item_size_seen": 2.0,
+        "rng": {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": 35399562948360463058890781895381311971,
+                "inc": 87136372517582989555478159403783844777,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+    },
+}
+
+BUDGET_SIGNATURE = (
+    ("'dd'", 40.0, 4.0, 0.03568967693, 0.047071310561),
+    ("14", 2.5, 2.5, 0.005298559287, 0.047071310561),
+    ("2.25", 2.5, 2.5, 0.01336682479, 0.047071310561),
+    ("35", 3.0, 3.0, 0.004148463411, 0.047071310561),
+)
+
+VARIANCE_TARGET_STATE = {
+    "sampler": "variance_target",
+    "version": 2,
+    "params": {
+        "delta": 40.0,
+        "horizon": 24,
+        "oversample": 2.0,
+        "family": "uniform",
+        "coordinated": False,
+        "salt": 0,
+    },
+    "state": {
+        "priorities": [
+            0.005265304565574724,
+            0.04394200796138337,
+            0.16021203385784455,
+            0.21530869823559895,
+            0.22520718999059186,
+            0.2548695876541246,
+            0.2784256121007733,
+            0.30016628491122543,
+            0.3030324268193135,
+            0.4450763058826466,
+            0.4679349528437208,
+            0.5045482589579533,
+            0.5534973520744925,
+            0.6125396042730308,
+            0.6221792294411627,
+            0.625095466604667,
+            0.7756856902451935,
+            0.7926619192137531,
+            0.7970694287520462,
+            0.8212284183827663,
+            0.8735534453962619,
+            0.8972138009695755,
+            0.9889601476818849,
+            0.9955002834343927,
+        ],
+        "records": [
+            [89, 0.75, 70.0],
+            ["hh", 2.0, 80.0],
+            ["ff", 3.0, 60.0],
+            ["e", 1.5, 50.0],
+            [92, 4.0, 40.0],
+            [3.0, 1.5, 1.5],
+            [7.75, 4.0, 4.0],
+            [65, 1.5, 50.0],
+            [0.5, 0.5, 0.5],
+            [9.5, 3.0, 3.0],
+            [2.25, 2.5, 2.5],
+            [4.125, 0.75, 0.75],
+            [6.0, 2.0, 2.0],
+            ["g", 0.75, 70.0],
+            ["ccc", 0.5, 30.0],
+            [3, 1.0, 10.0],
+            [15, 0.5, 30.0],
+            ["bb", 2.5, 20.0],
+            [1.5, 1.0, 1.0],
+            [79, 2.0, 80.0],
+            [35, 3.0, 60.0],
+            [14, 2.5, 20.0],
+            ["dd", 4.0, 40.0],
+            ["a", 1.0, 10.0],
+        ],
+        "cap": float("inf"),
+        "cap_ever_bound": False,
+        "items_seen": 24,
+        "next_tighten": 256,
+        "rng": {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": 24577368018281870019634082382682937184,
+                "inc": 261136684632268670825940853076396136793,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+    },
+}
+
+# The two largest priorities lie above the first crossing.
+VARIANCE_TARGET_SIGNATURE = (
+    ("'bb'", 20.0, 2.5, 0.792661919214, 0.962155940143),
+    ("'ccc'", 30.0, 0.5, 0.622179229441, 0.962155940143),
+    ("'e'", 50.0, 1.5, 0.215308698236, 0.962155940143),
+    ("'ff'", 60.0, 3.0, 0.160212033858, 0.962155940143),
+    ("'g'", 70.0, 0.75, 0.612539604273, 0.962155940143),
+    ("'hh'", 80.0, 2.0, 0.043942007961, 0.962155940143),
+    ("0.5", 0.5, 0.5, 0.303032426819, 0.962155940143),
+    ("1.5", 1.0, 1.0, 0.797069428752, 0.962155940143),
+    ("14", 20.0, 2.5, 0.89721380097, 0.962155940143),
+    ("15", 30.0, 0.5, 0.775685690245, 0.962155940143),
+    ("2.25", 2.5, 2.5, 0.467934952844, 0.962155940143),
+    ("3", 10.0, 1.0, 0.625095466605, 0.962155940143),
+    ("3.0", 1.5, 1.5, 0.254869587654, 0.962155940143),
+    ("35", 60.0, 3.0, 0.873553445396, 0.962155940143),
+    ("4.125", 0.75, 0.75, 0.504548258958, 0.962155940143),
+    ("6.0", 2.0, 2.0, 0.553497352074, 0.962155940143),
+    ("65", 50.0, 1.5, 0.300166284911, 0.962155940143),
+    ("7.75", 4.0, 4.0, 0.278425612101, 0.962155940143),
+    ("79", 80.0, 2.0, 0.821228418383, 0.962155940143),
+    ("89", 70.0, 0.75, 0.005265304566, 0.962155940143),
+    ("9.5", 3.0, 3.0, 0.445076305883, 0.962155940143),
+    ("92", 40.0, 4.0, 0.225207189991, 0.962155940143),
+)
+
 #: name -> (feed, literal checkpoint, its sample signature, and the
 #: priority field of each row list the store keeps sorted).
 CASES = {
@@ -500,6 +745,10 @@ CASES = {
                          MULTI_STRATIFIED_SIGNATURE, {}),
     "grouped_distinct": (_grouped_distinct, GROUPED_DISTINCT_STATE,
                          GROUPED_DISTINCT_SIGNATURE, {}),
+    "poisson": (_poisson, POISSON_STATE, POISSON_SIGNATURE, {}),
+    "budget": (_budget, BUDGET_STATE, BUDGET_SIGNATURE, {}),
+    "variance_target": (_variance_target, VARIANCE_TARGET_STATE,
+                        VARIANCE_TARGET_SIGNATURE, {}),
 }
 NAMES = sorted(CASES)
 
@@ -538,7 +787,8 @@ def test_checkpoint_rows_keep_their_layout(name):
     restored = repro.sampler_from_state(copy.deepcopy(state))
     for tree in (feed().to_state(), restored.to_state()):
         assert tree["params"] == state["params"]
-        assert tree["state"].keys() == state["state"].keys()
+        assert list(tree["params"]) == list(state["params"])
+        assert list(tree["state"]) == list(state["state"])
         for field, want in state["state"].items():
             got = tree["state"][field]
             if field.endswith("entries"):

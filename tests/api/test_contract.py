@@ -330,6 +330,14 @@ class TestRegistryCoverage:
         assert type(sampler).__name__ == "BottomKSampler"
         assert repro.SamplerSpec.from_dict(spec.as_dict()) == spec
 
+    def test_sampler_spec_of_each_form(self):
+        spec = repro.SamplerSpec("bottom_k", {"k": 16})
+        assert repro.SamplerSpec.of(spec) is spec
+        assert repro.SamplerSpec.of(spec.as_dict()) == spec
+        assert repro.SamplerSpec.of("kmv") == repro.SamplerSpec("kmv")
+        with pytest.raises(TypeError, match="got list"):
+            repro.SamplerSpec.of(["bottom_k"])
+
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 class TestStreamingContract:
@@ -620,6 +628,68 @@ def test_key_table_batch_bails_out_to_the_scalar_loop_exactly(name, form):
     _key_table_scalar(scalar, keys)
     batch = make_sampler(name, **KEY_TABLE_CASES[name])
     batch.update_many(keys)
+    assert batch.items_seen == scalar.items_seen == len(keys)
+    assert repr(batch.to_state()) == repr(scalar.to_state())
+
+
+#: The threshold samplers that draw R_i = F^{-1}(U_i | w_i) per event.
+PRIORITY_CASES = {
+    "bottom_k": {"k": 16},
+    "poisson": {"threshold": 0.3},
+    "budget": {"budget": 24.0},
+    "variance_target": {"delta": 10.0, "horizon": 300},
+}
+
+_AXIS_RNG = np.random.default_rng(41)
+#: ~97 distinct keys over 300 events, one weight per key: on a
+#: coordinated feed a repeated key draws the same priority each time.
+_AXIS_IDS = _AXIS_RNG.integers(0, 97, 300)
+_AXIS_WEIGHTS = _AXIS_RNG.lognormal(0.0, 0.6, 97)[_AXIS_IDS]
+_AXIS_VALUES = _AXIS_RNG.uniform(1.0, 10.0, 300)
+_AXIS_SIZES = _AXIS_RNG.uniform(0.5, 2.0, 300)
+
+PRIORITY_KEY_FORMS = {
+    "int64_array": lambda: _AXIS_IDS.astype(np.int64),
+    "int_list": lambda: _AXIS_IDS.tolist(),
+    "float64_array": lambda: _AXIS_IDS * 0.5,
+    "str_list": lambda: [f"k{i}" for i in _AXIS_IDS.tolist()],
+    "tuple_list": lambda: [(i % 7, i // 7) for i in _AXIS_IDS.tolist()],
+}
+
+
+@pytest.mark.parametrize(
+    "chunk", [None, 64, 7], ids=["whole", "chunks_64", "chunks_7"]
+)
+@pytest.mark.parametrize("coordinated", [False, True],
+                         ids=["drawn", "coordinated"])
+@pytest.mark.parametrize("family", ["inverse_weight", "exponential",
+                                    "uniform"])
+@pytest.mark.parametrize("form", list(PRIORITY_KEY_FORMS))
+@pytest.mark.parametrize("name", list(PRIORITY_CASES))
+def test_priority_batch_matches_scalar_loop(
+    name, form, family, coordinated, chunk
+):
+    """``update_many`` leaves the scalar loop's exact ``to_state()`` for
+    every priority family, drawn or hashed, on every key form.  Repeated
+    keys tie on a coordinated feed, so ``repr`` also pins the order tied
+    rows are stored in, which :func:`sample_signature` cannot see."""
+    keys = PRIORITY_KEY_FORMS[form]()
+    params = {**PRIORITY_CASES[name], "family": family,
+              "coordinated": coordinated, "salt": 5, "rng": 9}
+    sized = name == "budget"
+    scalar = make_sampler(name, **params)
+    seq = keys.tolist() if isinstance(keys, np.ndarray) else keys
+    for i, key in enumerate(seq):
+        extra = {"size": float(_AXIS_SIZES[i])} if sized else {}
+        scalar.update(key, float(_AXIS_WEIGHTS[i]),
+                      value=float(_AXIS_VALUES[i]), **extra)
+    batch = make_sampler(name, **params)
+    step = chunk or len(keys)
+    for lo in range(0, len(keys), step):
+        hi = lo + step
+        extra = {"sizes": _AXIS_SIZES[lo:hi]} if sized else {}
+        batch.update_many(keys[lo:hi], _AXIS_WEIGHTS[lo:hi],
+                          _AXIS_VALUES[lo:hi], **extra)
     assert batch.items_seen == scalar.items_seen == len(keys)
     assert repr(batch.to_state()) == repr(scalar.to_state())
 

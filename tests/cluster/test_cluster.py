@@ -182,6 +182,8 @@ BAD_SPECS = {
                      ValueError, "strata= column"),
     "needs_groups": ({"name": "grouped_distinct", "params": {"m": 2, "k": 4}},
                      ValueError, "groups= column"),
+    "offline_design": ("cps", TypeError,
+                       "ConditionalPoissonSampler is not a StreamSampler"),
 }
 
 

@@ -127,7 +127,10 @@ class TestTenantRegistry:
          ValueError, "strata= column"),
         ({"name": "grouped_distinct", "params": {"m": 2, "k": 4}},
          ValueError, "groups= column"),
-    ], ids=["unknown", "bad_value", "unknown_param", "strata", "groups"])
+        ({"name": "priority_layout"}, TypeError,
+         "PriorityLayoutTable is not a StreamSampler"),
+    ], ids=["unknown", "bad_value", "unknown_param", "strata", "groups",
+            "offline_design"])
     def test_spec_it_cannot_build_or_feed_is_refused(self, spec, error, match):
         """The spec is built before the tenant is registered; a sampler
         needing a column cluster blocks lack is refused by name."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.kernels import varopt_tau
 from repro.samplers.varopt import VarOptSampler
 
 from tests.helpers import assert_within_se
@@ -24,12 +25,12 @@ class TestMechanics:
     def test_tau_equation(self):
         # sum min(1, w / tau) over the k+1 candidates must equal k.
         weights = np.array([1.0, 2.0, 3.0, 10.0, 0.5])
-        tau = VarOptSampler._solve_tau(weights, k=4)
+        tau = varopt_tau(weights)
         assert np.sum(np.minimum(1.0, weights / tau)) == pytest.approx(4.0)
 
     def test_tau_equation_heavy_tail(self):
         weights = np.array([100.0, 1.0, 1.0, 1.0])
-        tau = VarOptSampler._solve_tau(weights, k=3)
+        tau = varopt_tau(weights)
         assert np.sum(np.minimum(1.0, weights / tau)) == pytest.approx(3.0)
 
     def test_validation(self):
