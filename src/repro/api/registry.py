@@ -7,15 +7,19 @@ its keyword parameters, and :func:`make_sampler` (or a
 ``StreamSampler.to_state`` carry the same name, so
 :func:`sampler_from_state` can revive a sampler without knowing its class.
 
-Every sampler in :mod:`repro.samplers` and every baseline sketch in
-:mod:`repro.baselines` registers itself with the
-:func:`register_sampler` class decorator at import time.
+Every stream sampler in :mod:`repro.samplers` and every baseline sketch
+in :mod:`repro.baselines` registers itself with the
+:func:`register_sampler` class decorator at import time.  Only
+:class:`~repro.api.StreamSampler` subclasses register; the offline
+designs (CPS, the AQP layouts) are built by their constructors.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+
+from .protocol import StreamSampler
 
 __all__ = [
     "register_sampler",
@@ -34,9 +38,15 @@ def register_sampler(name: str):
 
     Sets ``cls.sampler_name`` (used by ``to_state``) and makes the class
     constructible via :func:`make_sampler` and :class:`SamplerSpec`.
+    Raises ``TypeError`` for a class that is not a :class:`StreamSampler`.
     """
 
     def decorator(cls):
+        if not (isinstance(cls, type) and issubclass(cls, StreamSampler)):
+            raise TypeError(
+                f"cannot register {name!r}: {cls!r} is not a StreamSampler "
+                "subclass"
+            )
         existing = _REGISTRY.get(name)
         if existing is not None and existing is not cls:
             raise ValueError(
@@ -116,8 +126,23 @@ class SamplerSpec:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SamplerSpec":
-        """Build a spec from ``{"name": ..., "params": {...}}``."""
-        return cls(name=spec["name"], params=dict(spec.get("params", {})))
+        """Build a spec from ``{"name": ..., "params": {...}}``.
+
+        Raises ``ValueError`` when ``name`` is missing or not a string and
+        ``TypeError`` when ``params`` is given but is not a dict.
+        """
+        name = spec.get("name")
+        if not isinstance(name, str):
+            raise ValueError(
+                f"a sampler spec needs a str 'name'; got {name!r}"
+            )
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise TypeError(
+                "a sampler spec's 'params' must be a dict; got "
+                f"{type(params).__name__}"
+            )
+        return cls(name=name, params=dict(params))
 
     @classmethod
     def of(cls, spec: "SamplerSpec | dict | str") -> "SamplerSpec":

@@ -458,9 +458,11 @@ def _store_state(store: _CounterStore, items_seen: int) -> dict:
 def _store_from_state(state: dict, capacity: int) -> _CounterStore:
     """Rebuild a counter store (heap included) from :func:`_store_state`.
 
-    Insertion positions are not serialized; keys are re-inserted in stored
-    order, so eviction tie-breaks after a round-trip may differ from an
-    uninterrupted run (the contract test's ``resume_identical=False``).
+    Insertion positions are not serialized, but ``counts`` lists its keys
+    in insertion order (a dict appends new keys and drops evicted ones),
+    so re-inserting them in stored order at positions ``1..m`` keeps every
+    eviction tie-break of an uninterrupted run: later insertions take
+    stream positions (``items_seen``), which exceed ``m``.
     """
     store = _CounterStore(capacity)
     errors = dict(state["errors"])

@@ -56,7 +56,7 @@ def mergeable_samplers() -> tuple[str, ...]:
     return tuple(
         name
         for name in available_samplers()
-        if getattr(get_sampler_class(name), "mergeable", False)
+        if get_sampler_class(name).mergeable
     )
 
 
@@ -141,7 +141,7 @@ class ShardedSampler(StreamSampler):
         self.salt = int(salt)
 
         self._shard_cls = get_sampler_class(self.spec.name)
-        if not getattr(self._shard_cls, "mergeable", False):
+        if not self._shard_cls.mergeable:
             raise ValueError(
                 f"sampler {self.spec.name!r} ({self._shard_cls.__name__}) is "
                 "not mergeable and cannot be sharded; mergeable samplers: "
@@ -161,7 +161,7 @@ class ShardedSampler(StreamSampler):
         self.query_capabilities = dict(self._shard_cls.query_capabilities)
         self.query_variance = self._shard_cls.query_variance
         self.query_windowed = self._shard_cls.query_windowed
-        self.resizable = bool(getattr(self._shard_cls, "resizable", False))
+        self.resizable = self._shard_cls.resizable
         self._shards = [self._build_shard(i) for i in range(self.n_shards)]
         self._reduced_cache: StreamSampler | None = None
 

@@ -1,7 +1,8 @@
 """The registry-wide capability table.
 
-Every registered sampler class declares, next to its ``mergeable`` flag,
-which query aggregates it answers and why the rest are out of scope
+Every registered sampler class (each a
+:class:`~repro.api.StreamSampler`) declares, next to its ``mergeable``
+flag, which query aggregates it answers and why the rest are out of scope
 (:attr:`repro.api.StreamSampler.query_capabilities`, built with
 :func:`repro.api.protocol.query_support`).  This module collects those
 declarations into one table — the single source of truth behind
@@ -12,36 +13,29 @@ matrix in ``docs/architecture.md`` (pinned against drift by
 
 from __future__ import annotations
 
-from ..api.protocol import _NO_SAMPLE_REASON, _NO_TIME_REASON, QUERY_AGGREGATES
+from ..api.protocol import _NO_SAMPLE_REASON, QUERY_AGGREGATES
 from ..api.registry import available_samplers, get_sampler_class
 
 __all__ = ["capability_table", "capability_markdown", "QUERY_AGGREGATES"]
-
-#: Classes registered with the factory but outside the StreamSampler
-#: protocol still carry a plain-attribute capability table; anything
-#: without one falls back to this reason.
-_UNDECLARED = _NO_SAMPLE_REASON
 
 
 def capability_table() -> dict[str, dict[str, bool | str]]:
     """Per-registered-name capability rows, ``{name: {aggregate: entry}}``.
 
     Each entry is ``True`` (supported) or the class's declared reason
-    string.  Every registered name appears, including the offline designs
-    and the sharded engine (whose class-level row explains that instances
-    mirror their shard class).  Beyond the per-aggregate entries, each
-    row carries a ``"windowed"`` entry — whether time-scoped queries
+    string.  Every registered name appears, including the sharded engine
+    (whose class-level row explains that instances mirror their shard
+    class).  Beyond the per-aggregate entries, each row carries a
+    ``"windowed"`` entry — whether time-scoped queries
     (``window=``/``last=``/``decay=``) are answered — read from the
     class's ``query_windowed`` declaration.
     """
     table: dict[str, dict[str, bool | str]] = {}
     for name in available_samplers():
         cls = get_sampler_class(name)
-        caps = getattr(cls, "query_capabilities", None)
-        if caps is None:
-            caps = {agg: _UNDECLARED for agg in QUERY_AGGREGATES}
-        row = {agg: caps.get(agg, _UNDECLARED) for agg in QUERY_AGGREGATES}
-        row["windowed"] = getattr(cls, "query_windowed", _NO_TIME_REASON)
+        caps = cls.query_capabilities
+        row = {agg: caps.get(agg, _NO_SAMPLE_REASON) for agg in QUERY_AGGREGATES}
+        row["windowed"] = cls.query_windowed
         table[name] = row
     return table
 
@@ -71,9 +65,7 @@ def capability_markdown() -> str:
             else:
                 idx = reasons.setdefault(str(entry), len(reasons) + 1)
                 cells.append(f"— [^q{idx}]")
-        variance = getattr(
-            get_sampler_class(name), "query_variance", _UNDECLARED
-        )
+        variance = get_sampler_class(name).query_variance
         if variance is True:
             var_cell = "yes"
         else:

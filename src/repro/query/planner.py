@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..api.protocol import _NO_SAMPLE_REASON, _NO_TIME_REASON, QUERY_AGGREGATES
+from ..api.protocol import _NO_SAMPLE_REASON
 from ..core.sample import Sample
 from .executors import resolve_window_bounds, run_aggregate
 from .spec import Query, QueryCapabilityError, QueryResult
@@ -44,29 +44,6 @@ class QueryPlan:
         return run_aggregate(sample, self.query, self.with_variance, now)
 
 
-def _sampler_label(sampler) -> str:
-    name = getattr(sampler, "sampler_name", None)
-    return name or type(sampler).__name__
-
-
-def _capability_entries(sampler):
-    """Read a target's capability table without assuming the protocol.
-
-    Registered classes outside :class:`~repro.api.StreamSampler` (the
-    offline designs/layouts) carry the same ``query_capabilities``
-    attribute but none of the protocol's accessor methods; reading the
-    table via ``getattr`` lets ``plan()`` surface their *declared* gap
-    reasons instead of an :class:`AttributeError`.
-    """
-    caps = getattr(sampler, "query_capabilities", None)
-    if caps is None:
-        caps = {}
-    supported = tuple(
-        name for name in QUERY_AGGREGATES if caps.get(name) is True
-    )
-    return caps, supported
-
-
 def plan(sampler, query: Query) -> QueryPlan:
     """Validate ``query`` against ``sampler``'s capability table.
 
@@ -78,10 +55,10 @@ def plan(sampler, query: Query) -> QueryPlan:
         ``ci=`` is requested from a sampler whose ``query_variance``
         declares no variance story.
     """
-    label = _sampler_label(sampler)
-    caps, supported = _capability_entries(sampler)
-    entry = caps.get(query.aggregate, _NO_SAMPLE_REASON)
+    label = sampler.sampler_name or type(sampler).__name__
+    entry = sampler.query_capabilities.get(query.aggregate, _NO_SAMPLE_REASON)
     if entry is not True:
+        supported = sampler.supported_aggregates()
         hint = (
             "supported aggregates: " + ", ".join(supported)
             if supported
@@ -92,13 +69,13 @@ def plan(sampler, query: Query) -> QueryPlan:
             f"{entry} ({hint})"
         )
     if query.is_time_scoped:
-        windowed_flag = getattr(sampler, "query_windowed", _NO_TIME_REASON)
+        windowed_flag = sampler.query_windowed
         if windowed_flag is not True:
             raise QueryCapabilityError(
                 f"{label} does not support time-scoped queries "
                 f"(window=/last=/decay=): {windowed_flag}"
             )
-    variance_flag = getattr(sampler, "query_variance", True)
+    variance_flag = sampler.query_variance
     with_variance = variance_flag is True
     if query.ci is not None and not with_variance:
         raise QueryCapabilityError(
@@ -118,7 +95,7 @@ def execute(sampler, query: Query) -> QueryResult:
     serving runtime's snapshot readers in particular — can verify that
     a set of answers was computed against one mutation epoch.
     """
-    version = getattr(sampler, "state_version", None)
+    version = sampler.state_version
     query_plan = plan(sampler, query)
     now = query.now
     if query.is_time_scoped:

@@ -22,11 +22,13 @@ here implements the unified :class:`repro.api.StreamSampler` protocol:
 * ``to_state()`` / ``from_state()`` round-trip the full sampler state as a
   plain dict.
 
-Each class is registered with :func:`repro.api.register_sampler`, so
-``repro.make_sampler("bottom_k", k=100)`` (or a
+Each stream sampler is registered with :func:`repro.api.register_sampler`,
+so ``repro.make_sampler("bottom_k", k=100)`` (or a
 :class:`repro.api.SamplerSpec`) constructs any of them from configuration.
-The AQP physical layouts and the offline CPS design are registered too,
-although they are layouts/designs rather than stream samplers.
+The AQP physical layouts (:class:`PriorityLayoutTable`,
+:class:`MultiObjectiveLayout`) and the offline CPS design
+(:class:`ConditionalPoissonSampler`) are not stream samplers: they are not
+registered, and their constructors take the whole population.
 """
 
 from .aqp import MultiObjectiveLayout, PriorityLayoutTable, ScanResult

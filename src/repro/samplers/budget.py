@@ -12,7 +12,9 @@ the conservative bottom-k (claim T1, reproduced in
 
 Implementation note: after each insertion the stored prefix sums are
 monotone, so "evict the largest priority while the total exceeds B" lands
-exactly on the first-overflow boundary the offline rule defines; the
+exactly on the first-overflow boundary the offline rule defines.  Stored
+rows tied with that boundary priority (a key repeated on a coordinated
+feed) are evicted with it, since the sample is ``{R_i < T}``.  The
 test-suite cross-checks the streaming sampler against
 :class:`repro.core.thresholds.BudgetPrefix` on identical priorities.
 """
@@ -114,16 +116,18 @@ class BudgetSampler(PrioritySampler):
         Because prefix sums of non-negative sizes are monotone, popping the
         largest priority until the total fits is identical to evicting
         everything at or after the first overflow position; the threshold
-        becomes the smallest evicted priority.
+        becomes the smallest evicted priority.  Stored rows tied with it
+        go too: the sample is the rows strictly below the threshold.
         """
         evicted_min = None
         while self._total_size > self.budget and self._priorities:
-            r = self._priorities.pop()
-            _, _, _, size = self._records.pop()
-            self._total_size -= size
-            evicted_min = r
+            evicted_min = self._priorities.pop()
+            self._total_size -= self._records.pop()[3]
         if evicted_min is not None:
             self._threshold = min(self._threshold, evicted_min)
+            while self._priorities and self._priorities[-1] >= self._threshold:
+                self._priorities.pop()
+                self._total_size -= self._records.pop()[3]
 
     def update_many(
         self, keys, weights=None, values=None, times=None, sizes=None

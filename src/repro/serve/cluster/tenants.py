@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ...api import SamplerSpec, StreamSampler
+from ...api import SamplerSpec
 
 __all__ = [
     "TenantQuota",
@@ -270,8 +270,7 @@ class TenantRegistry:
         in-stream admin op; the registry only owns the namespace).
 
         The spec is built once here and the sampler discarded: a spec its
-        worker could not build, a registered offline design (``cps``, the
-        layouts; a ``TypeError``), or one whose sampler needs a per-event
+        worker could not build, or one whose sampler needs a per-event
         column that cluster blocks do not carry (``strata=``,
         ``groups=``), is refused before the caller can register, enqueue
         or log it — a create op that fails on its worker would crash it
@@ -281,13 +280,7 @@ class TenantRegistry:
         if tenant in self._records:
             raise ValueError(f"tenant {tenant!r} already exists")
         spec = SamplerSpec.of(spec)
-        sampler = spec.build()
-        if not isinstance(sampler, StreamSampler):
-            raise TypeError(
-                f"{type(sampler).__name__} is not a StreamSampler; "
-                "an offline design cannot be served"
-            )
-        for column in sampler.required_columns:
+        for column in spec.build().required_columns:
             if column not in _BLOCK_COLUMNS:
                 raise ValueError(
                     f"sampler {spec.name!r} requires a {column}= column, "

@@ -270,7 +270,7 @@ def _sampler_k(service: "StreamService") -> int | None:
     its spec params and mirrors ``resizable`` from the shard class.
     """
     sampler = service.sampler
-    if not getattr(sampler, "resizable", False):
+    if not sampler.resizable:
         return None
     k = getattr(sampler, "k", None)
     if k is None:

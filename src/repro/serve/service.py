@@ -229,11 +229,6 @@ class StreamService:
     ):
         if not isinstance(sampler, StreamSampler):
             sampler = SamplerSpec.of(sampler).build()
-            if not isinstance(sampler, StreamSampler):
-                raise TypeError(
-                    f"{type(sampler).__name__} is not a StreamSampler; "
-                    "an offline design cannot be served"
-                )
         self._sampler = sampler
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
@@ -728,7 +723,7 @@ class StreamService:
                 raise ValueError("max_latency must be positive")
             changes["max_latency"] = max_latency
         if k is not None:
-            if not getattr(self._sampler, "resizable", False):
+            if not self._sampler.resizable:
                 raise ValueError(
                     f"sampler {self.sampler_name!r} is not resizable; "
                     "cannot retune k"

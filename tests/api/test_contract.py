@@ -11,8 +11,8 @@ protocol across the whole registry:
   from a checkpoint with bit-identical results, and every restore path
   reading the checkpoint's ``version`` field.
 
-Each sampler declares its capabilities in a :class:`Case` row — e.g. the
-offline CPS design supports construction and serialization only.
+Each sampler's :class:`Case` row says how to feed it and whether it
+merges.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.api import (
     get_sampler_class,
     make_sampler,
     merged,
+    register_sampler,
 )
 from repro.api.protocol import STATE_VERSION
 from repro.workloads.zipf import zipf_stream
@@ -57,16 +58,7 @@ class Case:
     feed: Callable
     #: feed_many(sampler, keys, weights) — one update_many call.
     feed_many: Callable | None = None
-    streaming: bool = True
     supports_merge: bool = False
-    #: update_many must reproduce the scalar loop exactly (same seed).
-    batch_equivalent: bool = True
-    #: the sampler is deterministic under a fixed seed
-    deterministic: bool = True
-    #: resuming from a checkpoint is bit-identical to an uninterrupted run
-    #: (False only for the space-saving heaps, whose internal tie-break
-    #: counters restart after deserialization)
-    resume_identical: bool = True
 
 
 def _plain_feed(sampler, keys, weights):
@@ -181,8 +173,7 @@ CASES = [
     Case("variance_target", {"delta": 4.0}, _plain_feed, _plain_feed_many),
     Case("time_decay", {"k": 16, "decay_rate": 0.05}, _timed_feed,
          _timed_feed_many),
-    Case("varopt", {"k": 16}, _plain_feed, _plain_feed_many,
-         batch_equivalent=True),
+    Case("varopt", {"k": 16}, _plain_feed, _plain_feed_many),
     Case("kmv", {"k": 32, "salt": 1}, _unweighted_feed,
          _unweighted_feed_many, supports_merge=True),
     Case("theta", {"k": 32, "salt": 1}, _unweighted_feed,
@@ -190,9 +181,9 @@ CASES = [
     Case("frequent_items", {"max_map_size": 64}, _unweighted_feed,
          _unweighted_feed_many),
     Case("space_saving", {"capacity": 32}, _unweighted_feed,
-         _unweighted_feed_many, resume_identical=False),
+         _unweighted_feed_many),
     Case("unbiased_space_saving", {"capacity": 32}, _unweighted_feed,
-         _unweighted_feed_many, resume_identical=False),
+         _unweighted_feed_many),
     # The cluster-worker multiplexer: independent per-tenant children fed
     # through composite (tenant, key) rows.
     Case("tenant_mux",
@@ -206,14 +197,6 @@ CASES = [
          {"spec": {"name": "bottom_k", "params": {"k": 32}},
           "n_shards": 4, "seed": 11},
          _plain_feed, _plain_feed_many, supports_merge=True),
-]
-
-#: Registered but non-streaming constructs: factory + state round-trip only.
-OFFLINE_CASES = [
-    ("cps", {"working_probs": [0.3] * 12, "k": 4}),
-    ("priority_layout", {"values": [1.0, 2.5, 4.0, 8.0, 1.5] * 20}),
-    ("multi_objective_layout",
-     {"metrics": {"a": list(range(1, 51))}, "k": 8}),
 ]
 
 IDS = [f"{c.name}[{i}]" for i, c in enumerate(CASES)]
@@ -253,76 +236,36 @@ def _at_version(state: dict, version: int) -> dict:
 
 class TestRegistryCoverage:
     def test_every_registered_sampler_has_a_case(self):
-        covered = {c.name for c in CASES} | {name for name, _ in OFFLINE_CASES}
+        covered = {c.name for c in CASES}
         assert covered == set(available_samplers())
+
+    def test_register_sampler_refuses_a_class_outside_the_protocol(self):
+        class Plain:
+            def update(self, key, weight=1.0):
+                pass
+
+        with pytest.raises(TypeError, match="not a StreamSampler"):
+            register_sampler("plain")(Plain)
+        with pytest.raises(TypeError, match="not a StreamSampler"):
+            register_sampler("plain")(lambda: None)
+        assert "plain" not in available_samplers()
+        assert Plain.__dict__.get("sampler_name") is None
 
     def test_merge_capability_is_declared_on_the_class(self):
         """``cls.mergeable`` is the contract the sharded engine trusts; it
         must agree with what the per-sampler contract rows exercise."""
         for case in CASES:
             cls = get_sampler_class(case.name)
-            assert bool(getattr(cls, "mergeable", False)) == case.supports_merge, (
+            assert cls.mergeable == case.supports_merge, (
                 f"{case.name}: mergeable flag disagrees with contract row"
             )
-        for name, _ in OFFLINE_CASES:
-            assert not getattr(get_sampler_class(name), "mergeable", False)
 
     def test_make_sampler_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown sampler"):
-            make_sampler("definitely_not_registered")
-
-    @pytest.mark.parametrize("name,params", OFFLINE_CASES)
-    def test_offline_constructs_round_trip(self, name, params):
-        obj = make_sampler(name, **params)
-        state = obj.to_state()
-        assert state["sampler"] == name
-        revived = repro.sampler_from_state(state)
-        assert type(revived) is type(obj)
-
-    @pytest.mark.parametrize("name,params", OFFLINE_CASES)
-    def test_offline_constructs_read_the_checkpoint_version(self, name, params):
-        """The offline constructs restore through their own ``from_state``;
-        it upgrades a version-1 checkpoint and refuses a newer one."""
-        state = make_sampler(name, **params).to_state()
-        assert state["version"] == STATE_VERSION
-        upgraded = repro.sampler_from_state(_at_version(state, 1))
-        assert upgraded.to_state() == state
-        newer = STATE_VERSION + 1
-        with pytest.raises(ValueError, match=f"version {newer}"):
-            repro.sampler_from_state(_at_version(state, newer))
-
-    @pytest.mark.parametrize("name", [name for name, _ in OFFLINE_CASES])
-    @pytest.mark.parametrize("chunk", [1, 7, 1000])
-    def test_offline_ingestion_chunking_invariance(self, name, chunk):
-        """Offline constructs ingest via appends; splits must not matter."""
-        m = 60
-        keys = _keys(n=m)
-        probs = np.random.default_rng(9).uniform(0.05, 0.95, m)
-        values = np.random.default_rng(10).lognormal(0.0, 0.8, m)
-
-        def build():
-            if name == "cps":
-                return make_sampler(name, k=5)
-            if name == "priority_layout":
-                return make_sampler(name)
-            return make_sampler(name, metrics={"a": []}, k=8)
-
-        def feed(obj, lo, hi):
-            if name == "cps":
-                obj.update_many(keys[lo:hi], weights=probs[lo:hi])
-            elif name == "priority_layout":
-                obj.update_many(
-                    keys[lo:hi], weights=values[lo:hi], values=values[lo:hi]
-                )
-            else:
-                obj.update_many(keys[lo:hi], weights={"a": values[lo:hi]})
-
-        whole = build()
-        feed(whole, 0, m)
-        split = build()
-        for lo in range(0, m, chunk):
-            feed(split, lo, min(m, lo + chunk))
-        assert whole.to_state() == split.to_state()
+        # The offline designs are built by their constructors only.
+        for name in ("definitely_not_registered", "cps", "priority_layout",
+                     "multi_objective_layout"):
+            with pytest.raises(ValueError, match=f"unknown sampler {name!r}"):
+                make_sampler(name)
 
     def test_sampler_spec_builds(self):
         spec = repro.SamplerSpec("bottom_k", {"k": 16})
@@ -337,6 +280,13 @@ class TestRegistryCoverage:
         assert repro.SamplerSpec.of("kmv") == repro.SamplerSpec("kmv")
         with pytest.raises(TypeError, match="got list"):
             repro.SamplerSpec.of(["bottom_k"])
+        for malformed in ({}, {"params": {"k": 3}}, {"name": None},
+                          {"name": 3, "params": {}}):
+            with pytest.raises(ValueError, match="'name'"):
+                repro.SamplerSpec.of(malformed)
+        for params in (None, "k=3", [("k", 3)]):
+            with pytest.raises(TypeError, match="'params'"):
+                repro.SamplerSpec.of({"name": "bottom_k", "params": params})
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -354,11 +304,7 @@ class TestStreamingContract:
         keys, weights = _keys(), _weights()
         case.feed(scalar, keys, weights)
         case.feed_many(batch, keys, weights)
-        if case.batch_equivalent and case.deterministic:
-            assert _sample_signature(scalar) == _sample_signature(batch)
-        else:
-            # Randomized eviction orders may differ; sizes must agree.
-            assert len(batch.sample()) == len(scalar.sample())
+        assert _sample_signature(scalar) == _sample_signature(batch)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_update_many_chunking_invariance(self, case, chunk):
@@ -369,8 +315,6 @@ class TestStreamingContract:
         moves those boundaries around, so invariance here pins down that
         the deferral is exact, not approximately right.
         """
-        if not (case.batch_equivalent and case.deterministic):
-            pytest.skip("chunking comparison needs batch-exact determinism")
         keys, weights = _keys(), _weights()
         whole = _build(case)
         case.feed_many(whole, keys, weights)
@@ -392,8 +336,6 @@ class TestStreamingContract:
         assert _sample_signature(polymorphic) == _sample_signature(sampler)
 
     def test_checkpoint_resume_is_bit_identical(self, case):
-        if not (case.deterministic and case.resume_identical):
-            pytest.skip("resume is not bit-identical for this sampler")
         half = N // 2
         keys, weights = _keys(), _weights()
         straight = _build(case)

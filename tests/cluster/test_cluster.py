@@ -182,8 +182,10 @@ BAD_SPECS = {
                      ValueError, "strata= column"),
     "needs_groups": ({"name": "grouped_distinct", "params": {"m": 2, "k": 4}},
                      ValueError, "groups= column"),
-    "offline_design": ("cps", TypeError,
-                       "ConditionalPoissonSampler is not a StreamSampler"),
+    "offline_design": ("cps", ValueError, "unknown sampler 'cps'"),
+    "no_name": ({"params": {"k": 4}}, ValueError, "'name'"),
+    "params_not_a_dict": ({"name": "bottom_k", "params": "k=4"}, TypeError,
+                          "'params'"),
 }
 
 

@@ -124,12 +124,12 @@ class TestVerbs:
                         "name": "multi_stratified",
                         "params": {"n_dims": 1, "k": 4},
                     })
-                with pytest.raises(
-                    RuntimeError,
-                    match="TypeError: ConditionalPoissonSampler is not a "
-                    "StreamSampler",
-                ):
+                with pytest.raises(RuntimeError,
+                                   match="ValueError: unknown sampler 'cps'"):
                     await client.create_tenant("design", {"name": "cps"})
+                with pytest.raises(RuntimeError,
+                                   match="ValueError: .*'name'"):
+                    await client.create_tenant("nameless", {"params": {}})
                 keys = tenant_stream(0, 200)
                 await client.ingest_many("acme", keys.tolist())
                 await client.admin("flush")

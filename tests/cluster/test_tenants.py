@@ -127,10 +127,12 @@ class TestTenantRegistry:
          ValueError, "strata= column"),
         ({"name": "grouped_distinct", "params": {"m": 2, "k": 4}},
          ValueError, "groups= column"),
-        ({"name": "priority_layout"}, TypeError,
-         "PriorityLayoutTable is not a StreamSampler"),
+        ({"name": "priority_layout"}, ValueError,
+         "unknown sampler 'priority_layout'"),
+        ({}, ValueError, "'name'"),
+        ({"name": "bottom_k", "params": None}, TypeError, "'params'"),
     ], ids=["unknown", "bad_value", "unknown_param", "strata", "groups",
-            "offline_design"])
+            "offline_design", "no_name", "params_none"])
     def test_spec_it_cannot_build_or_feed_is_refused(self, spec, error, match):
         """The spec is built before the tenant is registered; a sampler
         needing a column cluster blocks lack is refused by name."""

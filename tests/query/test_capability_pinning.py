@@ -19,15 +19,11 @@ from repro.api.protocol import _NO_SAMPLE_REASON, QUERY_AGGREGATES, StreamSample
 from repro.api.registry import available_samplers, get_sampler_class
 from repro.query import capability_markdown, capability_table
 
-from .test_contract import CASES, EXCLUDED
+from .test_contract import CASES
 
 
-def _stream_sampler_classes():
-    return [
-        (name, get_sampler_class(name))
-        for name in available_samplers()
-        if issubclass(get_sampler_class(name), StreamSampler)
-    ]
+def _registered_classes():
+    return [(name, get_sampler_class(name)) for name in available_samplers()]
 
 
 # ----------------------------------------------------------------------
@@ -46,24 +42,22 @@ def test_capability_table_covers_every_registered_name():
 
 def test_every_class_declares_capabilities_explicitly():
     """No registered class rides on the protocol's undeclared default."""
-    for name in available_samplers():
-        cls = get_sampler_class(name)
-        caps = getattr(cls, "query_capabilities", None)
-        assert caps is not None, name
+    for name, cls in _registered_classes():
+        caps = cls.query_capabilities
         assert not any(
             caps.get(a) == _NO_SAMPLE_REASON for a in QUERY_AGGREGATES
         ), f"{name} still uses the base-class placeholder capability table"
 
 
 def test_query_variance_declarations_are_wellformed():
-    for name, cls in _stream_sampler_classes():
+    for name, cls in _registered_classes():
         flag = cls.query_variance
         assert flag is True or (isinstance(flag, str) and flag), name
 
 
 def test_query_windowed_declarations_are_wellformed():
-    for name, cls in _stream_sampler_classes():
-        flag = getattr(cls, "query_windowed")
+    for name, cls in _registered_classes():
+        flag = cls.query_windowed
         assert flag is True or (isinstance(flag, str) and flag), name
 
 
@@ -115,7 +109,7 @@ def test_probability_one_samples_declare_no_variance_story():
 # estimate_kinds() and its error message derive from live surfaces
 # ----------------------------------------------------------------------
 def test_estimate_kinds_match_scanned_methods():
-    for name, cls in _stream_sampler_classes():
+    for name, cls in _registered_classes():
         scanned = tuple(
             sorted(
                 attr[len("estimate_"):]
@@ -269,10 +263,6 @@ def test_unsupported_time_scope_is_refused_with_declared_reason():
         sampler.query("distinct", last=5.0)
 
 
-def test_exclusions_are_exactly_the_non_protocol_classes():
-    non_protocol = {
-        name
-        for name in available_samplers()
-        if not issubclass(get_sampler_class(name), StreamSampler)
-    }
-    assert set(EXCLUDED) == non_protocol
+def test_every_registered_class_is_a_stream_sampler():
+    for name, cls in _registered_classes():
+        assert issubclass(cls, StreamSampler), name

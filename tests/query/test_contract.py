@@ -1,10 +1,9 @@
 """Contract suite for the declarative query layer.
 
 Mirrors the API contract suite's shape: one case table covering every
-registered sampler, with coverage enforced — each name either has a query
-case (its supported aggregates all smoke-execute, its declared gaps all
-raise :class:`repro.query.QueryCapabilityError` with the declared reason)
-or sits in ``EXCLUDED`` with the reason it is out of protocol.
+registered sampler, with coverage enforced — each name has a query case
+(its supported aggregates all smoke-execute, its declared gaps all raise
+:class:`repro.query.QueryCapabilityError` with the declared reason).
 
 On top of the per-sampler sweep: group-by fan-out must agree with the
 equivalent ``where=`` queries, the result cache must hit between updates
@@ -172,18 +171,8 @@ CASES = [
     ),
 ]
 
-#: Registered names with no query case, and why.
-EXCLUDED = {
-    "cps": "offline design outside the StreamSampler protocol",
-    "priority_layout": "offline physical layout outside the StreamSampler protocol",
-    "multi_objective_layout": "offline physical layout outside the StreamSampler protocol",
-}
-
-
-def test_every_registered_sampler_has_a_query_case_or_exclusion():
-    covered = {case.name for case in CASES}
-    assert covered | set(EXCLUDED) == set(repro.available_samplers())
-    assert not covered & set(EXCLUDED)
+def test_every_registered_sampler_has_a_query_case():
+    assert {case.name for case in CASES} == set(repro.available_samplers())
 
 
 def _built(case: QueryCase):
@@ -504,19 +493,6 @@ def test_query_entry_point_forms_agree():
 # ----------------------------------------------------------------------
 # Spec validation
 # ----------------------------------------------------------------------
-def test_offline_designs_get_capability_errors_not_attribute_errors():
-    """Non-protocol registered classes still surface their declared gap
-    reasons through the planner (not an AttributeError)."""
-    from repro.query.planner import execute
-
-    cps = make_sampler("cps", working_probs=[0.5, 0.5, 0.5], k=1)
-    with pytest.raises(QueryCapabilityError, match="offline maximum-entropy"):
-        execute(cps, Query("sum"))
-    layout = make_sampler("priority_layout", values=[1.0, 2.0])
-    with pytest.raises(QueryCapabilityError, match="offline physical layout"):
-        execute(layout, Query("mean"))
-
-
 def test_samplers_and_results_stay_picklable_after_queries():
     """Querying (even with lambdas) must not break sampler pickling, and
     results — groups proxy included — pickle on their own."""

@@ -57,6 +57,34 @@ class TestOfflineEquivalence:
         assert s.threshold == pytest.approx(expected_t)
         assert set(s.sample().keys) == expected_keys
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_repeated_keys_match_offline_rule(self, seed, batch):
+        """On a coordinated feed a repeated key draws the same priority
+        each time; copies tied with the threshold leave the sample, since
+        the rule keeps only ``R_i < T``."""
+        from repro.core.hashing import hash_to_unit
+
+        if seed is None:
+            keys, sizes, budget = [0, 1, 0, 2, 1, 3], np.ones(6), 3.0
+        else:
+            rng = np.random.default_rng(seed)
+            keys = rng.integers(0, 15, 60).tolist()
+            sizes, budget = rng.integers(1, 6, 60).astype(float), 20.0
+        salt = 0 if seed is None else seed
+        s = BudgetSampler(budget, family=Uniform01Priority(), coordinated=True,
+                          salt=salt)
+        if batch:
+            s.update_many(keys, sizes=sizes)
+        else:
+            for key, size in zip(keys, sizes):
+                s.update(key, size=float(size))
+        priorities = np.array([hash_to_unit(key, salt) for key in keys])
+        expected_t = BudgetPrefix(sizes, budget=budget).thresholds(priorities)[0]
+        expected_keys = sorted(np.asarray(keys)[priorities < expected_t].tolist())
+        assert s.threshold == expected_t
+        assert sorted(s.sample().keys) == expected_keys
+
     def test_threshold_monotone_decreasing(self, rng):
         s = BudgetSampler(50.0, rng=rng)
         last = float("inf")

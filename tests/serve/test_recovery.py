@@ -407,22 +407,22 @@ def test_recovery_restores_operational_metrics(tmp_path):
     assert m.checkpoint_lag == N - m.last_checkpoint_offset
 
 
-@pytest.mark.parametrize("spec,cls", [
-    ("cps", "ConditionalPoissonSampler"),
-    ({"name": "priority_layout"}, "PriorityLayoutTable"),
-    ({"name": "multi_objective_layout",
-      "params": {"metrics": {"a": [1.0]}, "k": 1}}, "MultiObjectiveLayout"),
-], ids=["cps", "priority_layout", "multi_objective_layout"])
-def test_service_refuses_a_registered_offline_design(tmp_path, spec, cls):
-    """A registered name that builds an offline design, not a stream
-    sampler, is refused by class name at construction, before the
-    service touches its directory."""
+@pytest.mark.parametrize("spec,error,match", [
+    ("cps", ValueError, "unknown sampler 'cps'"),
+    ({"name": "priority_layout"}, ValueError,
+     "unknown sampler 'priority_layout'"),
+    ({}, ValueError, "'name'"),
+    ({"name": "bottom_k", "params": None}, TypeError, "'params'"),
+    (3, TypeError, "got int"),
+], ids=["cps", "priority_layout", "no_name", "params_none", "int"])
+def test_service_refuses_a_spec_it_cannot_build(tmp_path, spec, error, match):
+    """An offline design's name is an unknown sampler, and a malformed
+    spec is refused by name; both at construction, before the service
+    touches its directory."""
     root = tmp_path / "svc"
-    with pytest.raises(TypeError, match=f"{cls} is not a StreamSampler"):
+    with pytest.raises(error, match=match):
         StreamService(spec, dir=root, **SERVICE_OPTS)
     assert not root.exists()
-    with pytest.raises(TypeError, match="got int"):
-        StreamService(3, dir=root, **SERVICE_OPTS)
 
 
 def test_fresh_service_refuses_an_existing_directory(tmp_path):

@@ -427,9 +427,6 @@ SHARDED_CASES = [
 EXCLUDED = {
     "space_saving": "deterministic upper-bound counter (biased by design)",
     "frequent_items": "deterministic undercount sketch (biased by design)",
-    "cps": "offline design (no streaming estimate facade)",
-    "priority_layout": "offline layout table (no streaming estimate facade)",
-    "multi_objective_layout": "offline layout (no streaming estimate facade)",
     "sharded": "covered through the SHARDED_CASES wrappers",
     "tenant_mux": "a routing container: estimates delegate to per-tenant "
                   "children, whose unbiasedness is covered by their own rows",
