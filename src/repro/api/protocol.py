@@ -155,11 +155,11 @@ def _bumps_state_version(fn):
 #: Mutators whose subclass overrides are auto-wrapped for version bumping.
 #: Beyond the protocol surface, this covers the sampler-specific public
 #: mutators (window advancement, sketch trimming, the tenant mux's admin
-#: ops) so every state change a caller can make invalidates cached query
-#: results.
+#: ops, ``variance_target``'s offers of externally drawn priorities) so
+#: every state change a caller can make invalidates cached query results.
 _VERSIONED_MUTATORS = (
     "update", "update_many", "merge", "_set_state", "advance", "trim",
-    "resize", "apply_admin",
+    "resize", "apply_admin", "offer_with_priority",
 )
 
 #: Cap on cached query results per sampler instance (FIFO eviction).

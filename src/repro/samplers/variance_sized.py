@@ -499,11 +499,21 @@ class VarianceTargetSampler(PrioritySampler):
         )
 
     def provisional_threshold(self) -> float:
-        """First-crossing stopping threshold over the retained items."""
-        if not self._priorities:
-            return float("inf")
-        values, weights, priorities = self._arrays()
-        return solve_first_crossing(values, weights, priorities, self.delta, self.family)
+        """First-crossing stopping threshold over the retained items,
+        solved once per :attr:`state_version` (every read — ``sample()``,
+        ``estimate()``, a query — goes through here)."""
+        version = self.state_version
+        cached = self.__dict__.get("_threshold_cache")
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        threshold = float("inf")
+        if self._priorities:
+            values, weights, priorities = self._arrays()
+            threshold = solve_first_crossing(
+                values, weights, priorities, self.delta, self.family
+            )
+        self._threshold_cache = (version, threshold)
+        return threshold
 
     def finalize(self) -> tuple[Sample, bool]:
         """Final sample plus a soundness flag.
@@ -535,6 +545,13 @@ class VarianceTargetSampler(PrioritySampler):
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """Pickle support: the solved threshold goes with the query
+        cache, since a revived copy restarts its ``state_version``."""
+        state = super().__getstate__()
+        state.pop("_threshold_cache", None)
+        return state
+
     def _config(self) -> dict:
         return {
             "delta": self.delta,

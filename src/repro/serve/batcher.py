@@ -30,11 +30,49 @@ that tenant's sampler without ever seeing a per-event tenant column.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
-__all__ = ["MicroBatcher", "chunk_of"]
+__all__ = ["MicroBatcher", "chunk_of", "float_column"]
 
 _OPTIONAL = ("weights", "values", "times")
+
+
+def _packed(items: list, code: str, dtype) -> np.ndarray | None:
+    """``items`` as a new 1-D ``dtype`` array, packed by ``struct`` with
+    the C type ``code`` (``"q"`` int64, ``"d"`` float64); ``None`` when
+    ``struct`` refuses an item.
+
+    One pass in C with no dtype discovery.  ``"q"`` takes what
+    ``__index__`` takes — ints, bools, numpy integers — and refuses
+    floats, strings, ``None``, tuples, numpy bools and ints outside
+    int64 (``np.array(items, dtype=np.int64)`` and ``np.fromiter`` would
+    truncate ``2.5`` to ``2``).  ``"d"`` takes ints, floats, bools and
+    numpy numbers and refuses strings and ``None`` (``np.asarray`` reads
+    those as numbers and NaN).
+    """
+    out = np.empty(len(items), dtype)
+    try:
+        struct.pack_into(f"{len(items)}{code}", out, 0, *items)
+    except (struct.error, TypeError):
+        return None
+    return out
+
+
+def float_column(column) -> np.ndarray:
+    """A weights/values/times column as a float64 array, with the values
+    and errors of ``np.asarray(column, dtype=float)``.
+
+    A list is packed in one pass (:func:`_packed`); a list it refuses
+    (``None``, numeric strings, nested rows, a non-numeric entry) and
+    any other container go through ``np.asarray``.
+    """
+    if type(column) is list:
+        packed = _packed(column, "d", np.float64)
+        if packed is not None:
+            return packed
+    return np.asarray(column, dtype=float)
 
 
 def chunk_of(keys, weights=None, values=None, times=None,
@@ -42,10 +80,11 @@ def chunk_of(keys, weights=None, values=None, times=None,
     """Normalize one ingestion call into a chunk dict.
 
     Keys stay in their caller-provided container (numpy array or list —
-    arrays concatenate and pickle fastest); optional columns are
-    validated for length here so errors surface at the ``ingest`` call
-    site, not inside the consumer task.  ``route`` tags the chunk with
-    its tenant (see the module docstring).
+    arrays concatenate and pickle fastest), so the sampler ingests the
+    very keys it was sent; optional columns become float64 arrays
+    (:func:`float_column`) and are validated for length here so errors
+    surface at the ``ingest`` call site, not inside the consumer task.
+    ``route`` tags the chunk with its tenant (see the module docstring).
     """
     if not isinstance(keys, (np.ndarray, list, tuple)):
         keys = list(keys)
@@ -55,7 +94,7 @@ def chunk_of(keys, weights=None, values=None, times=None,
         if column is None:
             chunk[name] = None
             continue
-        column = np.asarray(column, dtype=float)
+        column = float_column(column)
         if column.size != n:
             raise ValueError(f"{name} must have the same length as keys")
         if column.ndim != 1:

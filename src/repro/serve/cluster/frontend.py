@@ -102,6 +102,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ...api.protocol import _as_key_list
+from ..batcher import float_column
 from .metrics import FrontendMetrics
 from .mux import key_block
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy
@@ -276,12 +277,14 @@ def _is_binary(message: dict) -> bool:
     return any(isinstance(value, memoryview) for value in message.values())
 
 
-def _binary_body(message: dict) -> bytes:
-    """The binary body of ``message``: its memoryview values become
-    columns (1-D, of a wire dtype — :func:`read_frame` refuses others),
-    everything else the JSON header."""
+def _binary_frame(message: dict) -> bytes:
+    """``message`` as one binary frame, length prefix included: its
+    memoryview values become columns (1-D, of a wire dtype —
+    :func:`read_frame` refuses others), everything else the JSON
+    header.  Each column is copied once, into the frame."""
     header, buffers = {}, []
     columns = header["columns"] = []
+    size = len(_BINARY) + _HEADER.size
     for name, value in message.items():
         if not isinstance(value, memoryview):
             header[name] = value
@@ -289,20 +292,26 @@ def _binary_body(message: dict) -> bytes:
         column = np.ascontiguousarray(value)
         columns.append([name, column.dtype.str, len(column)])
         buffers.append(column)
+        size += column.nbytes
     text = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return b"".join([_BINARY, _HEADER.pack(len(text)), text, *buffers])
+    return b"".join([_HEADER.pack(size + len(text)), _BINARY,
+                     _HEADER.pack(len(text)), text, *buffers])
 
 
 def write_frame(writer: asyncio.StreamWriter, message: dict) -> None:
     """Queue one length-prefixed frame on ``writer``: binary when
-    ``message`` carries memoryview columns, a JSON object otherwise."""
+    ``message`` carries memoryview columns, a JSON object otherwise.
+    Nothing is queued for a frame over ``MAX_FRAME``."""
     if _is_binary(message):
-        body = _binary_body(message)
+        frame = _binary_frame(message)
+        size = len(frame) - _HEADER.size
     else:
         body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME:
-        raise FrameError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
-    writer.write(_HEADER.pack(len(body)) + body)
+        size = len(body)
+        frame = _HEADER.pack(size) + body
+    if size > MAX_FRAME:
+        raise FrameError(f"frame of {size} bytes exceeds MAX_FRAME")
+    writer.write(frame)
 
 
 class ClusterFrontend:
@@ -800,16 +809,18 @@ def _ingest_fields(keys, columns: dict) -> dict:
 
     Binary memoryview columns when ``keys`` come out numeric under the
     server's :func:`~repro.serve.cluster.mux.key_block` rule and every
-    column coerces to a 1-D float array; JSON lists otherwise, so the
-    server's own validation answers a bad block as it does for any JSON
-    client.  ``keys`` is read once (it may be an iterator).
+    column coerces to a 1-D float array under its
+    :func:`~repro.serve.batcher.float_column` rule; JSON lists otherwise,
+    so the server's own validation answers a bad block as it does for
+    any JSON client.  ``keys`` is read once (it may be an iterator).
     """
     block = key_block(keys)
     if isinstance(block, np.ndarray) and block.dtype.kind in "iuf":
         arrays = {"keys": block.astype(f"<{block.dtype.kind}8", copy=False)}
         try:
-            arrays.update((name, np.asarray(column, dtype="<f8"))
-                          for name, column in columns.items())
+            arrays.update(
+                (name, float_column(column).astype("<f8", copy=False))
+                for name, column in columns.items())
         except (TypeError, ValueError):
             pass
         else:

@@ -47,6 +47,7 @@ import numpy as np
 
 from ...api.protocol import StreamSampler, query_support, upgrade_state
 from ...api.registry import SamplerSpec, register_sampler, sampler_from_state
+from ..batcher import _packed, float_column
 from .tenants import check_tenant_id
 
 __all__ = [
@@ -71,11 +72,20 @@ def key_block(keys):
     ragged input) becomes a plain list, so every key reaches the child
     as one key, as on the scalar ``update`` path: equal-length numeric
     tuple keys would coerce to a 2-D array misread as one row per tuple
-    *element*.  Python ints that overflow int64 (uint64 keys arriving
-    as JSON numbers) become uint64, never float64, so they hash as the
-    integers they are.  :class:`~repro.serve.cluster.ClusterClient`
-    applies the same rule to pick the blocks it sends as binary frames.
+    *element*.  A list led by a plain ``int`` is packed as int64 in one
+    strict pass (:func:`~repro.serve.batcher._packed`: ints, bools and
+    numpy integers only, so ``[1, 2.5]`` is refused, never truncated);
+    only a list that pass refuses, and any other container, goes through
+    numpy's dtype discovery.  Python ints that overflow int64 (uint64
+    keys arriving as JSON numbers) become uint64, never float64, so they
+    hash as the integers they are.
+    :class:`~repro.serve.cluster.ClusterClient` applies the same rule to
+    pick the blocks it sends as binary frames.
     """
+    if type(keys) is list and keys and type(keys[0]) is int:
+        packed = _packed(keys, "q", np.int64)
+        if packed is not None:
+            return packed
     try:
         block = np.asarray(keys)
         if block.dtype.kind in "fO" and not isinstance(keys, np.ndarray) \
@@ -83,8 +93,10 @@ def key_block(keys):
             block = np.asarray(keys, dtype=np.uint64)
     except (TypeError, ValueError, OverflowError):
         block = None  # ragged tuple keys, or ints outside uint64
+    # The kinds of np.number (timedelta64 is a signed integer to numpy):
+    # a string test where np.issubdtype costs ~1 us a call.
     if block is not None and block.ndim == 1 and \
-            np.issubdtype(block.dtype, np.number):
+            block.dtype.kind in "iufcm":
         return block
     return keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
 
@@ -294,7 +306,7 @@ class TenantMuxSampler(StreamSampler):
         across any batch boundaries.
         """
         columns = [
-            None if col is None else np.asarray(col, dtype=float)
+            None if col is None else float_column(col)
             for col in (weights, values, times)
         ]
         if routes is None:

@@ -7,12 +7,13 @@ blocks down to a single event; tenants dropped and re-created between
 blocks — goes through
 
 * bare per-tenant samplers, the reference;
-* an in-process :class:`~repro.serve.cluster.Cluster`;
+* an in-process :class:`~repro.serve.cluster.Cluster`, given the blocks
+  as numpy arrays or, drawn per example, as the ``.tolist()`` lists a
+  JSON-minded caller sends;
 * a :class:`~repro.serve.cluster.ClusterClient` talking to a
   :class:`~repro.serve.cluster.ClusterFrontend`, once with the blocks as
-  numpy arrays and once as the ``.tolist()`` lists a JSON-minded caller
-  sends (numeric blocks cross as binary frames either way, str keys as
-  JSON).
+  numpy arrays and once as lists (numeric blocks cross as binary frames
+  either way, str keys as JSON).
 
 Every path must end with the same per-tenant samples, bit for bit, and
 the same query answers, standard errors and CIs included — and so must
@@ -228,13 +229,16 @@ async def _check_wire(client: ClusterClient, samplers: dict,
             assert _same_answer(reply, want), (tenant, aggregate)
 
 
-async def _in_process(samplers, steps, root, batch_size) -> None:
+async def _in_process(samplers, steps, root, batch_size,
+                      lists: bool) -> None:
     reference = _reference(samplers, steps)
     cluster = Cluster(services=2, dir=root, batch_size=batch_size,
                       max_latency=0.002)
     await cluster.start()
 
     async def ingest(tenant, block):
+        if lists:
+            block = _as_lists(block)
         assert await cluster.ingest_many(tenant, block["keys"],
                                          **_columns(block))
 
@@ -288,25 +292,30 @@ async def _over_the_wire(samplers, steps, batch_size, lists: bool) -> None:
             for step in steps)
 
 
-def _paths_agree(workload, batch_size) -> None:
+def _paths_agree(workload, batch_size, lists: bool) -> None:
+    """Every path against the reference; ``lists`` picks the in-process
+    caller's containers (the wire runs both)."""
     samplers, steps = workload
     with tempfile.TemporaryDirectory() as root:
-        run_async(_in_process(samplers, steps, root, batch_size))
-    for lists in (False, True):
-        run_async(_over_the_wire(samplers, steps, batch_size, lists))
+        run_async(_in_process(samplers, steps, root, batch_size, lists))
+    for wire_lists in (False, True):
+        run_async(_over_the_wire(samplers, steps, batch_size, wire_lists))
 
 
-@given(workload=workloads(), batch_size=st.sampled_from((1, 7, 64)))
+@given(workload=workloads(), batch_size=st.sampled_from((1, 7, 64)),
+       lists=st.booleans())
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_bare_in_process_and_wire_paths_agree(workload, batch_size):
-    _paths_agree(workload, batch_size)
+def test_bare_in_process_and_wire_paths_agree(workload, batch_size, lists):
+    _paths_agree(workload, batch_size, lists)
 
 
 @pytest.mark.soak
-@given(workload=workloads(), batch_size=st.sampled_from((1, 7, 64)))
+@given(workload=workloads(), batch_size=st.sampled_from((1, 7, 64)),
+       lists=st.booleans())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_bare_in_process_and_wire_paths_agree_soak(workload, batch_size):
+def test_bare_in_process_and_wire_paths_agree_soak(workload, batch_size,
+                                                   lists):
     """The same differential run at soak size (``REPRO_SOAK=1``)."""
-    _paths_agree(workload, batch_size)
+    _paths_agree(workload, batch_size, lists)

@@ -389,6 +389,46 @@ class TestBinaryFrames:
 
         run_async(body())
 
+    def test_written_frames_match_their_literal_bytes(self, monkeypatch):
+        """``write_frame`` writes each frame in one call, equal to pinned
+        literal bytes (one binary frame, one JSON frame), and writes
+        nothing for a frame over ``MAX_FRAME``."""
+        import repro.serve.cluster.frontend as frontend_mod
+
+        class Writer:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+
+        writer = Writer()
+        frontend_mod.write_frame(writer, {
+            "verb": "ingest_many", "tenant": "t", "block": True,
+            "keys": np.array([1, -2], "<i8").data,
+            "weights": np.array([0.5, 2.0], "<f8").data,
+        })
+        frontend_mod.write_frame(writer, {
+            "verb": "ingest", "tenant": "t", "key": 3, "block": True,
+        })
+        assert writer.writes == [
+            b'\x00\x00\x00\x86\x00\x00\x00\x00a{"columns":[["keys","<i8",2],'
+            b'["weights","<f8",2]],"verb":"ingest_many","tenant":"t",'
+            b'"block":true}\x01\x00\x00\x00\x00\x00\x00\x00\xfe\xff\xff\xff'
+            b'\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00'
+            b'\x00\x00\x00@',
+            b'\x00\x00\x003{"verb":"ingest","tenant":"t","key":3,'
+            b'"block":true}',
+        ]
+        monkeypatch.setattr(frontend_mod, "MAX_FRAME", 0x85)
+        with pytest.raises(FrameError, match="134 bytes exceeds MAX_FRAME"):
+            frontend_mod.write_frame(writer, {
+                "verb": "ingest_many", "tenant": "t", "block": True,
+                "keys": np.array([1, -2], "<i8").data,
+                "weights": np.array([0.5, 2.0], "<f8").data,
+            })
+        assert len(writer.writes) == 2
+
     def test_binary_frame_over_max_frame_is_refused_on_both_ends(
             self, monkeypatch):
         import repro.serve.cluster.frontend as frontend_mod

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.hashing import batch_hash_to_unit, hash_to_unit
 from repro.serve import StreamService, WriteAheadLog
+from repro.serve.batcher import chunk_of
+from repro.serve.cluster.frontend import _ingest_fields, _is_binary
 from repro.serve.cluster.mux import (
     TenantMuxSampler,
     create_op,
@@ -200,6 +203,79 @@ class TestRoutedBlocks:
         assert key_block([1.5, 2.5]).dtype == np.float64
         assert key_block([True, False]) == [True, False]
         assert key_block([(1, 2), (3,)]) == [(1, 2), (3,)]
+
+
+#: The list rule, one row per list form: ``key_block``'s dtype (``None``
+#: when the keys stay a list) and values, and whether ``ClusterClient``
+#: sends the block as a binary frame.  An int-led list is packed as
+#: int64 unless an item is not an integer or falls outside int64; numpy
+#: dtype discovery reads every other list.
+LIST_RULE = {
+    "ints": ([3, 1, 2], "int64", [3, 1, 2], True),
+    "int-led-true": ([1, True], "int64", [1, 1], True),
+    "int-led-np-int64": ([1, np.int64(5)], "int64", [1, 5], True),
+    "int-led-np-uint32": ([1, np.uint32(5)], "int64", [1, 5], True),
+    # numpy's dtype discovery alone promotes int64 with uint64 to float64.
+    "int-led-np-uint64": ([1, np.uint64(5)], "int64", [1, 5], True),
+    "int-led-np-bool": ([1, np.True_], "int64", [1, 1], True),
+    "int-past-int64": ([1, 2**63], "uint64", [1, 2**63], True),
+    "int-past-uint64": ([1, 2**64], None, [1, 2**64], False),
+    "int-below-int64": ([1, -2**63 - 1], None, [1, -2**63 - 1], False),
+    "int-led-float": ([1, 2.5], "float64", [1.0, 2.5], True),
+    "int-led-int-valued-float": ([1, 2.0], "float64", [1.0, 2.0], True),
+    "int-led-str": ([1, "a"], None, [1, "a"], False),
+    "int-led-none": ([1, None], None, [1, None], False),
+    "int-led-tuple": ([1, (2, 3)], None, [1, (2, 3)], False),
+    "bool-led": ([True, False], None, [True, False], False),
+    "bool-led-int": ([True, 2], "int64", [1, 2], True),
+    "float-led": ([1.5, 2], "float64", [1.5, 2.0], True),
+    "str-led": (["a", 1], None, ["a", 1], False),
+    "empty": ([], "float64", [], True),
+}
+
+#: Float columns the strict pass reads, or hands to ``np.asarray``.
+FLOAT_COLUMNS = {
+    "floats": [0.5, -0.0, float("nan"), float("-inf")],
+    "ints": [1, -3, 2**53 + 1, 2**64 + 1],
+    "bools": [True, False],
+    "none": [1.5, None],
+    "numeric-strings": ["1.5", " 2 ", "1e3", "nan"],
+    "numpy-scalars": [np.float32(1.1), np.int64(3), np.uint64(2**64 - 1)],
+}
+
+
+class TestListRule:
+    @pytest.mark.parametrize("form", LIST_RULE)
+    def test_key_block_and_frame_kind_of_each_list_form(self, form):
+        keys, dtype, values, binary = LIST_RULE[form]
+        block = key_block(list(keys))
+        if dtype is None:
+            assert type(block) is list
+            assert repr(block) == repr(values)
+        else:
+            assert isinstance(block, np.ndarray) and block.ndim == 1
+            assert block.dtype == dtype
+            assert block.tolist() == values
+        fields = _ingest_fields(list(keys), {})
+        assert _is_binary(fields) is binary
+        if binary:
+            assert np.asarray(fields["keys"]).dtype == block.dtype
+        else:
+            assert repr(fields["keys"]) == repr(values)
+
+    def test_an_np_uint64_in_an_int_list_hashes_as_its_integer(self):
+        keys = [1, np.uint64(5)]
+        assert batch_hash_to_unit(key_block(keys), 7).tolist() == \
+            [hash_to_unit(key, 7) for key in keys]
+
+    @pytest.mark.parametrize("form", FLOAT_COLUMNS)
+    def test_float_columns_read_as_numpy_reads_them(self, form):
+        column = FLOAT_COLUMNS[form]
+        want = np.asarray(column, dtype="<f8").tobytes()
+        keys = list(range(len(column)))
+        assert chunk_of(keys, weights=column)["weights"].tobytes() == want
+        fields = _ingest_fields(keys, {"weights": column})
+        assert np.asarray(fields["weights"]).tobytes() == want
 
 
 class TestAdminOps:

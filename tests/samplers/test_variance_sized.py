@@ -151,3 +151,51 @@ class TestStreamingSampler:
             VarianceTargetSampler(delta=1.0, oversample=0.5)
         with pytest.raises(ValueError):
             VarianceTargetSampler(delta=1.0, horizon=0)
+
+    def test_stopping_threshold_is_solved_once_per_state_version(
+        self, monkeypatch
+    ):
+        """Reads share one solve of the stopping threshold; an update,
+        a direct offer, an in-place restore and a pickled copy each
+        solve afresh, and every read still gets fresh sample arrays."""
+        import pickle
+
+        from repro.samplers import variance_sized
+
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve_first_crossing(*args, **kwargs)
+
+        monkeypatch.setattr(variance_sized, "solve_first_crossing", counting)
+        rng = np.random.default_rng(3)
+        s = VarianceTargetSampler(delta=20.0, family="exponential", rng=4)
+        s.update_many(np.arange(300), rng.lognormal(0.0, 1.0, 300))
+        solves.clear()
+
+        total = s.estimate_total()
+        first, second = s.sample(), s.sample()
+        assert s.estimate_total() == total
+        assert len(solves) == 1
+        assert first.values is not second.values
+        assert first.keys is not second.keys
+
+        s.update(10**6, weight=2.0)
+        s.sample()
+        s.sample()
+        assert len(solves) == 2
+        s.offer_with_priority(10**6 + 1, 0.0, weight=2.0)
+        s.sample()
+        assert len(solves) == 3
+
+        s._set_state(s.to_state()["state"])
+        s.sample()
+        assert len(solves) == 4
+        VarianceTargetSampler.from_state(s.to_state()).sample()
+        assert len(solves) == 5
+
+        copy = pickle.loads(pickle.dumps(s))
+        assert "_threshold_cache" not in copy.__dict__
+        assert copy.estimate_total() == s.estimate_total()
+        assert len(solves) == 6
