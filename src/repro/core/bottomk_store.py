@@ -1,4 +1,5 @@
-"""Bottom-k state in two shapes: sorted columns and a keyed heap.
+"""Threshold-sampling state in three shapes: sorted columns, a keyed heap
+and a cut prefix.
 
 The bottom-k sketch of §2.5.1, with the 1-substitutable cap of §3.5: the
 ``k + 1`` smallest priorities offered below a cap.  The threshold is the
@@ -33,9 +34,23 @@ batch speedup on a 100k-event Zipf stream from 31x to 3.9x.  On the heap
 the threshold and the eviction are one top lookup, and the dict's arrival
 order is the row order these samplers' checkpoints record.
 
-Both shapes take priorities already drawn or hashed (``bottom_k`` draws
-its own through :class:`~repro.api.protocol.PrioritySampler`) and leave
-duplicate keys to the samplers.
+:class:`PrefixStore` keeps every row offered below a falling cap, for the
+samplers whose threshold a stopping rule reads off the ascending prefix:
+``budget`` (§3.1: the first row whose running size passes the budget)
+and ``variance_target`` (§3.9: the first crossing of the variance
+target).  It has no row bound, so a write does not copy the stored
+columns: rows offered since the last merge wait in arrival order, and
+one stable pass merges them when the order is needed — ``budget`` after
+each scalar admission and each batch chunk, ``variance_target`` at its
+tightening triggers, and both on reads and checkpoints.  Tied rows stay
+in arrival order, stored rows first, as in :class:`BottomKStore` and
+:class:`~repro.core.thresholds.BudgetPrefix`'s stable sort, so the order
+does not depend on when the merges ran.
+
+The three shapes take priorities already drawn or hashed (``bottom_k``,
+``budget`` and ``variance_target`` draw their own through
+:class:`~repro.api.protocol.PrioritySampler`) and leave duplicate keys
+to the samplers.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ import numpy as np
 
 from .kernels import bottomk_candidates
 
-__all__ = ["BottomKStore", "KeyedBottomK", "take_keys"]
+__all__ = ["BottomKStore", "KeyedBottomK", "PrefixStore", "take_keys"]
 
 
 def take_keys(keys, positions) -> list:
@@ -252,3 +267,115 @@ class KeyedBottomK:
         self.members = dict(pairs)
         self.heap = [(-p, key) for key, p in self.members.items()]
         heapq.heapify(self.heap)
+
+
+class PrefixStore:
+    """Every row offered below :attr:`cap`, ascending, with the keys
+    (Python objects) and the named float ``columns`` parallel to them.
+
+    Rows offered since the last :meth:`merge` wait in arrival order;
+    ``priorities``, ``keys`` and ``columns`` hold the merged rows, so a
+    reader merges first.  :meth:`cut` lowers the cap and drops every row
+    at or above it."""
+
+    __slots__ = ("cap", "priorities", "keys", "columns", "_pending")
+
+    def __init__(self, columns: tuple[str, ...], cap: float = math.inf):
+        self.cap = cap
+        self.priorities = np.empty(0)
+        self.keys = np.empty(0, dtype=object)
+        self.columns = {name: np.empty(0) for name in columns}
+        # Chunks of (priorities, keys, {column: values}): a batch as
+        # arrays, a run of single rows as lists.
+        self._pending: list[tuple] = []
+
+    def __len__(self) -> int:
+        self.merge()
+        return self.priorities.size
+
+    def add(self, priority: float, key, **row: float) -> None:
+        """Queue one row; ``row`` gives every column's value."""
+        pending = self._pending
+        if not pending or type(pending[-1][0]) is not list:
+            pending.append(([], [], {name: [] for name in self.columns}))
+        priorities, keys, columns = pending[-1]
+        priorities.append(priority)
+        keys.append(key)
+        for name, values in columns.items():
+            values.append(row[name])
+
+    def offer(self, priorities: np.ndarray, keys: list,
+              **columns: np.ndarray) -> None:
+        """Queue a batch: ``priorities`` and every column are aligned
+        arrays the store may keep, ``keys`` a list."""
+        self._pending.append((priorities, keys, columns))
+
+    def merge(self) -> None:
+        """Sort the queued rows in, in one stable pass: tied rows keep
+        arrival order, stored rows first."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        new = np.concatenate([chunk[0] for chunk in pending])
+        order = new.argsort(kind="stable")
+        # Each new row lands after the stored rows at or below it and
+        # after the new rows sorted before it.
+        at = self.priorities.searchsorted(new[order], "right")
+        at += np.arange(new.size)
+        stored = np.ones(self.priorities.size + new.size, dtype=bool)
+        stored[at] = False
+
+        def place(column, fresh):
+            out = np.empty(stored.size, dtype=column.dtype)
+            out[stored] = column
+            out[at] = fresh[order]
+            return out
+
+        self.priorities = place(self.priorities, new)
+        self.keys = place(self.keys, _object_column(
+            [key for chunk in pending for key in chunk[1]]))
+        for name, column in self.columns.items():
+            self.columns[name] = place(column, np.concatenate(
+                [chunk[2][name] for chunk in pending]))
+
+    def cut(self, t: float) -> None:
+        """Lower the cap to ``t`` and drop every row at or above it."""
+        self.merge()
+        self.cap = min(self.cap, t)
+        m = int(self.priorities.searchsorted(self.cap))
+        self.priorities = self.priorities[:m]
+        self.keys = self.keys[:m]
+        for name, column in self.columns.items():
+            self.columns[name] = column[:m]
+
+    def below(self, t: float) -> dict:
+        """Copies of the rows below ``t``, ascending: ``keys`` as a list,
+        ``priorities`` and each column as arrays."""
+        self.merge()
+        m = int(self.priorities.searchsorted(t))
+        rows = {name: column[:m].copy()
+                for name, column in self.columns.items()}
+        rows["keys"] = self.keys[:m].tolist()
+        rows["priorities"] = self.priorities[:m].copy()
+        return rows
+
+    def checkpoint(self) -> dict:
+        """The rows as checkpoint fields: ``priorities`` ascending, and
+        ``records``, each row's key and then its columns in the order
+        the store names them."""
+        self.merge()
+        fields = [self.keys, *self.columns.values()]
+        return {"priorities": self.priorities.tolist(),
+                "records": [list(row) for row in
+                            zip(*(field.tolist() for field in fields))]}
+
+    def load(self, state: dict) -> None:
+        """Replace the rows with a :meth:`checkpoint`'s, kept in their
+        given (ascending) order."""
+        fields = list(zip(*state["records"])) or [()] * (1 + len(self.columns))
+        self._pending = []
+        self.priorities = np.array(state["priorities"], dtype=float)
+        self.keys = _object_column(fields[0])
+        for name, values in zip(self.columns, fields[1:]):
+            self.columns[name] = np.array(values, dtype=float)

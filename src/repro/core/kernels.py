@@ -16,9 +16,6 @@ kernels practical:
   for the tie rule of :class:`repro.core.bottomk_store.BottomKStore`.
 * :func:`smallest_distinct` — the distinct-sketch variant: the ``m``
   smallest *unique* values of a hash batch (KMV/Theta ingestion).
-* :func:`merge_into_sorted` — bulk merge of a batch into a sorted column
-  set, placing ties as per-item ``bisect.insort`` does (the
-  variance-target sampler keeps its state in ascending priority order).
 * :class:`DrawBuffer` — block-buffered ``rng.random()`` draws that consume
   the *exact* same generator stream as per-item scalar draws, even when the
   number of draws is data-dependent (PCG64's ``advance`` rewinds the unused
@@ -68,7 +65,6 @@ except ImportError:  # pragma: no cover - non-CPython
 __all__ = [
     "bottomk_candidates",
     "smallest_distinct",
-    "merge_into_sorted",
     "DrawBuffer",
     "categorical_draw",
     "varopt_tau",
@@ -412,49 +408,6 @@ def smallest_distinct(values: np.ndarray, m: int) -> np.ndarray:
     shared pruning step of their batch paths.
     """
     return np.unique(values)[:m]
-
-
-def merge_into_sorted(
-    sorted_priorities: np.ndarray,
-    new_priorities: np.ndarray,
-    *columns: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Merge a batch into ascending-priority parallel columns.
-
-    ``sorted_priorities`` is the existing ascending key column; each entry
-    of ``columns`` is a pair ``(existing, new)`` flattened into the varargs
-    as ``existing_0, new_0, existing_1, new_1, ...``.  Returns the merged
-    priority column followed by each merged extra column.  Equivalent to
-    repeated ``bisect.insort`` (``bisect_left`` semantics) but one
-    ``O((s + m) log m)`` numpy pass instead of ``m`` list inserts: among
-    equal priorities, each later arrival lands before every earlier one,
-    stored or new.
-    """
-    if len(columns) % 2:
-        raise ValueError("columns must come in (existing, new) pairs")
-    m = new_priorities.size
-    # A stable sort of the reversed batch puts later arrivals first
-    # among equals.
-    order = m - 1 - np.argsort(new_priorities[::-1], kind="stable")
-    new_sorted = new_priorities[order]
-    # Position of each new element in the merged array: its index among the
-    # existing elements (bisect_left) plus its rank within the batch.
-    base = np.searchsorted(sorted_priorities, new_sorted, side="left")
-    insert_at = base + np.arange(new_sorted.size)
-    total = sorted_priorities.size + new_sorted.size
-    out_pr = np.empty(total, dtype=sorted_priorities.dtype)
-    mask = np.zeros(total, dtype=bool)
-    mask[insert_at] = True
-    out_pr[mask] = new_sorted
-    out_pr[~mask] = sorted_priorities
-    merged = [out_pr]
-    for i in range(0, len(columns), 2):
-        existing, new = columns[i], np.asarray(columns[i + 1])[order]
-        out = np.empty(total, dtype=existing.dtype)
-        out[mask] = new
-        out[~mask] = existing
-        merged.append(out)
-    return tuple(merged)
 
 
 class DrawBuffer:

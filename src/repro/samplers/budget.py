@@ -10,28 +10,29 @@ on the paper's survey-like workload the usable sample is ~4x larger than
 the conservative bottom-k (claim T1, reproduced in
 ``benchmarks/bench_section31_budget.py``).
 
-Implementation note: after each insertion the stored prefix sums are
-monotone, so "evict the largest priority while the total exceeds B" lands
-exactly on the first-overflow boundary the offline rule defines.  Stored
-rows tied with that boundary priority (a key repeated on a coordinated
-feed) are evicted with it, since the sample is ``{R_i < T}``.  The
-test-suite cross-checks the streaming sampler against
-:class:`repro.core.thresholds.BudgetPrefix` on identical priorities.
+The rows live in a :class:`~repro.core.bottomk_store.PrefixStore`.  After
+each scalar admission and each batch chunk the store is cut at the first
+``np.cumsum`` overflow of its sizes column, in ascending priority order
+with tied rows in arrival order: the sums and the order of
+:class:`repro.core.thresholds.BudgetPrefix`, so the live path, the batch
+path, a restored checkpoint and the offline rule land on the same
+threshold bit for bit.  Stored rows tied with that boundary priority (a
+key repeated on a coordinated feed) leave with it, since the sample is
+``{R_i < T}``.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
 from ..api import PrioritySampler, query_support, register_sampler
 from ..api.protocol import (
-    _as_key_list,
+    _as_key_batch,
     _as_optional_array,
     rng_from_state,
     rng_to_state,
 )
+from ..core.bottomk_store import PrefixStore, take_keys
 from ..core.priorities import PriorityFamily
 from ..core.sample import Sample
 
@@ -71,11 +72,7 @@ class BudgetSampler(PrioritySampler):
             raise ValueError("budget must be positive")
         super().__init__(family, coordinated, salt, rng)
         self.budget = float(budget)
-        # Ascending priority order: parallel lists managed with bisect.
-        self._priorities: list[float] = []
-        self._records: list[tuple[object, float, float, float]] = []  # key, w, v, size
-        self._total_size = 0.0
-        self._threshold = float("inf")
+        self._store = PrefixStore(("weights", "values", "sizes"))
         self.items_seen = 0
         self.max_item_size_seen = 0.0
 
@@ -97,37 +94,27 @@ class BudgetSampler(PrioritySampler):
         self.items_seen += 1
         self.max_item_size_seen = max(self.max_item_size_seen, float(size))
         r = self._priority(key, weight)
-        if not r < self._threshold:
+        store = self._store
+        if not r < store.cap:
             return False
-        idx = bisect.bisect_left(self._priorities, r)
-        self._priorities.insert(idx, r)
-        self._records.insert(
-            idx, (key, float(weight), float(weight if value is None else value), float(size))
-        )
-        self._total_size += float(size)
-        self._evict_overflow()
-        # The offered item survives iff its priority is still stored below
-        # the (possibly reduced) threshold.
-        return r < self._threshold
+        store.add(r, key, weights=float(weight),
+                  values=float(weight if value is None else value),
+                  sizes=float(size))
+        self._cut_overflow()
+        # The offered item survives iff its priority is still below the
+        # (possibly reduced) threshold.
+        return r < store.cap
 
-    def _evict_overflow(self) -> None:
-        """Drop the tail of the priority order until the budget holds.
-
-        Because prefix sums of non-negative sizes are monotone, popping the
-        largest priority until the total fits is identical to evicting
-        everything at or after the first overflow position; the threshold
-        becomes the smallest evicted priority.  Stored rows tied with it
-        go too: the sample is the rows strictly below the threshold.
-        """
-        evicted_min = None
-        while self._total_size > self.budget and self._priorities:
-            evicted_min = self._priorities.pop()
-            self._total_size -= self._records.pop()[3]
-        if evicted_min is not None:
-            self._threshold = min(self._threshold, evicted_min)
-            while self._priorities and self._priorities[-1] >= self._threshold:
-                self._priorities.pop()
-                self._total_size -= self._records.pop()[3]
+    def _cut_overflow(self) -> None:
+        """Cut the store at the priority of the first row whose running
+        size passes the budget: the prefix sums ascend, so that row is
+        the first past it in ``searchsorted`` order."""
+        store = self._store
+        store.merge()
+        total = store.columns["sizes"].cumsum()
+        if total.size and total[-1] > self.budget:
+            first = total.searchsorted(self.budget, "right")
+            store.cut(float(store.priorities[first]))
 
     def update_many(
         self, keys, weights=None, values=None, times=None, sizes=None
@@ -135,14 +122,13 @@ class BudgetSampler(PrioritySampler):
         """Vectorized bulk :meth:`update` with an optional ``sizes`` column.
 
         Draws/hashes the whole batch's priorities at once, then filters in
-        chunks against the *current* threshold before falling into the
-        insertion loop: the budget threshold only ever decreases, so each
-        chunk's filter discards everything the threshold has already ruled
-        out and only the (typically tiny) accepted minority pays
-        python-level list costs.  RNG consumption matches the scalar loop
-        exactly.
+        chunks against the *current* threshold: the budget threshold only
+        ever decreases, so each chunk's filter discards everything the
+        threshold has already ruled out, and the rows left merge into the
+        store and are cut once per chunk.  The cut lands where the scalar
+        loop's would, and RNG consumption matches it exactly.
         """
-        keys = _as_key_list(keys)
+        keys = _as_key_batch(keys)
         n = len(keys)
         if n == 0:
             return
@@ -156,28 +142,17 @@ class BudgetSampler(PrioritySampler):
         self.max_item_size_seen = max(
             self.max_item_size_seen, 1.0 if s is None else float(s.max())
         )
-        priorities, records = self._priorities, self._records
+        store = self._store
         chunk = 8192
         for lo in range(0, n, chunk):
-            block = pr[lo:lo + chunk]
-            if np.isfinite(self._threshold):
-                cand = lo + np.flatnonzero(block < self._threshold)
-            else:
-                cand = np.arange(lo, lo + block.size)
-            for i in cand.tolist():
-                r = float(pr[i])
-                if not r < self._threshold:
-                    continue
-                wi = 1.0 if w is None else float(w[i])
-                idx = bisect.bisect_left(priorities, r)
-                priorities.insert(idx, r)
-                records.insert(
-                    idx,
-                    (keys[i], wi, wi if v is None else float(v[i]),
-                     1.0 if s is None else float(s[i])),
-                )
-                self._total_size += 1.0 if s is None else float(s[i])
-                self._evict_overflow()
+            cand = lo + np.flatnonzero(pr[lo:lo + chunk] < store.cap)
+            if not cand.size:
+                continue
+            wc = np.ones(cand.size) if w is None else w[cand]
+            store.offer(pr[cand], take_keys(keys, cand), weights=wc,
+                        values=wc if v is None else v[cand],
+                        sizes=np.ones(cand.size) if s is None else s[cand])
+            self._cut_overflow()
 
     # ------------------------------------------------------------------
     # State
@@ -185,26 +160,29 @@ class BudgetSampler(PrioritySampler):
     @property
     def threshold(self) -> float:
         """Current adaptive threshold (+inf until the budget first binds)."""
-        return self._threshold
+        return self._store.cap
 
     @property
     def used(self) -> float:
-        """Total size currently stored; always <= budget."""
-        return self._total_size
+        """Total size currently stored, summed as the cut sums it; always
+        <= budget."""
+        total = self._store.columns["sizes"].cumsum()
+        return float(total[-1]) if total.size else 0.0
 
     def __len__(self) -> int:
-        return len(self._priorities)
+        return len(self._store)
 
     def sample(self) -> Sample:
         """Finalized sample; HT estimators are valid since the rule is
         substitutable (and variance estimates need ``budget >= 2 L_max``,
         mirroring the paper's ``B >= 2 L_max`` remark)."""
+        rows = self._store.below(self._store.cap)
         return Sample(
-            keys=[rec[0] for rec in self._records],
-            values=np.array([rec[2] for rec in self._records], dtype=float),
-            weights=np.array([rec[1] for rec in self._records], dtype=float),
-            priorities=np.array(self._priorities, dtype=float),
-            thresholds=np.full(len(self._priorities), self._threshold),
+            keys=rows["keys"],
+            values=rows["values"],
+            weights=rows["weights"],
+            priorities=rows["priorities"],
+            thresholds=np.full(len(rows["keys"]), self._store.cap),
             family=self.family,
             population_size=self.items_seen,
         )
@@ -228,19 +206,17 @@ class BudgetSampler(PrioritySampler):
 
     def _get_state(self) -> dict:
         return {
-            "priorities": list(self._priorities),
-            "records": [list(rec) for rec in self._records],
-            "threshold": self._threshold,
+            **self._store.checkpoint(),
+            "threshold": self._store.cap,
             "items_seen": self.items_seen,
             "max_item_size_seen": self.max_item_size_seen,
             "rng": rng_to_state(self.rng),
         }
 
     def _set_state(self, state: dict) -> None:
-        self._priorities = list(state["priorities"])
-        self._records = [tuple(rec) for rec in state["records"]]
-        self._total_size = float(sum(rec[3] for rec in self._records))
-        self._threshold = float(state["threshold"])
+        self._store = PrefixStore(("weights", "values", "sizes"),
+                                  cap=float(state["threshold"]))
+        self._store.load(state)
         self.items_seen = int(state["items_seen"])
         self.max_item_size_seen = float(state["max_item_size_seen"])
         self.rng = rng_from_state(state["rng"])

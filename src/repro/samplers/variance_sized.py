@@ -36,7 +36,7 @@ is always sound.
 
 from __future__ import annotations
 
-import bisect
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from ..api.protocol import (
     rng_from_state,
     rng_to_state,
 )
-from ..core.kernels import merge_into_sorted
+from ..core.bottomk_store import PrefixStore, take_keys
 from ..core.priorities import InverseWeightPriority, PriorityFamily
 from ..core.sample import Sample
 
@@ -71,18 +71,26 @@ def _vhat(values, weights, t, family) -> float:
     return float(np.sum(terms))
 
 
-def _bisect_crossing(vals, wts, lo, hi, target, family, tol) -> float:
-    """Bisect ``Vhat(t) = target`` on (lo, hi) where Vhat decreases in t."""
-    a, b = lo, hi
+def _bisect(vhat, lo, hi, target, tol) -> float:
+    """Bisect ``vhat(t) = target`` on (lo, hi) where ``vhat`` decreases."""
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        if _vhat(vals, wts, mid, family) >= target:
-            a = mid
+        mid = 0.5 * (lo + hi)
+        if vhat(mid) >= target:
+            lo = mid
         else:
-            b = mid
-        if b - a <= tol * max(1.0, b):
+            hi = mid
+        if hi - lo <= tol * max(1.0, hi):
             break
-    return 0.5 * (a + b)
+    return 0.5 * (lo + hi)
+
+
+def _upper_end(vhat, lo, target) -> float:
+    """A finite upper end for the last interval ``(lo, inf)``: doubling
+    from ``max(2 lo, 1)`` while ``vhat`` holds the target (to 1e300)."""
+    hi = max(lo * 2.0, 1.0)
+    while vhat(hi) >= target and hi < 1e300:
+        hi *= 2.0
+    return hi
 
 
 def solve_stopping_threshold(
@@ -121,14 +129,12 @@ def solve_stopping_threshold(
         lo = descending[m]
         hi = descending[m - 1] if m >= 1 else np.inf
         mask = priorities <= lo  # the sample for t in (lo, hi)
-        vals, wts = values[mask], weights[mask]
-        if _vhat(vals, wts, lo, family) < target:
+        vhat = partial(_vhat, values[mask], weights[mask], family=family)
+        if vhat(lo) < target:
             continue
         if not np.isfinite(hi):
-            hi = max(lo * 2.0, 1.0)
-            while _vhat(vals, wts, hi, family) >= target and hi < 1e300:
-                hi *= 2.0
-        return _bisect_crossing(vals, wts, lo, hi, target, family, tol)
+            hi = _upper_end(vhat, lo, target)
+        return _bisect(vhat, lo, hi, target, tol)
     return float("inf")
 
 
@@ -198,35 +204,17 @@ def _solve_first_crossing_invw(
         hits = np.flatnonzero(crossing)
         if hits.size:
             m = int(hits[0])
-            lo, hi = float(p[m]), float(p[m + 1])
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if vhat_at(mid, m) >= target:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= tol * max(1.0, hi):
-                    break
-            return 0.5 * (lo + hi)
+            return _bisect(partial(vhat_at, m=m), float(p[m]),
+                           float(p[m + 1]), target, tol)
     # Last interval: (p[-1], inf) with the full sample.
-    m = n - 1
-    if v_lo[m] < target:
+    if v_lo[-1] < target:
         return float("inf")
-    hi = max(float(p[m]) * 2.0, 1.0)
-    while vhat_at(hi, m) >= target and hi < 1e300:
-        hi *= 2.0
-    if vhat_at(hi, m) >= target:
+    vhat = partial(vhat_at, m=n - 1)
+    lo = float(p[-1])
+    hi = _upper_end(vhat, lo, target)
+    if vhat(hi) >= target:
         return float("inf")
-    lo = float(p[m])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if vhat_at(mid, m) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(vhat, lo, hi, target, tol)
 
 
 def solve_first_crossing(
@@ -269,17 +257,14 @@ def solve_first_crossing(
         lo = ascending[m]
         hi = ascending[m + 1] if m + 1 < n else np.inf
         mask = priorities <= lo
-        vals, wts = values[mask], weights[mask]
-        v_lo = _vhat(vals, wts, lo, family)
-        if v_lo < target:
+        vhat = partial(_vhat, values[mask], weights[mask], family=family)
+        if vhat(lo) < target:
             continue  # crossed below this interval already — keep going up?
         if not np.isfinite(hi):
-            hi = max(lo * 2.0, 1.0)
-            while _vhat(vals, wts, hi, family) >= target and hi < 1e300:
-                hi *= 2.0
-        if _vhat(vals, wts, hi, family) >= target:
+            hi = _upper_end(vhat, lo, target)
+        if vhat(hi) >= target:
             continue  # still above target at the top; crossing is higher
-        return _bisect_crossing(vals, wts, lo, hi, target, family, tol)
+        return _bisect(vhat, lo, hi, target, tol)
     return float("inf")
 
 
@@ -327,9 +312,7 @@ class VarianceTargetSampler(PrioritySampler):
         self.delta = float(delta)
         self.horizon = None if horizon is None else int(horizon)
         self.oversample = float(oversample)
-        self._priorities: list[float] = []
-        self._records: list[tuple[object, float, float]] = []  # key, weight, value
-        self._cap = float("inf")
+        self._store = PrefixStore(("weights", "values"))
         self._cap_ever_bound = False
         self.items_seen = 0
         # Geometric tightening cadence: first solve at 256 items, then
@@ -353,73 +336,52 @@ class VarianceTargetSampler(PrioritySampler):
     ) -> bool:
         """Offer an item whose priority was drawn externally."""
         self.items_seen += 1
-        if not priority < self._cap:
+        store = self._store
+        if not priority < store.cap:
             self._cap_ever_bound = True
             return False
-        idx = bisect.bisect_left(self._priorities, priority)
-        self._priorities.insert(idx, priority)
-        self._records.insert(
-            idx, (key, float(weight), float(weight if value is None else value))
-        )
+        store.add(priority, key, weights=float(weight),
+                  values=float(weight if value is None else value))
         # Don't cap before the extrapolated threshold has stabilized: the
         # early-stream estimate is noisy, and an over-tight cap can never be
         # undone (evicted items are gone).  The cadence backs off
         # geometrically so the solve cost amortizes to O(1) per item.
         if self.horizon is not None and self.items_seen >= self._next_tighten:
-            self._tighten_cap()
-            self._next_tighten = self.items_seen + max(64, self.items_seen // 8)
+            self._tighten()
         return True
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.array([rec[2] for rec in self._records]),
-            np.array([rec[1] for rec in self._records]),
-            np.asarray(self._priorities, dtype=float),
-        )
+    def _tighten(self) -> None:
+        """Cap retention at ``oversample`` times the extrapolated final
+        stopping threshold, and schedule the next trigger.
 
-    def _solve_cap(self, values, weights, priorities) -> float | None:
-        """The new (smaller) retention cap, or None when the cap is unchanged.
-
-        Shared core of the scalar and batch tightening paths: the same
-        arrays go through the same solver, so both paths truncate at the
-        same boundary.  ``E Vhat_i(t) = (i / N) Vhat_N(t)`` for i.i.d.
-        arrivals, so the final threshold is estimated by solving with a
-        scaled-down target ``delta^2 * i / N``.
+        ``E Vhat_i(t) = (i / N) Vhat_N(t)`` for i.i.d. arrivals, so the
+        final threshold is estimated by solving with a scaled-down target
+        ``delta^2 * i / N`` over the rows merged so far.  The scalar and
+        batch paths both tighten here, at the same items, on the same
+        columns.
         """
+        store = self._store
+        store.merge()
         scale = min(1.0, self.items_seen / float(self.horizon))
         t_hat = solve_first_crossing(
-            values, weights, priorities, self.delta * np.sqrt(scale), self.family
+            store.columns["values"], store.columns["weights"],
+            store.priorities, self.delta * np.sqrt(scale), self.family,
         )
-        if not np.isfinite(t_hat):
-            return None
-        cap = t_hat * self.oversample
-        if cap >= self._cap:
-            return None
-        return cap
-
-    def _tighten_cap(self) -> None:
-        """Cap retention at the extrapolated final stopping threshold."""
-        if not self._priorities:
-            return
-        cap = self._solve_cap(*self._arrays())
-        if cap is None:
-            return
-        self._cap = cap
-        cut = bisect.bisect_left(self._priorities, cap)
-        del self._priorities[cut:]
-        del self._records[cut:]
+        if t_hat * self.oversample < store.cap:  # +inf: no crossing yet
+            store.cut(t_hat * self.oversample)
+        self._next_tighten = self.items_seen + max(64, self.items_seen // 8)
 
     def update_many(self, keys, weights=None, values=None, times=None) -> None:
         """Vectorized bulk :meth:`update`.
 
-        Priorities for the whole batch are drawn (or hashed) at once, and
-        the sorted retention state lives in numpy arrays for the duration
-        of the batch.  The retention cap can only move at a tightening
-        trigger — the first *accepted* item once ``items_seen`` reaches the
-        cadence counter — so the batch splits into cap-constant segments:
-        each segment is threshold-tested and merged in one numpy pass, and
-        the extrapolated cap is re-solved exactly where the scalar loop
-        would re-solve it.  Seed-for-seed identical to scalar ingestion.
+        Priorities for the whole batch are drawn (or hashed) at once.  The
+        retention cap can only move at a tightening trigger — the first
+        *accepted* item once ``items_seen`` reaches the cadence counter —
+        so the batch splits into cap-constant segments: each segment is
+        threshold-tested in one numpy pass and queued in the store, which
+        merges only when the cap is re-solved, exactly where the scalar
+        loop would re-solve it.  Seed-for-seed identical to scalar
+        ingestion.
         """
         keys = _as_key_list(keys)
         n = len(keys)
@@ -430,73 +392,35 @@ class VarianceTargetSampler(PrioritySampler):
         pr = self._batch_priorities(keys, w)
         wcol = np.ones(n) if w is None else w
         vcol = wcol if v is None else v
-        key_col = np.empty(n, dtype=object)
-        key_col[:] = keys
-
-        cur_pr = np.asarray(self._priorities, dtype=float)
-        cur_keys = np.empty(len(self._records), dtype=object)
-        cur_keys[:] = [rec[0] for rec in self._records]
-        cur_w = np.asarray([rec[1] for rec in self._records], dtype=float)
-        cur_v = np.asarray([rec[2] for rec in self._records], dtype=float)
+        store = self._store
         base = self.items_seen
 
         pos = 0
         while pos < n:
-            if np.isfinite(self._cap):
-                acc = pr[pos:] < self._cap
-            else:
-                acc = None  # everything accepted
+            acc = pr[pos:] < store.cap
             # The tightening trigger fires at the first accepted item from
             # batch index >= jmin (0-based; items_seen = base + j + 1).
             trigger = n
             if self.horizon is not None:
                 jmin = max(pos, self._next_tighten - base - 1)
                 if jmin < n:
-                    if acc is None:
-                        trigger = jmin
-                    else:
-                        rel = np.argmax(acc[jmin - pos:])
-                        if acc[jmin - pos + rel]:
-                            trigger = jmin + int(rel)
+                    rel = np.argmax(acc[jmin - pos:])
+                    if acc[jmin - pos + rel]:
+                        trigger = jmin + int(rel)
             end = min(n, trigger + 1)
-            if acc is None:
-                taken = np.arange(pos, end)
+            taken = pos + np.flatnonzero(acc[: end - pos])
+            if taken.size < end - pos:
+                self._cap_ever_bound = True
+                rows = take_keys(keys, taken)
             else:
-                taken = pos + np.flatnonzero(acc[: end - pos])
-                if taken.size < end - pos:
-                    self._cap_ever_bound = True
+                rows = keys[pos:end]
             if taken.size:
-                cur_pr, cur_keys, cur_w, cur_v = merge_into_sorted(
-                    cur_pr,
-                    pr[taken],
-                    cur_keys,
-                    key_col[taken],
-                    cur_w,
-                    wcol[taken],
-                    cur_v,
-                    vcol[taken],
-                )
+                store.offer(pr[taken], rows, weights=wcol[taken],
+                            values=vcol[taken])
             self.items_seen = base + end
             if trigger < n:
-                if cur_pr.size:
-                    cap = self._solve_cap(cur_v, cur_w, cur_pr)
-                    if cap is not None:
-                        self._cap = cap
-                        cut = int(np.searchsorted(cur_pr, cap, side="left"))
-                        cur_pr = cur_pr[:cut]
-                        cur_keys = cur_keys[:cut]
-                        cur_w = cur_w[:cut]
-                        cur_v = cur_v[:cut]
-                self._next_tighten = self.items_seen + max(
-                    64, self.items_seen // 8
-                )
+                self._tighten()
             pos = end
-
-        self.items_seen = base + n
-        self._priorities = cur_pr.tolist()
-        self._records = list(
-            zip(cur_keys.tolist(), cur_w.tolist(), cur_v.tolist())
-        )
 
     def provisional_threshold(self) -> float:
         """First-crossing stopping threshold over the retained items,
@@ -506,12 +430,12 @@ class VarianceTargetSampler(PrioritySampler):
         cached = self.__dict__.get("_threshold_cache")
         if cached is not None and cached[0] == version:
             return cached[1]
-        threshold = float("inf")
-        if self._priorities:
-            values, weights, priorities = self._arrays()
-            threshold = solve_first_crossing(
-                values, weights, priorities, self.delta, self.family
-            )
+        store = self._store
+        store.merge()
+        threshold = solve_first_crossing(
+            store.columns["values"], store.columns["weights"],
+            store.priorities, self.delta, self.family,
+        )
         self._threshold_cache = (version, threshold)
         return threshold
 
@@ -523,16 +447,16 @@ class VarianceTargetSampler(PrioritySampler):
         the stopping rule needed).
         """
         t_star = self.provisional_threshold()
-        sound = (not self._cap_ever_bound) or t_star < self._cap
-        threshold = min(t_star, self._cap)
-        cut = bisect.bisect_left(self._priorities, threshold)
-        records = self._records[:cut]
+        cap = self._store.cap
+        sound = (not self._cap_ever_bound) or t_star < cap
+        threshold = min(t_star, cap)
+        rows = self._store.below(threshold)
         sample = Sample(
-            keys=[rec[0] for rec in records],
-            values=np.array([rec[2] for rec in records]),
-            weights=np.array([rec[1] for rec in records]),
-            priorities=np.array(self._priorities[:cut]),
-            thresholds=np.full(cut, threshold),
+            keys=rows["keys"],
+            values=rows["values"],
+            weights=rows["weights"],
+            priorities=rows["priorities"],
+            thresholds=np.full(len(rows["keys"]), threshold),
             family=self.family,
             population_size=self.items_seen,
         )
@@ -562,9 +486,8 @@ class VarianceTargetSampler(PrioritySampler):
 
     def _get_state(self) -> dict:
         return {
-            "priorities": list(self._priorities),
-            "records": [list(rec) for rec in self._records],
-            "cap": self._cap,
+            **self._store.checkpoint(),
+            "cap": self._store.cap,
             "cap_ever_bound": self._cap_ever_bound,
             "items_seen": self.items_seen,
             "next_tighten": self._next_tighten,
@@ -572,9 +495,9 @@ class VarianceTargetSampler(PrioritySampler):
         }
 
     def _set_state(self, state: dict) -> None:
-        self._priorities = list(state["priorities"])
-        self._records = [tuple(rec) for rec in state["records"]]
-        self._cap = float(state["cap"])
+        self._store = PrefixStore(("weights", "values"),
+                                  cap=float(state["cap"]))
+        self._store.load(state)
         self._cap_ever_bound = bool(state["cap_ever_bound"])
         self.items_seen = int(state["items_seen"])
         self._next_tighten = int(state.get("next_tighten", 256))

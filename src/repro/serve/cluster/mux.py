@@ -74,18 +74,23 @@ def key_block(keys):
     tuple keys would coerce to a 2-D array misread as one row per tuple
     *element*.  A list led by a plain ``int`` is packed as int64 in one
     strict pass (:func:`~repro.serve.batcher._packed`: ints, bools and
-    numpy integers only, so ``[1, 2.5]`` is refused, never truncated);
-    only a list that pass refuses, and any other container, goes through
-    numpy's dtype discovery.  Python ints that overflow int64 (uint64
-    keys arriving as JSON numbers) become uint64, never float64, so they
-    hash as the integers they are.
+    numpy integers only, so ``[1, 2.5]`` is refused, never truncated).
+    A list led by a ``str`` stays a list: numpy reads it as a string
+    array at best, never as a numeric block.  Only a list the int pass
+    refuses, and any other container, goes through numpy's dtype
+    discovery.  Python ints that overflow int64 (uint64 keys arriving as
+    JSON numbers) become uint64, never float64, so they hash as the
+    integers they are.
     :class:`~repro.serve.cluster.ClusterClient` applies the same rule to
     pick the blocks it sends as binary frames.
     """
-    if type(keys) is list and keys and type(keys[0]) is int:
-        packed = _packed(keys, "q", np.int64)
-        if packed is not None:
-            return packed
+    if type(keys) is list and keys:
+        if type(keys[0]) is int:
+            packed = _packed(keys, "q", np.int64)
+            if packed is not None:
+                return packed
+        elif type(keys[0]) is str:
+            return list(keys)
     try:
         block = np.asarray(keys)
         if block.dtype.kind in "fO" and not isinstance(keys, np.ndarray) \

@@ -263,6 +263,31 @@ class TestListRule:
         else:
             assert repr(fields["keys"]) == repr(values)
 
+    def test_a_str_led_list_reaches_the_child_without_numpy(
+        self, monkeypatch
+    ):
+        """A str-led list stays a list after one type test of its first
+        key: numpy's dtype discovery, which would build a string array
+        only to drop it, never runs."""
+        from repro.serve.cluster import mux as mux_module
+
+        class NumpyWithoutAsarray:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def asarray(*args, **kwargs):
+                raise AssertionError("np.asarray ran on a str-led list")
+
+        monkeypatch.setattr(mux_module, "np", NumpyWithoutAsarray())
+        keys = [f"k{i}" for i in range(300)] + [7, (1, 2)]
+        block = key_block(keys)
+        assert type(block) is list and block == keys and block is not keys
+        mux = _mux(1)
+        _routed(mux, "t0", keys)
+        assert sample_signature(mux.tenant_sampler("t0")) == \
+            control_signature(0, keys)
+
     def test_an_np_uint64_in_an_int_list_hashes_as_its_integer(self):
         keys = [1, np.uint64(5)]
         assert batch_hash_to_unit(key_block(keys), 7).tolist() == \

@@ -1,12 +1,12 @@
-"""Tests for the bottom-k store and the keyed bottom-k set
-(repro.core.bottomk_store)."""
+"""Tests for the bottom-k store, the keyed bottom-k set and the prefix
+store (repro.core.bottomk_store)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.bottomk_store import BottomKStore, KeyedBottomK
+from repro.core.bottomk_store import BottomKStore, KeyedBottomK, PrefixStore
 
 
 def _store(k=3, priorities=(), keys=None, cap=math.inf):
@@ -141,3 +141,71 @@ class TestKeyedBottomK:
         assert rows.threshold == 0.4
         assert rows.offer("x", 0.2) == -1
         assert rows.members == {"s": 0.1, 7: 0.3, "x": 0.2}
+
+
+class TestPrefixStore:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_merged_rows_are_a_stable_sort_whatever_the_schedule(self, seed):
+        """Single rows and batches, merged at random points, land in the
+        order of one stable sort of every row by arrival: tied rows keep
+        arrival order, stored rows first."""
+        rng = np.random.default_rng(seed)
+        n = 200
+        priorities = rng.integers(0, 12, n) / 12.0
+        store = PrefixStore(("weights",))
+        pos = 0
+        while pos < n:
+            if rng.random() < 0.5:
+                store.add(float(priorities[pos]), pos, weights=float(pos))
+                pos += 1
+            else:
+                end = min(n, pos + int(rng.integers(1, 20)))
+                store.offer(priorities[pos:end], list(range(pos, end)),
+                            weights=np.arange(pos, end, dtype=float))
+                pos = end
+            if rng.random() < 0.2:
+                store.merge()
+        order = priorities.argsort(kind="stable")
+        assert len(store) == n
+        assert store.keys.tolist() == order.tolist()
+        assert store.priorities.tolist() == priorities[order].tolist()
+        assert store.columns["weights"].tolist() == order.tolist()
+
+    def test_cut_lowers_the_cap_and_drops_rows_at_or_above_it(self):
+        store = PrefixStore(("sizes",))
+        store.offer(np.array([0.4, 0.1, 0.3]), ["a", "b", "c"],
+                    sizes=np.ones(3))
+        store.add(0.3, "d", sizes=2.0)
+        store.cut(0.3)
+        assert store.cap == 0.3
+        assert store.keys.tolist() == ["b"]
+        store.cut(0.5)
+        assert store.cap == 0.3
+
+    def test_below_copies_the_rows_under_a_threshold(self):
+        store = PrefixStore(("weights",))
+        store.offer(np.array([0.5, 0.2]), [("t", 1), "s"],
+                    weights=np.array([1.0, 2.0]))
+        rows = store.below(0.4)
+        assert rows["keys"] == ["s"]
+        rows["priorities"][0] = 9.0
+        assert store.priorities.tolist() == [0.2, 0.5]
+
+    def test_checkpoint_round_trips_in_its_order(self):
+        store = PrefixStore(("weights", "values"))
+        store.add(0.3, 7, weights=3.0, values=1.5)
+        store.offer(np.array([0.3, 0.2]), [("t", 1), "s"],
+                    weights=np.array([1.0, 2.0]), values=np.zeros(2))
+        state = store.checkpoint()
+        assert state == {
+            "priorities": [0.2, 0.3, 0.3],
+            "records": [["s", 2.0, 0.0], [7, 3.0, 1.5],
+                        [("t", 1), 1.0, 0.0]],
+        }
+        revived = PrefixStore(("weights", "values"), cap=0.9)
+        revived.load(state)
+        assert revived.checkpoint() == state
+        empty = PrefixStore(("weights", "values"))
+        empty.load({"priorities": [], "records": []})
+        assert len(empty) == 0
+        assert empty.checkpoint() == {"priorities": [], "records": []}

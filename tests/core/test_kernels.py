@@ -1,7 +1,6 @@
-"""Tests for the bottom-k candidate kernel, the sorted merge, the
-key-code factorization and the key scan (repro.core.kernels)."""
+"""Tests for the bottom-k candidate kernel, the key-code factorization
+and the key scan (repro.core.kernels)."""
 
-import bisect
 from collections import Counter
 
 import numpy as np
@@ -10,7 +9,6 @@ from repro.core.kernels import (
     KeyScan,
     bottomk_candidates,
     key_codes,
-    merge_into_sorted,
 )
 
 
@@ -66,26 +64,6 @@ def _dict_codes(values):
     """Reference factorization: a dict's notion of one key."""
     index: dict = {}
     return [index.setdefault(key, len(index)) for key in values]
-
-
-def test_merge_into_sorted_inserts_as_repeated_insort():
-    """Tied priorities land where repeated ``bisect_left`` inserts put
-    them: each later arrival before every equal one, stored or new."""
-    rng = np.random.default_rng(4)
-    stored = sorted(rng.integers(0, 6, 12).astype(float).tolist())
-    rows = [f"s{i}" for i in range(len(stored))]
-    batch = rng.integers(0, 6, 20).astype(float)
-    labels = np.array([f"b{i}" for i in range(batch.size)], dtype=object)
-    want_pr, want_rows = list(stored), list(rows)
-    for p, label in zip(batch.tolist(), labels.tolist()):
-        i = bisect.bisect_left(want_pr, p)
-        want_pr.insert(i, p)
-        want_rows.insert(i, label)
-    got_pr, got_rows = merge_into_sorted(
-        np.array(stored), batch, np.array(rows, dtype=object), labels
-    )
-    assert got_pr.tolist() == want_pr
-    assert got_rows.tolist() == want_rows
 
 
 def test_key_codes_share_a_code_exactly_when_a_dict_does():

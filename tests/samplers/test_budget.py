@@ -1,14 +1,38 @@
 """Tests for the memory-budget sampler (repro.samplers.budget, Section 3.1)."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.core.hashing import hash_to_unit
 from repro.core.priorities import Uniform01Priority
 from repro.core.thresholds import BudgetPrefix
 from repro.samplers.budget import BudgetSampler
 from repro.workloads.sizes import SURVEY_MAX_SIZE, survey_sizes
 
 from tests.helpers import assert_within_se
+
+#: Trials per seeded battery: a few hundred by default, 3000 under
+#: ``REPRO_SOAK=1``.
+TRIALS = 3000 if os.environ.get("REPRO_SOAK") else 300
+
+
+def _fractional_feed(trial):
+    """Trial ``trial``'s feed: 4-40 distinct keys with sizes in tenths
+    from 0.1 to 1.0 and a budget from 1.0 to 6.0, so running totals are
+    inexact in binary and their summation order shows; plus a cut point
+    for a checkpoint."""
+    rng = np.random.default_rng(trial)
+    n = int(rng.integers(4, 41))
+    sizes = rng.integers(1, 11, n) / 10.0
+    budget = float(rng.integers(10, 61)) / 10.0
+    return list(range(n)), sizes, budget, int(rng.integers(1, n)), rng
+
+
+def _feed_scalar(sampler, keys, sizes):
+    for key, size in zip(keys, sizes):
+        sampler.update(key, size=float(size))
 
 
 class TestBudgetInvariant:
@@ -142,3 +166,61 @@ class TestSurveyScenario:
             adaptive.append(len(s))
         ratio = np.mean(adaptive) / k_cons
         assert 2.5 < ratio < 6.0  # paper: ~4.04
+
+
+class TestSeededBatteries:
+    """The live path, the batch path, a restored checkpoint and
+    :class:`BudgetPrefix` sum the same sizes in the same (priority)
+    order, so they agree bit for bit on fractional sizes."""
+
+    def test_fractional_sizes_resume_bit_exactly(self):
+        """Running totals summed in arrival order once kept keys
+        ``[0, 2, 3]`` at threshold 0.914 live and all four at +inf after
+        a restore."""
+        sizes = [0.4, 0.2, 0.3, 0.4]
+        live = BudgetSampler(1.3, coordinated=True, salt=1)
+        _feed_scalar(live, range(3), sizes[:3])
+        restored = BudgetSampler.from_state(live.to_state())
+        for s in (live, restored):
+            s.update(3, size=sizes[3])
+        priorities = np.array([hash_to_unit(key, 1) for key in range(4)])
+        expected_t = BudgetPrefix(sizes, budget=1.3).thresholds(priorities)[0]
+        assert live.threshold == restored.threshold == expected_t
+        assert sorted(live.sample().keys) == sorted(restored.sample().keys) \
+            == np.flatnonzero(priorities < expected_t).tolist()
+
+    def test_resume_matches_the_live_sampler(self):
+        diverged = []
+        for trial in range(TRIALS):
+            keys, sizes, budget, cut, _ = _fractional_feed(trial)
+            live = BudgetSampler(budget, coordinated=True, salt=trial)
+            _feed_scalar(live, keys[:cut], sizes[:cut])
+            restored = BudgetSampler.from_state(live.to_state())
+            for s in (live, restored):
+                _feed_scalar(s, keys[cut:], sizes[cut:])
+            if restored.threshold != live.threshold or \
+                    repr(restored.to_state()) != repr(live.to_state()):
+                diverged.append(trial)
+        assert diverged == []
+
+    @pytest.mark.parametrize("batch", [False, True],
+                             ids=["scalar", "update_many"])
+    def test_matches_budget_prefix(self, batch):
+        diverged = []
+        for trial in range(TRIALS):
+            keys, sizes, budget, _, rng = _fractional_feed(trial)
+            s = BudgetSampler(budget, coordinated=True, salt=trial)
+            if batch:
+                lo = 0
+                while lo < len(keys):
+                    hi = lo + int(rng.integers(1, len(keys) + 1))
+                    s.update_many(keys[lo:hi], sizes=sizes[lo:hi])
+                    lo = hi
+            else:
+                _feed_scalar(s, keys, sizes)
+            priorities = np.array([hash_to_unit(key, trial) for key in keys])
+            expected_t = BudgetPrefix(sizes, budget).thresholds(priorities)[0]
+            if s.threshold != expected_t or sorted(s.sample().keys) != \
+                    np.flatnonzero(priorities < expected_t).tolist():
+                diverged.append(trial)
+        assert diverged == []
