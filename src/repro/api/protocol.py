@@ -314,10 +314,9 @@ class StreamSampler(abc.ABC):
     #: plane consults it before proposing ``k`` retunes.
     resizable: ClassVar[bool] = False
     #: The per-item columns ``update_many`` cannot run without, by keyword
-    #: (``"times"``, ``"groups"``, ...).  The one declaration read by the
-    #: sampler's own :meth:`check_columns`, by service admission and by the
-    #: cluster's per-tenant admission, so a block lacking a column is
-    #: refused at the call, before it is logged or applied.
+    #: (``"times"``, ``"groups"``, ...): :meth:`check_columns` requires
+    #: them, and the cluster's per-tenant admission refuses a block
+    #: lacking one at the call, before it is logged or applied.
     required_columns: ClassVar[tuple[str, ...]] = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -378,8 +377,16 @@ class StreamSampler(abc.ABC):
 
     @classmethod
     def check_columns(cls, columns: Mapping) -> None:
-        """Raise ``TypeError`` naming the first of :attr:`required_columns`
-        that ``columns`` (keyword -> column) leaves out or maps to None."""
+        """Refuse a batch ``update_many`` would refuse whatever the state:
+        ``columns`` maps keywords to columns (float arrays once coerced).
+
+        Raises ``TypeError`` naming the first of :attr:`required_columns`
+        that ``columns`` leaves out or maps to None.  Subclasses add their
+        stateless block rules (``ValueError``: a weight out of range,
+        times out of order within the block).  ``update_many`` runs this
+        check before it counts or draws anything, and service admission
+        runs it on every block, so a block the sampler would refuse is
+        refused at the call, before it is logged or applied."""
         for name in cls.required_columns:
             if columns.get(name) is None:
                 raise TypeError(
@@ -713,8 +720,19 @@ class PrioritySampler(StreamSampler):
         self.salt = int(salt)
         self.rng = as_generator(rng if rng is not None else 0)
 
+    @classmethod
+    def check_columns(cls, columns: Mapping) -> None:
+        """Also refuse a negative or NaN weight; a zero weight is allowed
+        (its priority is +inf, so the item is never sampled)."""
+        super().check_columns(columns)
+        if not _column_min(columns, "weights") >= 0:
+            raise ValueError("weights must be non-negative")
+
     def _priority(self, key: object, weight: float) -> float:
-        """The priority of one item."""
+        """The priority of one item; a negative or NaN weight raises
+        ``ValueError`` before anything is drawn."""
+        if not weight >= 0:
+            raise ValueError("weights must be non-negative")
         if self.coordinated:
             u = hash_to_unit(key, self.salt)
         else:
@@ -775,6 +793,18 @@ def _as_key_batch(keys):
     """A key batch as an ndarray (kept whole, so only the positions a
     sampler keeps are ever converted) or a plain list."""
     return keys if isinstance(keys, np.ndarray) else list(keys)
+
+
+def _column_min(columns: Mapping, name: str) -> float:
+    """The smallest value of column ``name`` in one vectorized pass: NaN
+    when the column holds a NaN, +inf when it is absent or empty."""
+    column = columns.get(name)
+    if column is None or not len(column):
+        return np.inf
+    # argmin takes the first NaN for the smallest, and on a small array it
+    # costs a third of min().
+    column = np.asarray(column)
+    return column[column.argmin()]
 
 
 def _as_optional_array(arr, n: int, name: str) -> np.ndarray | None:

@@ -63,6 +63,16 @@ class FrequentItemsSketch(StreamSampler):
         self.offset = 0  # cumulative purge subtraction (max undercount)
         self.items_seen = 0
 
+    @classmethod
+    def check_columns(cls, columns) -> None:
+        """Also refuse a weight whose occurrence count (its integer part)
+        is not positive."""
+        super().check_columns(columns)
+        weights = columns.get("weights")
+        if weights is not None and \
+                np.any(np.asarray(weights).astype(np.int64) <= 0):
+            raise ValueError("count must be positive")
+
     @property
     def nominal_size(self) -> int:
         """The size the paper reports: 0.75x the allocated table."""
@@ -115,12 +125,8 @@ class FrequentItemsSketch(StreamSampler):
         if n == 0:
             return
         w = _as_optional_array(weights, n, "weights")
-        if w is None:
-            occ_counts = None
-        else:
-            occ_counts = w.astype(np.int64)
-            if np.any(occ_counts <= 0):
-                raise ValueError("count must be positive")
+        self.check_columns({"weights": w})
+        occ_counts = None if w is None else w.astype(np.int64)
         counts = self.counts
         scan = KeyScan(keys, counts, weights=occ_counts)
         distinct, spelled = scan.distinct, scan.spelled

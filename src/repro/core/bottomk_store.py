@@ -1,27 +1,32 @@
-"""Threshold-sampling state in three shapes: sorted columns, a keyed heap
-and a cut prefix.
+"""Threshold-sampling state in two shapes: sorted columns and a keyed heap.
 
-The bottom-k sketch of §2.5.1, with the 1-substitutable cap of §3.5: the
-``k + 1`` smallest priorities offered below a cap.  The threshold is the
-``(k+1)``-st priority capped by the cap, and the cap itself while ``k``
-rows or fewer are held; the rows below it are the sample.
+Every threshold sampler here keeps its rows in ascending priority order
+and cuts them at a threshold a rule picks (Theorem 8): the bottom-k
+sketch of §2.5.1 at the ``(k+1)``-st priority, capped by the
+1-substitutable cap of §3.5 (the cap alone while ``k`` rows or fewer are
+held); the §3.1 budget and §3.9 variance-target rules at a cap their
+stopping rule lowers.  The rows below the threshold are the sample.
 
 :class:`BottomKStore` keeps the rows as ascending columns, for the
-samplers that offer batches and read their sample as column slices:
+samplers that offer batches and read their sample as column slices.
+With a ``k`` it keeps the ``k + 1`` smallest priorities offered —
 ``bottom_k`` (and the sketches of ``multi_objective``), ``time_decay``,
-``weighted_distinct`` and the stream part of ``adaptive_distinct``.
-
-* **offer** — :func:`~repro.core.kernels.bottomk_candidates` picks the
-  batch rows below the threshold (at most ``k + 1``, in batch order);
-  they merge into the sorted columns, which are cut back to ``k + 1``
-  rows.  On a tie the row that arrived first stays (stored rows, then
-  batch order), as in a scalar loop rejecting ``priority >= threshold``.
-  :meth:`~BottomKStore.update` is a one-row offer.
-* **threshold** — the rows below it are the sample, and their number is
-  ``len(store)``.
-* **shrink** cuts to ``k + 1`` rows; **grow** freezes the threshold as
-  the cap; **merge** (equal ``k`` only) takes the smaller cap,
-  concatenates the rows and cuts.
+``weighted_distinct`` and the stream part of ``adaptive_distinct`` — and
+an offer sorts in at once the batch rows below the threshold
+(:func:`~repro.core.kernels.bottomk_candidates`: at most ``k + 1``);
+**resize** cuts to ``k + 1`` rows or freezes the threshold as the cap,
+and **union** takes the smaller cap and both row sets.  With ``k=None``
+it keeps every row offered below the cap — ``budget`` and
+``variance_target`` — and a write does not copy the stored columns:
+queued rows wait in arrival order until :meth:`~BottomKStore.merge`
+sorts them in, which ``budget`` does after each scalar admission and
+each batch chunk, ``variance_target`` at its tightening triggers, and
+both on reads and checkpoints.  Either way one stable merge sorts rows
+in, so tied rows stay in arrival order, stored rows first (as in a
+scalar loop rejecting ``priority >= threshold`` and in
+:class:`~repro.core.thresholds.BudgetPrefix`'s stable sort) whatever the
+merge schedule, and one row codec (:meth:`~BottomKStore.rows`,
+:meth:`~BottomKStore.load_rows`) writes every checkpoint.
 
 :class:`KeyedBottomK` keeps the rows as a dict in arrival order beside a
 max-heap, for the per-row state machines: ``kmv`` and ``theta``, each
@@ -34,20 +39,7 @@ batch speedup on a 100k-event Zipf stream from 31x to 3.9x.  On the heap
 the threshold and the eviction are one top lookup, and the dict's arrival
 order is the row order these samplers' checkpoints record.
 
-:class:`PrefixStore` keeps every row offered below a falling cap, for the
-samplers whose threshold a stopping rule reads off the ascending prefix:
-``budget`` (§3.1: the first row whose running size passes the budget)
-and ``variance_target`` (§3.9: the first crossing of the variance
-target).  It has no row bound, so a write does not copy the stored
-columns: rows offered since the last merge wait in arrival order, and
-one stable pass merges them when the order is needed — ``budget`` after
-each scalar admission and each batch chunk, ``variance_target`` at its
-tightening triggers, and both on reads and checkpoints.  Tied rows stay
-in arrival order, stored rows first, as in :class:`BottomKStore` and
-:class:`~repro.core.thresholds.BudgetPrefix`'s stable sort, so the order
-does not depend on when the merges ran.
-
-The three shapes take priorities already drawn or hashed (``bottom_k``,
+Both shapes take priorities already drawn or hashed (``bottom_k``,
 ``budget`` and ``variance_target`` draw their own through
 :class:`~repro.api.protocol.PrioritySampler`) and leave duplicate keys
 to the samplers.
@@ -62,7 +54,7 @@ import numpy as np
 
 from .kernels import bottomk_candidates
 
-__all__ = ["BottomKStore", "KeyedBottomK", "PrefixStore", "take_keys"]
+__all__ = ["BottomKStore", "KeyedBottomK", "take_keys"]
 
 
 def take_keys(keys, positions) -> list:
@@ -79,46 +71,57 @@ def _object_column(keys) -> np.ndarray:
 
 
 class BottomKStore:
-    """The ``k + 1`` smallest priorities offered, ascending, with the keys
-    (Python objects) and the named float ``columns`` parallel to them; a
-    column an offer leaves out is NaN for the new rows."""
+    """Rows in ascending priority order, with the keys (Python objects)
+    and the named float ``columns`` parallel to them; a column an offer
+    leaves out is NaN for the new rows.  With ``k=None`` every row offered
+    below :attr:`cap` is kept, and the readers merge the queued rows
+    first, as code reading ``priorities``, ``keys`` or ``columns`` must."""
 
-    __slots__ = ("k", "cap", "priorities", "keys", "columns")
+    __slots__ = ("k", "cap", "priorities", "keys", "columns", "_pending")
 
-    def __init__(self, k: int, columns: tuple[str, ...] = (),
+    def __init__(self, k: int | None, columns: tuple[str, ...] = (),
                  cap: float = math.inf):
-        if k < 1:
+        if k is not None and k < 1:
             raise ValueError("k must be a positive integer")
-        self.k = int(k)
+        self.k = None if k is None else int(k)
         self.cap = float(cap)
         self.priorities = np.empty(0)
         self.keys = np.empty(0, dtype=object)
         self.columns = {name: np.empty(0) for name in columns}
+        # Chunks of (priorities, keys, {column: values}) queued on an
+        # unbounded store: a batch as arrays, a run of single rows as lists.
+        self._pending: list[tuple] = []
 
     @property
     def threshold(self) -> float:
         """The ``(k+1)``-st smallest priority capped by :attr:`cap`; the
-        cap while the store holds ``k`` rows or fewer."""
-        if self.priorities.size <= self.k:
+        cap while the store holds ``k`` rows or fewer, and on an unbounded
+        store."""
+        if self.k is None or self.priorities.size <= self.k:
             return self.cap
         return min(float(self.priorities[self.k]), self.cap)
 
     def __len__(self) -> int:
+        self.merge()
         return int(self.priorities.searchsorted(self.threshold))
 
     def holds(self, priorities):
         """Whether each priority is already a stored row's (one
-        sorted-column lookup; a scalar gives a scalar)."""
+        sorted-column lookup over the merged rows; a scalar gives a
+        scalar)."""
         stored = self.priorities
         if not stored.size:
             return np.zeros(np.shape(priorities), dtype=bool)
         pos = np.minimum(stored.searchsorted(priorities), stored.size - 1)
         return stored[pos] == priorities
 
-    def retained(self) -> dict:
-        """Copies of the rows below the threshold, ascending: ``keys`` as
-        a list, ``priorities`` and each payload column as arrays."""
-        m = len(self)
+    def below(self, t: float | None = None) -> dict:
+        """Copies of the rows below ``t`` (the threshold when None),
+        ascending: ``keys`` as a list, ``priorities`` and each column as
+        arrays."""
+        self.merge()
+        m = int(self.priorities.searchsorted(self.threshold if t is None
+                                             else t))
         rows = {name: col[:m].copy() for name, col in self.columns.items()}
         rows["keys"] = self.keys[:m].tolist()
         rows["priorities"] = self.priorities[:m].copy()
@@ -127,33 +130,70 @@ class BottomKStore:
     def offer(self, priorities: np.ndarray, keys, *, at=None,
               **columns) -> None:
         """Offer a batch: ``priorities`` and each column are aligned
-        arrays, ``keys`` an ndarray or a list.  With ``at`` (ascending
-        batch positions, one per priority) only those rows are offered:
-        ``keys`` and the columns stay whole-batch and are read there."""
+        arrays, ``keys`` an ndarray or a list.
+
+        A bounded store sorts in the rows below its threshold, at most
+        ``k + 1``; with ``at`` (ascending batch positions, one per
+        priority) only those rows are offered, and ``keys`` and the
+        columns stay whole-batch and are read there.  An unbounded store
+        queues the batch as given: rows below the cap, ``keys`` a list,
+        every column present; the arrays are kept, not copied."""
+        if self.k is None:
+            self._pending.append((priorities, keys, columns))
+            return
         cand = bottomk_candidates(priorities, self.k, self.threshold)
         if cand.size:
             rows = cand if at is None else at[cand]
-            self._insert(
+            self._sort_in(
                 priorities[cand],
                 _object_column(take_keys(keys, rows)),
                 {name: None if col is None else col[rows]
                  for name, col in columns.items()},
             )
 
+    def add(self, priority: float, key, **row: float) -> None:
+        """Queue one row on an unbounded store; ``row`` gives every
+        column's value."""
+        pending = self._pending
+        if not pending or type(pending[-1][0]) is not list:
+            pending.append(([], [], {name: [] for name in self.columns}))
+        priorities, keys, columns = pending[-1]
+        priorities.append(priority)
+        keys.append(key)
+        for name, values in columns.items():
+            values.append(row[name])
+
     def update(self, priority: float, key, **row: float) -> bool:
-        """Offer one row; True when it is stored below the threshold."""
+        """Offer one row to a bounded store; True when it is stored below
+        the threshold."""
         if priority >= self.threshold:
             return False
-        self._insert(np.array([priority]), _object_column([key]),
-                     {name: np.array([value], dtype=float)
-                      for name, value in row.items()})
+        self._sort_in(np.array([priority]), _object_column([key]),
+                      {name: np.array([value], dtype=float)
+                       for name, value in row.items()})
         return True
 
-    def _insert(self, priorities, keys, columns) -> None:
-        # Stored rows come first and the sort is stable: on a tie the
-        # row that arrived first stays.
+    def merge(self) -> None:
+        """Sort the queued rows in (an unbounded store's; a bounded store
+        sorts each offer in as it comes)."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        self._sort_in(
+            np.concatenate([chunk[0] for chunk in pending]),
+            _object_column([key for chunk in pending for key in chunk[1]]),
+            {name: np.concatenate([chunk[2][name] for chunk in pending])
+             for name in self.columns},
+        )
+
+    def _sort_in(self, priorities, keys, columns) -> None:
+        # Stored rows come first and the sort is stable: tied rows keep
+        # arrival order, and on a bounded store's cut the first stays.
         merged = np.concatenate((self.priorities, priorities))
-        keep = merged.argsort(kind="stable")[: self.k + 1]
+        keep = merged.argsort(kind="stable")
+        if self.k is not None:
+            keep = keep[: self.k + 1]
         self.priorities = merged[keep]
         self.keys = np.concatenate((self.keys, keys))[keep]
         for name, col in self.columns.items():
@@ -161,6 +201,16 @@ class BottomKStore:
             if new is None:
                 new = np.full(priorities.size, np.nan)
             self.columns[name] = np.concatenate((col, new))[keep]
+
+    def cut(self, t: float) -> None:
+        """Lower the cap to ``t`` and drop every row at or above it."""
+        self.merge()
+        self.cap = min(self.cap, float(t))
+        m = int(self.priorities.searchsorted(self.cap))
+        self.priorities = self.priorities[:m]
+        self.keys = self.keys[:m]
+        for name, col in self.columns.items():
+            self.columns[name] = col[:m]
 
     def resize(self, k: int) -> None:
         """Shrink: cut to ``k + 1`` rows.  Grow: freeze the threshold as
@@ -177,7 +227,7 @@ class BottomKStore:
             self.cap = self.threshold
         self.k = int(k)
 
-    def merge(self, other: "BottomKStore", rows=None) -> None:
+    def union(self, other: "BottomKStore", rows=None) -> None:
         """Union with ``other`` (restricted to the mask ``rows`` when
         given): the smaller cap, both row sets, cut to ``k + 1``."""
         if other.k != self.k:
@@ -185,7 +235,7 @@ class BottomKStore:
                              f"different k ({self.k} and {other.k})")
         self.cap = min(self.cap, other.cap)
         pick = slice(None) if rows is None else rows
-        self._insert(
+        self._sort_in(
             other.priorities[pick], other.keys[pick],
             {name: col[pick] for name, col in other.columns.items()},
         )
@@ -194,6 +244,7 @@ class BottomKStore:
         """The stored rows in ascending priority order, as checkpoint
         tuples of the fields named in ``layout`` (``"priorities"``,
         ``"keys"`` or a column); a NaN payload reads as None."""
+        self.merge()
         stored = {"priorities": self.priorities, "keys": self.keys,
                   **self.columns}
         fields = []
@@ -215,6 +266,7 @@ class BottomKStore:
         }
         priorities = np.asarray(fields["priorities"], dtype=float)
         order = priorities.argsort(kind="stable")
+        self._pending = []
         self.priorities = priorities[order]
         self.keys = _object_column(fields["keys"])[order]
         for name in self.columns:
@@ -268,114 +320,3 @@ class KeyedBottomK:
         self.heap = [(-p, key) for key, p in self.members.items()]
         heapq.heapify(self.heap)
 
-
-class PrefixStore:
-    """Every row offered below :attr:`cap`, ascending, with the keys
-    (Python objects) and the named float ``columns`` parallel to them.
-
-    Rows offered since the last :meth:`merge` wait in arrival order;
-    ``priorities``, ``keys`` and ``columns`` hold the merged rows, so a
-    reader merges first.  :meth:`cut` lowers the cap and drops every row
-    at or above it."""
-
-    __slots__ = ("cap", "priorities", "keys", "columns", "_pending")
-
-    def __init__(self, columns: tuple[str, ...], cap: float = math.inf):
-        self.cap = cap
-        self.priorities = np.empty(0)
-        self.keys = np.empty(0, dtype=object)
-        self.columns = {name: np.empty(0) for name in columns}
-        # Chunks of (priorities, keys, {column: values}): a batch as
-        # arrays, a run of single rows as lists.
-        self._pending: list[tuple] = []
-
-    def __len__(self) -> int:
-        self.merge()
-        return self.priorities.size
-
-    def add(self, priority: float, key, **row: float) -> None:
-        """Queue one row; ``row`` gives every column's value."""
-        pending = self._pending
-        if not pending or type(pending[-1][0]) is not list:
-            pending.append(([], [], {name: [] for name in self.columns}))
-        priorities, keys, columns = pending[-1]
-        priorities.append(priority)
-        keys.append(key)
-        for name, values in columns.items():
-            values.append(row[name])
-
-    def offer(self, priorities: np.ndarray, keys: list,
-              **columns: np.ndarray) -> None:
-        """Queue a batch: ``priorities`` and every column are aligned
-        arrays the store may keep, ``keys`` a list."""
-        self._pending.append((priorities, keys, columns))
-
-    def merge(self) -> None:
-        """Sort the queued rows in, in one stable pass: tied rows keep
-        arrival order, stored rows first."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        new = np.concatenate([chunk[0] for chunk in pending])
-        order = new.argsort(kind="stable")
-        # Each new row lands after the stored rows at or below it and
-        # after the new rows sorted before it.
-        at = self.priorities.searchsorted(new[order], "right")
-        at += np.arange(new.size)
-        stored = np.ones(self.priorities.size + new.size, dtype=bool)
-        stored[at] = False
-
-        def place(column, fresh):
-            out = np.empty(stored.size, dtype=column.dtype)
-            out[stored] = column
-            out[at] = fresh[order]
-            return out
-
-        self.priorities = place(self.priorities, new)
-        self.keys = place(self.keys, _object_column(
-            [key for chunk in pending for key in chunk[1]]))
-        for name, column in self.columns.items():
-            self.columns[name] = place(column, np.concatenate(
-                [chunk[2][name] for chunk in pending]))
-
-    def cut(self, t: float) -> None:
-        """Lower the cap to ``t`` and drop every row at or above it."""
-        self.merge()
-        self.cap = min(self.cap, t)
-        m = int(self.priorities.searchsorted(self.cap))
-        self.priorities = self.priorities[:m]
-        self.keys = self.keys[:m]
-        for name, column in self.columns.items():
-            self.columns[name] = column[:m]
-
-    def below(self, t: float) -> dict:
-        """Copies of the rows below ``t``, ascending: ``keys`` as a list,
-        ``priorities`` and each column as arrays."""
-        self.merge()
-        m = int(self.priorities.searchsorted(t))
-        rows = {name: column[:m].copy()
-                for name, column in self.columns.items()}
-        rows["keys"] = self.keys[:m].tolist()
-        rows["priorities"] = self.priorities[:m].copy()
-        return rows
-
-    def checkpoint(self) -> dict:
-        """The rows as checkpoint fields: ``priorities`` ascending, and
-        ``records``, each row's key and then its columns in the order
-        the store names them."""
-        self.merge()
-        fields = [self.keys, *self.columns.values()]
-        return {"priorities": self.priorities.tolist(),
-                "records": [list(row) for row in
-                            zip(*(field.tolist() for field in fields))]}
-
-    def load(self, state: dict) -> None:
-        """Replace the rows with a :meth:`checkpoint`'s, kept in their
-        given (ascending) order."""
-        fields = list(zip(*state["records"])) or [()] * (1 + len(self.columns))
-        self._pending = []
-        self.priorities = np.array(state["priorities"], dtype=float)
-        self.keys = _object_column(fields[0])
-        for name, values in zip(self.columns, fields[1:]):
-            self.columns[name] = np.array(values, dtype=float)

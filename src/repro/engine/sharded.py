@@ -162,6 +162,10 @@ class ShardedSampler(StreamSampler):
         self.query_variance = self._shard_cls.query_variance
         self.query_windowed = self._shard_cls.query_windowed
         self.resizable = self._shard_cls.resizable
+        # So does block admission: a service refuses a block any shard
+        # would refuse, at the call.
+        self.required_columns = self._shard_cls.required_columns
+        self.check_columns = self._shard_cls.check_columns
         self._shards = [self._build_shard(i) for i in range(self.n_shards)]
         self._reduced_cache: StreamSampler | None = None
 

@@ -98,9 +98,10 @@ class BottomKSampler(PrioritySampler):
         self, key: object, weight: float = 1.0, *, value=None, time=None
     ) -> bool:
         """Offer one item; returns True when it is currently retained."""
+        r = self._priority(key, weight)
         self.items_seen += 1
         return self._store.update(
-            self._priority(key, weight),
+            r,
             key,
             weights=float(weight),
             values=float(weight if value is None else value),
@@ -123,6 +124,7 @@ class BottomKSampler(PrioritySampler):
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
         t = _as_optional_array(times, n, "times")
+        self.check_columns({"weights": w})
         pr = self._batch_priorities(keys, w)
         self.items_seen += n
         w = np.ones(n) if w is None else w
@@ -149,7 +151,7 @@ class BottomKSampler(PrioritySampler):
         one) so windowed/decayed queries can scope by it; a sketch fed
         no times at all emits ``times=None``.
         """
-        rows = self._store.retained()
+        rows = self._store.below()
         if np.isnan(rows["times"]).all():
             rows["times"] = None
         return Sample(
@@ -204,7 +206,7 @@ class BottomKSampler(PrioritySampler):
         """
         if type(other.family) is not type(self.family):
             raise ValueError("cannot merge sketches with different priority families")
-        self._store.merge(other._store)
+        self._store.union(other._store)
         self.items_seen += other.items_seen
         return self
 

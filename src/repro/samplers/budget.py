@@ -10,8 +10,9 @@ on the paper's survey-like workload the usable sample is ~4x larger than
 the conservative bottom-k (claim T1, reproduced in
 ``benchmarks/bench_section31_budget.py``).
 
-The rows live in a :class:`~repro.core.bottomk_store.PrefixStore`.  After
-each scalar admission and each batch chunk the store is cut at the first
+The rows live in an unbounded
+:class:`~repro.core.bottomk_store.BottomKStore`.  After each scalar
+admission and each batch chunk the store is cut at the first
 ``np.cumsum`` overflow of its sizes column, in ascending priority order
 with tied rows in arrival order: the sums and the order of
 :class:`repro.core.thresholds.BudgetPrefix`, so the live path, the batch
@@ -29,14 +30,18 @@ from ..api import PrioritySampler, query_support, register_sampler
 from ..api.protocol import (
     _as_key_batch,
     _as_optional_array,
+    _column_min,
     rng_from_state,
     rng_to_state,
 )
-from ..core.bottomk_store import PrefixStore, take_keys
+from ..core.bottomk_store import BottomKStore, take_keys
 from ..core.priorities import PriorityFamily
 from ..core.sample import Sample
 
 __all__ = ["BudgetSampler"]
+
+#: A stored row; checkpoints write the priorities, then the rest as records.
+_ROW = ("priorities", "keys", "weights", "values", "sizes")
 
 
 @register_sampler("budget")
@@ -72,9 +77,16 @@ class BudgetSampler(PrioritySampler):
             raise ValueError("budget must be positive")
         super().__init__(family, coordinated, salt, rng)
         self.budget = float(budget)
-        self._store = PrefixStore(("weights", "values", "sizes"))
+        self._store = BottomKStore(None, _ROW[2:])
         self.items_seen = 0
         self.max_item_size_seen = 0.0
+
+    @classmethod
+    def check_columns(cls, columns) -> None:
+        """Also refuse a negative or NaN item size."""
+        super().check_columns(columns)
+        if not _column_min(columns, "sizes") >= 0:
+            raise ValueError("item size must be non-negative")
 
     # ------------------------------------------------------------------
     # Stream interface
@@ -89,11 +101,11 @@ class BudgetSampler(PrioritySampler):
         size: float = 1.0,
     ) -> bool:
         """Offer one item of the given size; returns True if retained."""
-        if size < 0:
+        if not size >= 0:
             raise ValueError("item size must be non-negative")
+        r = self._priority(key, weight)
         self.items_seen += 1
         self.max_item_size_seen = max(self.max_item_size_seen, float(size))
-        r = self._priority(key, weight)
         store = self._store
         if not r < store.cap:
             return False
@@ -135,8 +147,7 @@ class BudgetSampler(PrioritySampler):
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
         s = _as_optional_array(sizes, n, "sizes")
-        if s is not None and np.any(s < 0):
-            raise ValueError("item size must be non-negative")
+        self.check_columns({"weights": w, "sizes": s})
         pr = self._batch_priorities(keys, w)
         self.items_seen += n
         self.max_item_size_seen = max(
@@ -145,7 +156,7 @@ class BudgetSampler(PrioritySampler):
         store = self._store
         chunk = 8192
         for lo in range(0, n, chunk):
-            cand = lo + np.flatnonzero(pr[lo:lo + chunk] < store.cap)
+            cand = lo + (pr[lo:lo + chunk] < store.cap).nonzero()[0]
             if not cand.size:
                 continue
             wc = np.ones(cand.size) if w is None else w[cand]
@@ -176,7 +187,7 @@ class BudgetSampler(PrioritySampler):
         """Finalized sample; HT estimators are valid since the rule is
         substitutable (and variance estimates need ``budget >= 2 L_max``,
         mirroring the paper's ``B >= 2 L_max`` remark)."""
-        rows = self._store.below(self._store.cap)
+        rows = self._store.below()
         return Sample(
             keys=rows["keys"],
             values=rows["values"],
@@ -205,8 +216,10 @@ class BudgetSampler(PrioritySampler):
         return {"budget": self.budget, **self._priority_config()}
 
     def _get_state(self) -> dict:
+        rows = self._store.rows(_ROW)
         return {
-            **self._store.checkpoint(),
+            "priorities": [row[0] for row in rows],
+            "records": [list(row[1:]) for row in rows],
             "threshold": self._store.cap,
             "items_seen": self.items_seen,
             "max_item_size_seen": self.max_item_size_seen,
@@ -214,9 +227,11 @@ class BudgetSampler(PrioritySampler):
         }
 
     def _set_state(self, state: dict) -> None:
-        self._store = PrefixStore(("weights", "values", "sizes"),
-                                  cap=float(state["threshold"]))
-        self._store.load(state)
+        self._store = BottomKStore(None, _ROW[2:],
+                                   cap=float(state["threshold"]))
+        self._store.load_rows(
+            [(p, *record) for p, record in
+             zip(state["priorities"], state["records"])], _ROW)
         self.items_seen = int(state["items_seen"])
         self.max_item_size_seen = float(state["max_item_size_seen"])
         self.rng = rng_from_state(state["rng"])

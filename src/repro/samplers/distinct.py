@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_batch, _as_optional_array
+from ..api.protocol import _as_key_batch, _as_optional_array, _column_min
 from ..core.bottomk_store import BottomKStore, take_keys
 from ..core.hashing import batch_hash_bounds, hash_to_unit
 from ..core.priorities import InverseWeightPriority, Uniform01Priority
@@ -120,11 +120,18 @@ class WeightedDistinctSketch(StreamSampler):
         """Sketch size."""
         return self._store.k
 
+    @classmethod
+    def check_columns(cls, columns) -> None:
+        """Also refuse a weight that is not positive (or NaN)."""
+        super().check_columns(columns)
+        if not _column_min(columns, "weights") > 0:
+            raise ValueError("weights must be positive")
+
     def update(
         self, key: object, weight: float = 1.0, *, value=None, time=None
     ) -> bool:
         """Offer (key, weight); a repeated key (same priority) is ignored."""
-        if weight <= 0:
+        if not weight > 0:
             raise ValueError("weights must be positive")
         weight = float(weight)
         r = hash_to_unit(key, self.salt) / weight
@@ -147,8 +154,7 @@ class WeightedDistinctSketch(StreamSampler):
         if n == 0:
             return
         w = _as_optional_array(weights, n, "weights")
-        if w is not None and np.any(w <= 0):
-            raise ValueError("weights must be positive")
+        self.check_columns({"weights": w})
         pos, r = _candidates(keys, self.salt, w, self._store)
         self._store.offer(
             r, keys, at=pos, weights=np.ones(n) if w is None else w
@@ -169,7 +175,7 @@ class WeightedDistinctSketch(StreamSampler):
         ``sample().ht_total()`` equals :meth:`estimate_distinct`, and
         re-weighting the values recovers the subset-sum estimators.
         """
-        rows = self._store.retained()
+        rows = self._store.below()
         m = len(rows["keys"])
         return Sample(
             **rows,
@@ -220,7 +226,7 @@ class WeightedDistinctSketch(StreamSampler):
         if other.salt != self.salt:
             raise ValueError("cannot merge sketches with different salts")
         theirs = other._store
-        self._store.merge(theirs, rows=~self._store.holds(theirs.priorities))
+        self._store.union(theirs, rows=~self._store.holds(theirs.priorities))
         return self
 
     # ------------------------------------------------------------------
@@ -347,7 +353,7 @@ class AdaptiveDistinctSketch(StreamSampler):
 
         ``sample().ht_total()`` equals :meth:`estimate_distinct`.
         """
-        rows = self._store.retained()
+        rows = self._store.below()
         stream = np.full(len(rows["keys"]), self.stream_threshold)
         merged = np.array(list(self._merged_entries.values()), dtype=float)
         merged = merged.reshape(-1, 2)  # (hash, tau) rows

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_batch
+from ..api.protocol import _as_key_batch, _column_min
 from ..core.hashing import batch_hash_to_unit, hash_to_unit
 from ..core.priorities import InverseWeightPriority
 from ..core.sample import Sample
@@ -68,6 +68,20 @@ class MultiObjectiveSampler(StreamSampler):
         }
         self.items_seen = 0
 
+    @classmethod
+    def check_columns(cls, columns) -> None:
+        """Also refuse ``weights`` that is not a mapping of objective ->
+        per-item weights, or holds a weight that is not positive."""
+        super().check_columns(columns)
+        weights = columns["weights"]
+        if not isinstance(weights, Mapping):
+            raise TypeError(
+                "update_many() requires weights= as a mapping of "
+                "objective -> per-item weight sequence"
+            )
+        if not all(_column_min(weights, name) > 0 for name in weights):
+            raise ValueError("objective weights must be positive")
+
     def update(
         self,
         key: object,
@@ -81,12 +95,12 @@ class MultiObjectiveSampler(StreamSampler):
         weights={"profit": ..., ...})``, with ``weights=`` required."""
         if weights is None:
             raise TypeError("update() requires a weights= mapping")
+        ws = [float(weights[name]) for name in self.objectives]
+        if not all(w > 0 for w in ws):
+            raise ValueError("objective weights must be positive")
         self.items_seen += 1
         u = hash_to_unit(key, self.salt)
-        for name in self.objectives:
-            w = float(weights[name])
-            if w <= 0:
-                raise ValueError("objective weights must be positive")
+        for name, w in zip(self.objectives, ws):
             sketch = self._sketches[name]
             sketch.items_seen += 1
             sketch._store.update(u / w, key, weights=w, values=w)
@@ -106,21 +120,16 @@ class MultiObjectiveSampler(StreamSampler):
         keys = _as_key_batch(keys)
         n = len(keys)
         self.check_columns({"weights": weights})
-        if not isinstance(weights, Mapping):
-            raise TypeError(
-                "update_many() requires weights= as a mapping of "
-                "objective -> per-item weight sequence"
-            )
         if n == 0:
             return
-        u = batch_hash_to_unit(keys, self.salt)
-        self.items_seen += n
-        for name in self.objectives:
-            col = np.asarray(weights[name], dtype=float)
+        cols = {name: np.asarray(weights[name], dtype=float)
+                for name in self.objectives}
+        for name, col in cols.items():
             if col.size != n:
                 raise ValueError(f"weights[{name!r}] must align with keys")
-            if np.any(col <= 0):
-                raise ValueError("objective weights must be positive")
+        u = batch_hash_to_unit(keys, self.salt)
+        self.items_seen += n
+        for name, col in cols.items():
             sketch = self._sketches[name]
             sketch.items_seen += n
             sketch._store.offer(u / col, keys, weights=col, values=col)

@@ -80,9 +80,9 @@ class PoissonSampler(PrioritySampler):
         self, key: object, weight: float = 1.0, *, value=None, time=None
     ) -> bool:
         """Offer one item; returns True when it was sampled."""
+        r = self._priority(key, weight)
         self.items_seen += 1
         t = self.threshold_for(key, weight)
-        r = self._priority(key, weight)
         if not r < t:
             return False
         self._keys.append(key)
@@ -106,6 +106,7 @@ class PoissonSampler(PrioritySampler):
             return
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
+        self.check_columns({"weights": w})
         pr = self._batch_priorities(keys, w)
         if callable(self._threshold):
             ts = np.fromiter(

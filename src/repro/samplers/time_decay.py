@@ -28,6 +28,7 @@ from ..api import StreamSampler, query_support, register_sampler
 from ..api.protocol import (
     _as_key_batch,
     _as_optional_array,
+    _column_min,
     rng_from_state,
     rng_to_state,
 )
@@ -87,6 +88,16 @@ class ExponentialDecaySampler(StreamSampler):
         """Sample size."""
         return self._store.k
 
+    @classmethod
+    def check_columns(cls, columns) -> None:
+        """Also refuse a weight that is not positive (or NaN), and times
+        out of order within the block."""
+        super().check_columns(columns)
+        if not _column_min(columns, "weights") > 0:
+            raise ValueError("weight must be positive")
+        if np.any(np.diff(columns["times"]) < 0):
+            raise ValueError("arrival times must be non-decreasing")
+
     def update(
         self, key, weight: float = 1.0, *, value=None, time=None
     ) -> bool:
@@ -99,7 +110,7 @@ class ExponentialDecaySampler(StreamSampler):
             )
         time = float(time)
         weight = float(weight)
-        if weight <= 0:
+        if not weight > 0:
             raise ValueError("weight must be positive")
         if time < self._last_time:
             raise ValueError("arrival times must be non-decreasing")
@@ -127,13 +138,11 @@ class ExponentialDecaySampler(StreamSampler):
         n = len(keys)
         if n == 0:
             return
-        self.check_columns({"times": times})
         t = _as_optional_array(times, n, "times")
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
-        if w is not None and np.any(w <= 0):
-            raise ValueError("weight must be positive")
-        if t[0] < self._last_time or np.any(np.diff(t) < 0):
+        self.check_columns({"weights": w, "times": t})
+        if t[0] < self._last_time:
             raise ValueError("arrival times must be non-decreasing")
         w = np.ones(n) if w is None else w
         log_p = np.log(self.rng.random(n)) - np.log(w) - self.decay_rate * t
@@ -169,7 +178,7 @@ class ExponentialDecaySampler(StreamSampler):
 
     def keys(self) -> list[object]:
         """Keys of the currently retained sample."""
-        return self._store.retained()["keys"]
+        return self._store.below()["keys"]
 
     @property
     def last_time(self) -> float | None:
@@ -192,7 +201,7 @@ class ExponentialDecaySampler(StreamSampler):
         already pinned at 1) so the thresholds stay finite for arbitrarily
         long streams.
         """
-        rows = self._store.retained()
+        rows = self._store.below()
         with np.errstate(over="ignore"):
             exponents = self.log_threshold + self.decay_rate * rows["times"]
         caps = 1.0 - np.log(rows["weights"])

@@ -47,7 +47,7 @@ from ..api.protocol import (
     rng_from_state,
     rng_to_state,
 )
-from ..core.bottomk_store import PrefixStore, take_keys
+from ..core.bottomk_store import BottomKStore, take_keys
 from ..core.priorities import InverseWeightPriority, PriorityFamily
 from ..core.sample import Sample
 
@@ -56,6 +56,9 @@ __all__ = [
     "solve_first_crossing",
     "VarianceTargetSampler",
 ]
+
+#: A stored row; checkpoints write the priorities, then the rest as records.
+_ROW = ("priorities", "keys", "weights", "values")
 
 
 def _vhat(values, weights, t, family) -> float:
@@ -312,7 +315,7 @@ class VarianceTargetSampler(PrioritySampler):
         self.delta = float(delta)
         self.horizon = None if horizon is None else int(horizon)
         self.oversample = float(oversample)
-        self._store = PrefixStore(("weights", "values"))
+        self._store = BottomKStore(None, _ROW[2:])
         self._cap_ever_bound = False
         self.items_seen = 0
         # Geometric tightening cadence: first solve at 256 items, then
@@ -389,6 +392,7 @@ class VarianceTargetSampler(PrioritySampler):
             return
         w = _as_optional_array(weights, n, "weights")
         v = _as_optional_array(values, n, "values")
+        self.check_columns({"weights": w})
         pr = self._batch_priorities(keys, w)
         wcol = np.ones(n) if w is None else w
         vcol = wcol if v is None else v
@@ -408,7 +412,7 @@ class VarianceTargetSampler(PrioritySampler):
                     if acc[jmin - pos + rel]:
                         trigger = jmin + int(rel)
             end = min(n, trigger + 1)
-            taken = pos + np.flatnonzero(acc[: end - pos])
+            taken = pos + acc[: end - pos].nonzero()[0]
             if taken.size < end - pos:
                 self._cap_ever_bound = True
                 rows = take_keys(keys, taken)
@@ -485,8 +489,10 @@ class VarianceTargetSampler(PrioritySampler):
         }
 
     def _get_state(self) -> dict:
+        rows = self._store.rows(_ROW)
         return {
-            **self._store.checkpoint(),
+            "priorities": [row[0] for row in rows],
+            "records": [list(row[1:]) for row in rows],
             "cap": self._store.cap,
             "cap_ever_bound": self._cap_ever_bound,
             "items_seen": self.items_seen,
@@ -495,9 +501,10 @@ class VarianceTargetSampler(PrioritySampler):
         }
 
     def _set_state(self, state: dict) -> None:
-        self._store = PrefixStore(("weights", "values"),
-                                  cap=float(state["cap"]))
-        self._store.load(state)
+        self._store = BottomKStore(None, _ROW[2:], cap=float(state["cap"]))
+        self._store.load_rows(
+            [(p, *record) for p, record in
+             zip(state["priorities"], state["records"])], _ROW)
         self._cap_ever_bound = bool(state["cap_ever_bound"])
         self.items_seen = int(state["items_seen"])
         self._next_tighten = int(state.get("next_tighten", 256))

@@ -21,7 +21,13 @@ from typing import Callable
 import numpy as np
 
 from ..api import StreamSampler, query_support, register_sampler
-from ..api.protocol import _as_key_list, _as_optional_array, rng_from_state, rng_to_state
+from ..api.protocol import (
+    _as_key_list,
+    _as_optional_array,
+    _column_min,
+    rng_from_state,
+    rng_to_state,
+)
 from ..core.kernels import categorical_draw, varopt_tau
 from ..core.priorities import Uniform01Priority
 from ..core.rng import as_generator
@@ -72,11 +78,18 @@ class VarOptSampler(StreamSampler):
         self.threshold = 0.0  # largest tau used so far
         self.items_seen = 0
 
+    @classmethod
+    def check_columns(cls, columns) -> None:
+        """Also refuse a weight that is not positive (or NaN)."""
+        super().check_columns(columns)
+        if not _column_min(columns, "weights") > 0:
+            raise ValueError("weight must be positive")
+
     def update(
         self, key: object, weight: float = 1.0, *, value=None, time=None
     ) -> None:
         """Offer one weighted item."""
-        if weight <= 0:
+        if not weight > 0:
             raise ValueError("weight must be positive")
         self.items_seen += 1
         self._keys.append(key)
@@ -129,10 +142,9 @@ class VarOptSampler(StreamSampler):
         if n == 0:
             return
         w = _as_optional_array(weights, n, "weights")
+        self.check_columns({"weights": w})
         if w is None:
             w = np.ones(n)
-        if np.any(w <= 0):
-            raise ValueError("weight must be positive")
         self.items_seen += n
         k = self.k
         w_list = w.tolist()

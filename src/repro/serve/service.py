@@ -524,16 +524,16 @@ class StreamService:
         ``route`` tags the block with the tenant it belongs to: flushes
         then apply as ``update_many(..., routes=[(tenant, n), ...])``
         (see :mod:`repro.serve.batcher`), which the wrapped sampler must
-        accept.  A block without a column the sampler requires
-        (:attr:`~repro.api.StreamSampler.required_columns`) raises
-        ``TypeError`` here, before anything is queued or logged.
+        accept.  A block the sampler's
+        :meth:`~repro.api.StreamSampler.check_columns` refuses (a required
+        column missing, a weight out of range) raises ``TypeError`` or
+        ``ValueError`` here, before anything is queued or logged.
         """
         self._check_ingest()
         chunk = chunk_of(keys, weights, values, times, route)
         if chunk["n"] == 0:  # same no-op contract as update_many
             return
-        if self._sampler.required_columns:  # most samplers require none
-            self._sampler.check_columns(chunk)
+        self._sampler.check_columns(chunk)
         limit = min(self.queue_size, self.batch_size)
         for lo in range(0, chunk["n"], limit):
             sub = (
@@ -567,8 +567,8 @@ class StreamService:
         block's ``route`` (as in :meth:`ingest_many`) in
         ``metrics.events_dropped_by`` — the tenant, when a cluster
         worker drops; unlabeled otherwise — so per-tenant backpressure
-        drops stay distinguishable from quota rejections.  A block without
-        a required column raises ``TypeError``, as in :meth:`ingest_many`.
+        drops stay distinguishable from quota rejections.  A block the
+        sampler refuses raises, as in :meth:`ingest_many`.
 
         Synchronous — call it from the event-loop thread (e.g. inside a
         protocol callback); it never suspends.
@@ -577,8 +577,7 @@ class StreamService:
         chunk = chunk_of(keys, weights, values, times, route)
         if chunk["n"] == 0:
             return True
-        if self._sampler.required_columns:  # most samplers require none
-            self._sampler.check_columns(chunk)
+        self._sampler.check_columns(chunk)
         if self._buffered + chunk["n"] > self.queue_size:
             self.metrics.record_drop(chunk["n"], route)
             return False

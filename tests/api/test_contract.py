@@ -660,3 +660,71 @@ def test_missing_required_column_is_a_clear_typeerror(
         with pytest.raises(TypeError, match=column):
             sampler.update(*args, **kwargs)
     assert sampler.items_seen == 0
+
+
+NAN = float("nan")
+
+#: Per sampler: constructor params, a valid warm-up feed (update_many
+#: keywords), and calls its stateless block rules refuse, scalar
+#: (``update`` keywords) and batch (``update_many`` keywords, 3 keys),
+#: with the error each raises.
+REFUSED_CALLS = {
+    "bottom_k": ({"k": 4}, {}, [
+        ({"weight": -1.0}, ValueError), ({"weight": NAN}, ValueError),
+    ], [({"weights": [1.0, -1.0, 2.0]}, ValueError),
+        ({"weights": [1.0, NAN, 2.0]}, ValueError)]),
+    "poisson": ({"threshold": 0.5}, {}, [
+        ({"weight": -2.0}, ValueError),
+    ], [({"weights": [1.0, 2.0, -2.0]}, ValueError)]),
+    "budget": ({"budget": 3.0}, {"sizes": np.ones(40)}, [
+        ({"weight": -1.0}, ValueError), ({"size": NAN}, ValueError),
+        ({"size": -1.0}, ValueError),
+    ], [({"weights": [1.0, -1.0, 1.0]}, ValueError),
+        ({"sizes": [1.0, NAN, 1.0]}, ValueError)]),
+    "variance_target": ({"delta": 5.0, "horizon": 60}, {}, [
+        ({"weight": NAN}, ValueError),
+    ], [({"weights": [1.0, 1.0, -0.5]}, ValueError)]),
+    "weighted_distinct": ({"k": 4}, {}, [
+        ({"weight": 0.0}, ValueError), ({"weight": NAN}, ValueError),
+    ], [({"weights": [1.0, NAN, 2.0]}, ValueError)]),
+    "varopt": ({"k": 4}, {}, [
+        ({"weight": 0.0}, ValueError),
+    ], [({"weights": [1.0, 0.0, 2.0]}, ValueError)]),
+    "time_decay": ({"k": 4, "decay_rate": 0.1},
+                   {"times": np.arange(40.0)}, [
+        ({"weight": 0.0, "time": 50.0}, ValueError),
+    ], [({"times": [50.0, 49.0, 51.0]}, ValueError),
+        ({"times": [50.0, 51.0, 52.0], "weights": [1.0, -1.0, 1.0]},
+         ValueError)]),
+    "multi_objective": ({"k": 4, "objectives": ["a", "b"]},
+                        {"weights": {"a": np.ones(40), "b": np.ones(40)}}, [
+        ({"weights": {"a": 1.0, "b": -1.0}}, ValueError),
+    ], [({"weights": [1.0, 2.0, 3.0]}, TypeError),
+        ({"weights": {"a": [1.0, 1.0, 1.0], "b": [1.0, 0.0, 1.0]}},
+         ValueError)]),
+    "frequent_items": ({"max_map_size": 8}, {}, [
+        ({"weight": 0.5}, ValueError),
+    ], [({"weights": [1.0, 0.5, 2.0]}, ValueError)]),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_CALLS))
+def test_a_refused_call_leaves_the_state_unchanged(name):
+    """A call a sampler's block rules refuse raises before anything is
+    counted or drawn: ``repr(to_state())`` reads as before, so the
+    checkpoint, the generator and ``items_seen`` are untouched."""
+    params, warm, scalar_calls, batch_calls = REFUSED_CALLS[name]
+    sampler = make_sampler(name, **params)
+    sampler.update_many(np.arange(40), **warm)
+    before = repr(sampler.to_state())
+    for kwargs, error in scalar_calls:
+        with pytest.raises(error):
+            sampler.update("x", **kwargs)
+        assert repr(sampler.to_state()) == before
+    for kwargs, error in batch_calls:
+        with pytest.raises(error):
+            sampler.update_many(["x", "y", "z"], **kwargs)
+        assert repr(sampler.to_state()) == before
+        with pytest.raises(error):
+            type(sampler).check_columns(
+                {"weights": None, "times": [50.0, 51.0, 52.0], **kwargs})

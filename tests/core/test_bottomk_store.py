@@ -1,12 +1,17 @@
-"""Tests for the bottom-k store, the keyed bottom-k set and the prefix
-store (repro.core.bottomk_store)."""
+"""Tests for the sorted row store and the keyed bottom-k set
+(repro.core.bottomk_store)."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from repro.core.bottomk_store import BottomKStore, KeyedBottomK, PrefixStore
+from repro.core.bottomk_store import BottomKStore, KeyedBottomK
+
+#: Seeds of the schedule property test: 200 by default, 3000 under
+#: ``REPRO_SOAK=1``.
+SEEDS = 3000 if os.environ.get("REPRO_SOAK") else 200
 
 
 def _store(k=3, priorities=(), keys=None, cap=math.inf):
@@ -32,7 +37,7 @@ class TestThreshold:
     def test_len_counts_rows_below_a_tied_threshold(self):
         store = _store(3, [0.1, 0.5, 0.5, 0.5])
         assert store.threshold == 0.5
-        assert len(store) == len(store.retained()["keys"]) == 1
+        assert len(store) == len(store.below()["keys"]) == 1
 
 
 class TestTies:
@@ -69,16 +74,16 @@ class TestBudgetAndMerge:
         with pytest.raises(ValueError, match="positive"):
             store.resize(0)
 
-    def test_merge_takes_the_smaller_cap_and_cuts(self):
+    def test_union_takes_the_smaller_cap_and_cuts(self):
         a = _store(2, [0.1, 0.5], keys=["a1", "a2"], cap=0.8)
         b = _store(2, [0.2, 0.3], keys=["b1", "b2"], cap=0.6)
-        a.merge(b)
+        a.union(b)
         assert a.cap == 0.6
         assert a.keys.tolist() == ["a1", "b1", "b2"]
 
-    def test_merge_rejects_a_different_k(self):
+    def test_union_rejects_a_different_k(self):
         with pytest.raises(ValueError, match="different k"):
-            _store(2, [0.1]).merge(_store(3, [0.2]))
+            _store(2, [0.1]).union(_store(3, [0.2]))
 
 
 class TestRows:
@@ -143,7 +148,10 @@ class TestKeyedBottomK:
         assert rows.members == {"s": 0.1, 7: 0.3, "x": 0.2}
 
 
-class TestPrefixStore:
+class TestUnboundedStore:
+    """``BottomKStore(None, ...)``: every row offered below the cap, with
+    queued rows sorted in by :meth:`~BottomKStore.merge`."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_merged_rows_are_a_stable_sort_whatever_the_schedule(self, seed):
         """Single rows and batches, merged at random points, land in the
@@ -152,7 +160,7 @@ class TestPrefixStore:
         rng = np.random.default_rng(seed)
         n = 200
         priorities = rng.integers(0, 12, n) / 12.0
-        store = PrefixStore(("weights",))
+        store = BottomKStore(None, ("weights",))
         pos = 0
         while pos < n:
             if rng.random() < 0.5:
@@ -172,7 +180,7 @@ class TestPrefixStore:
         assert store.columns["weights"].tolist() == order.tolist()
 
     def test_cut_lowers_the_cap_and_drops_rows_at_or_above_it(self):
-        store = PrefixStore(("sizes",))
+        store = BottomKStore(None, ("sizes",))
         store.offer(np.array([0.4, 0.1, 0.3]), ["a", "b", "c"],
                     sizes=np.ones(3))
         store.add(0.3, "d", sizes=2.0)
@@ -181,31 +189,91 @@ class TestPrefixStore:
         assert store.keys.tolist() == ["b"]
         store.cut(0.5)
         assert store.cap == 0.3
+        store.cut(np.float64(0.2))
+        assert type(store.cap) is float
 
     def test_below_copies_the_rows_under_a_threshold(self):
-        store = PrefixStore(("weights",))
+        store = BottomKStore(None, ("weights",))
         store.offer(np.array([0.5, 0.2]), [("t", 1), "s"],
                     weights=np.array([1.0, 2.0]))
         rows = store.below(0.4)
         assert rows["keys"] == ["s"]
         rows["priorities"][0] = 9.0
         assert store.priorities.tolist() == [0.2, 0.5]
+        assert store.below()["keys"] == ["s", ("t", 1)]
 
-    def test_checkpoint_round_trips_in_its_order(self):
-        store = PrefixStore(("weights", "values"))
+    def test_rows_round_trip_in_their_order(self):
+        layout = ("priorities", "keys", "weights", "values")
+        store = BottomKStore(None, layout[2:])
         store.add(0.3, 7, weights=3.0, values=1.5)
         store.offer(np.array([0.3, 0.2]), [("t", 1), "s"],
                     weights=np.array([1.0, 2.0]), values=np.zeros(2))
-        state = store.checkpoint()
-        assert state == {
-            "priorities": [0.2, 0.3, 0.3],
-            "records": [["s", 2.0, 0.0], [7, 3.0, 1.5],
-                        [("t", 1), 1.0, 0.0]],
-        }
-        revived = PrefixStore(("weights", "values"), cap=0.9)
-        revived.load(state)
-        assert revived.checkpoint() == state
-        empty = PrefixStore(("weights", "values"))
-        empty.load({"priorities": [], "records": []})
+        rows = store.rows(layout)
+        assert rows == [(0.2, "s", 2.0, 0.0), (0.3, 7, 3.0, 1.5),
+                        (0.3, ("t", 1), 1.0, 0.0)]
+        revived = BottomKStore(None, layout[2:], cap=0.9)
+        revived.load_rows(rows, layout)
+        assert revived.rows(layout) == rows
+        empty = BottomKStore(None, layout[2:])
+        empty.load_rows([], layout)
         assert len(empty) == 0
-        assert empty.checkpoint() == {"priorities": [], "records": []}
+        assert empty.rows(layout) == []
+
+
+def _schedule_stores(seed):
+    """Feed one random schedule of single rows, batches, merges and cuts,
+    with tied priorities, to an unbounded store, a bounded store with room
+    for every row and a bounded store with a small ``k``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    k = int(rng.integers(1, 10))
+    priorities = rng.integers(0, 10, n) / 10.0
+    weights = np.arange(n, dtype=float)
+    unbounded = BottomKStore(None, ("weights",))
+    roomy = BottomKStore(n, ("weights",))
+    small = BottomKStore(k, ("weights",))
+    bounded = (roomy, small)
+    pos = 0
+    while pos < n:
+        step = rng.random()
+        if step < 0.35:
+            p = float(priorities[pos])
+            if p < unbounded.cap:
+                unbounded.add(p, pos, weights=weights[pos])
+            for store in bounded:
+                store.update(p, pos, weights=weights[pos])
+            pos += 1
+        elif step < 0.75:
+            end = min(n, pos + int(rng.integers(1, 16)))
+            at = pos + np.flatnonzero(rng.random(end - pos) < 0.7)
+            fresh = at[priorities[at] < unbounded.cap]
+            unbounded.offer(priorities[fresh], fresh.tolist(),
+                            weights=weights[fresh])
+            for store in bounded:
+                store.offer(priorities[at], np.arange(n), at=at,
+                            weights=weights)
+            pos = end
+        elif step < 0.85:
+            unbounded.merge()
+        else:
+            t = float(rng.integers(1, 11)) / 10.0
+            for store in (unbounded, *bounded):
+                store.cut(t)
+    return unbounded, roomy, small
+
+
+class TestOneStore:
+    def test_unbounded_bounded_and_cut_agree_on_every_schedule(self):
+        """An unbounded store equals a bounded one with room for every
+        row offered, and a bounded store equals the unbounded store cut
+        to its ``k + 1`` rows: the same rows, order and cap."""
+        layout = ("priorities", "keys", "weights")
+        diverged = []
+        for seed in range(SEEDS):
+            unbounded, roomy, small = _schedule_stores(seed)
+            rows = unbounded.rows(layout)
+            if roomy.rows(layout) != rows or \
+                    small.rows(layout) != rows[: small.k + 1] or \
+                    not unbounded.cap == roomy.cap == small.cap:
+                diverged.append(seed)
+        assert diverged == []
