@@ -14,7 +14,8 @@ The package mirrors the paper's structure:
   atomic checkpoints and bit-exact crash recovery — plus the
   multi-tenant :class:`Cluster` (:mod:`repro.serve.cluster`):
   consistent-hash tenant routing, per-tenant quotas, live rebalancing,
-  and a length-prefixed-JSON TCP front end.
+  and a length-prefixed-frame TCP front end (JSON control frames,
+  binary columns for numeric ingest blocks).
 * :mod:`repro.query` - the declarative query layer: ``Query`` specs
   (aggregate + where/group_by + CIs) planned once and executed vectorized
   over any sampler's sample, with HT/pseudo-HT variance plug-ins and a

@@ -1,8 +1,8 @@
 """Atomic, self-validating sampler checkpoints.
 
 A checkpoint captures a sampler's full ``to_state()`` dict (RNG streams
-included — the same plain-dict round-trip the sharded engine ships across
-process pools) at a known stream offset, so recovery replays only the
+included — the same plain-dict round-trip a rebalance ships between
+cluster workers) at a known stream offset, so recovery replays only the
 write-ahead-log tail after it instead of the whole history.
 
 Two crash-safety properties:

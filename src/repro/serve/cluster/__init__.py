@@ -15,7 +15,7 @@ to many tenants on a fixed worker pool:
 - :class:`~repro.serve.cluster.tenants.TenantRegistry` /
   :class:`~repro.serve.cluster.tenants.TenantQuota` — namespace, token
   buckets, queue-share caps, counted per-reason rejections.
-- :mod:`~repro.serve.cluster.rebalance` — the gate/quiesce/extract/
+- :mod:`~repro.serve.cluster.rebalance` — the gate/flush/extract/
   install/commit/drop handoff protocol (bit-exact moved state).
 - :class:`ClusterFrontend` / :class:`ClusterClient` — the TCP front end
   (length-prefixed JSON frames, binary columns for numeric ingest

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import pathlib
 import time
@@ -43,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ...api.registry import SamplerSpec, get_sampler_class
+from ..batcher import _slice_chunk, chunk_of
 from ..service import _CONFIG_KEYS, ServiceCrashed, StreamService
 from .metrics import ClusterMetrics
 from .mux import create_op, drop_op, key_block
@@ -225,21 +227,10 @@ class Cluster:
         #: Tenants mid-handoff: blocking ingest awaits the event, the
         #: non-blocking path rejects (reason ``backpressure``).
         self._migrating: dict[str, asyncio.Event] = {}
-        #: Per-tenant count of blocking ingests currently suspended in a
-        #: worker (admitted-or-waiting).  Rebalance/drop quiesce on it:
-        #: gating stops *new* ingests, this drains the in-flight ones, so
-        #: the pre-handoff flush provably covers every accepted event.
-        self._inflight: dict[str, int] = {}
         #: Workers currently marked down (failover in progress): reads
         #: for their tenants degrade to the last durable snapshot,
         #: ingest sheds with the counted ``unavailable`` reason.
         self._down: dict[str, _DownWorker] = {}
-        #: Per-tenant locks serializing *conditional* admissions
-        #: (``expect_frontier``): the frontier check and the worker
-        #: admission must be atomic against other conditional producers,
-        #: whose own check could otherwise pass while this batch is
-        #: suspended in the worker's buffer wait.
-        self._conditional: dict[str, asyncio.Lock] = {}
         #: Attached supervisors.  While positive, a worker crash caught
         #: on the ingest path marks the worker down and sheds instead of
         #: raising ``ServiceCrashed`` — failover is coming.
@@ -446,23 +437,16 @@ class Cluster:
         *,
         quota: TenantQuota | dict | None = None,
     ) -> TenantRecord:
-        """Register ``tenant`` and create its sampler on the ring's worker.
+        """Register ``tenant`` and create its sampler on the ring's worker
+        (:meth:`create_tenants` of one tenant).
 
         The sampler materializes when the worker's consumer applies the
         admin op — cheap enough to call thousands of times; reads
         flush-and-retry if they arrive first.
         """
-        self._check_started()
-        placed = self.ring.node_for(tenant)
-        record = self.registry.create(
-            tenant, spec, quota=quota, service=placed
+        (record,) = await self.create_tenants(
+            {tenant: spec}, quotas={tenant: quota}
         )
-        try:
-            self._workers[placed].enqueue_admin(create_op(tenant, record.spec))
-        except BaseException:
-            self.registry.drop(tenant)
-            raise
-        self._save_meta()
         return record
 
     async def create_tenants(
@@ -471,15 +455,16 @@ class Cluster:
         *,
         quotas: dict | None = None,
     ) -> list[TenantRecord]:
-        """Bulk-register tenants: one admin record per worker, one meta
-        save.
+        """Register tenants: one admin record per worker, one meta save.
 
-        ``create_tenant`` rewrites the cluster meta per call, which is
-        quadratic when bootstrapping thousands of tenants; this path
-        groups the create ops by placement and persists once at the
-        end.  All-or-nothing on validation: every tenant id and spec is
-        checked (and reserved in the registry) before any worker sees an
-        op.
+        Bootstrapping thousands of tenants one call each would rewrite
+        the cluster meta per tenant; this groups the create ops by
+        placement and persists once at the end.  All-or-nothing on
+        validation: every tenant id and spec is checked (and reserved in
+        the registry) before any worker sees an op.  If a worker refuses
+        its ops (crashed, stopped), every tenant whose create op was not
+        enqueued is unregistered before the error propagates, so no
+        registered tenant lacks its create op.
         """
         self._check_started()
         quotas = quotas or {}
@@ -494,59 +479,49 @@ class Cluster:
             for record in records:
                 self.registry.drop(record.tenant)
             raise
-        by_worker: dict[str, list] = {}
+        by_worker: dict[str, list[TenantRecord]] = {}
         for record in records:
-            by_worker.setdefault(record.service, []).append(
-                create_op(record.tenant, record.spec)
-            )
-        for name, ops in by_worker.items():
-            self._workers[name].enqueue_admin(*ops)
+            by_worker.setdefault(record.service, []).append(record)
+        try:
+            for name, group in list(by_worker.items()):
+                self._workers[name].enqueue_admin(
+                    *(create_op(r.tenant, r.spec) for r in group)
+                )
+                del by_worker[name]
+        except BaseException:
+            for group in by_worker.values():
+                for record in group:
+                    self.registry.drop(record.tenant)
+            raise
         self._save_meta()
         return records
 
-    def _gate(self, tenant: str) -> asyncio.Event:
-        """Close the ingest gate for ``tenant`` (handoff/drop in progress)."""
+    def _gate(self, tenant: str) -> None:
+        """Close the migrating gate for ``tenant`` (handoff in progress):
+        it admits nothing until :meth:`_ungate`, so a worker flush covers
+        everything it admitted (see :meth:`_try_admit`)."""
         self.registry.get(tenant).migrating = True
-        event = self._migrating.get(tenant)
-        if event is None:
-            event = self._migrating[tenant] = asyncio.Event()
-        return event
+        self._migrating.setdefault(tenant, asyncio.Event())
 
     def _ungate(self, tenant: str) -> None:
-        """Reopen the ingest gate; suspended producers re-resolve placement."""
+        """Reopen the gate; waiting producers rerun the gate sequence."""
         if tenant in self.registry:
             self.registry.get(tenant).migrating = False
         event = self._migrating.pop(tenant, None)
         if event is not None:
             event.set()
 
-    async def _quiesce(self, tenant: str) -> None:
-        """Wait until no blocking ingest for ``tenant`` is in flight.
-
-        Called with the gate closed, so no *new* ingest can start; once
-        the in-flight count drains, every event a producer was promised
-        is admitted and a worker ``flush()`` covers it.
-        """
-        while self._inflight.get(tenant, 0) > 0:
-            await asyncio.sleep(0)
-
     async def drop_tenant(self, tenant: str) -> TenantRecord:
-        """Remove ``tenant``: quiesce its ingest, enqueue the drop op,
-        forget the record.
+        """Remove ``tenant``: enqueue the drop op, forget the record.
 
-        The gate-then-quiesce step guarantees no accepted event can trail
-        the drop op into the worker (a stray post-drop block would be an
-        unknown-tenant error in the mux)."""
+        No block can trail the drop op into the worker (see
+        :meth:`_try_admit`); a producer waiting on a gate raises
+        ``KeyError`` when it wakes, the rest of its block unadmitted."""
         self._check_started()
         record, worker = self._locate(tenant)
-        self._gate(tenant)
-        try:
-            await self._quiesce(tenant)
-            worker.enqueue_admin(drop_op(tenant))
-            self.registry.drop(tenant)
-            self._conditional.pop(tenant, None)
-        finally:
-            self._ungate(tenant)
+        worker.enqueue_admin(drop_op(tenant))
+        self.registry.drop(tenant)
+        self._ungate(tenant)  # wake producers waiting on a handoff
         self._save_meta()
         return record
 
@@ -628,120 +603,210 @@ class Cluster:
     async def ingest_many(self, tenant: str, keys, weights=None,
                           values=None, times=None, *,
                           expect_frontier: int | None = None) -> bool:
-        """Admit a batch for ``tenant``, enforcing its quota by waiting.
+        """Admit a batch for ``tenant``, waiting out closed gates.
         Returns ``True`` on admission, ``False`` when shed (worker
         down).
 
-        The blocking path never drops — with one exception: a tenant
-        whose worker is marked **down** sheds (counted under the
-        ``unavailable`` reason) instead of suspending forever against a
-        dead worker; the caller re-sends from the tenant's durable
-        frontier once failover restores service.  Otherwise a
-        rate-limited tenant awaits its token-bucket refill (its overload
-        becomes its own backpressure), a migrating tenant awaits the
-        handoff gate, and a full worker buffer suspends the producer
-        exactly as in the single-service runtime.
+        Where :meth:`try_ingest_many` refuses, this awaits the closed
+        gate's opening — the end of a handoff, the token-bucket debt it
+        takes (paid once), the worker's applied progress (queue share)
+        or free slots — then tries again on the tenant's current
+        placement (``KeyError`` if the tenant was dropped meanwhile).  It
+        never drops, except that a tenant whose worker is marked
+        **down** sheds (counted under ``unavailable``): the caller
+        re-sends from the durable frontier once failover restores
+        service.  A block over the tenant's bound goes in pieces.
 
-        ``expect_frontier`` makes the admission *conditional*: the batch
-        is admitted only if the tenant's admission frontier still equals
-        it (:class:`StaleFrontier` otherwise, with nothing admitted).
-        Producers that re-send from the frontier after failover pass
-        this so a retried batch can never land at the wrong position.
-        Conditional admissions for one tenant are serialized against
-        each other (a per-tenant lock spans the check and the worker
-        admission), so competing conditional producers resolve cleanly
-        — exactly one wins, the rest see ``StaleFrontier``.  A
-        concurrent *unconditional* producer on the same tenant is
-        outside the guarantee: it can advance the frontier while a
-        conditional batch is suspended in the worker's buffer wait, so
-        mixing the two styles on one tenant forfeits the positioning
-        contract.
-
-        A block without a column the tenant's sampler requires
-        (:attr:`~repro.api.StreamSampler.required_columns`, e.g.
-        ``times=`` for ``sliding_window``) raises ``TypeError`` with
-        nothing admitted or logged.
+        ``expect_frontier`` makes the admission *conditional*: the block
+        is admitted whole, and only if the tenant's admission frontier
+        still equals it when the gates open (else :class:`StaleFrontier`
+        with nothing admitted, or ``ValueError`` for a block over the
+        bound), so a batch re-sent from the frontier after failover can
+        never land at the wrong position, and competing conditional
+        producers resolve to exactly one winner, unconditional producers
+        on the same tenant notwithstanding.  A block without a column
+        the tenant's sampler requires raises ``TypeError``, as in
+        :meth:`try_ingest_many`.
         """
+        record, keys = self._block(tenant, keys, weights, values, times)
+        n = len(keys)
+        if not n:
+            return True
+        bound = self._bound(record, self._workers[record.service])
+        if n <= bound or expect_frontier is not None or not bound:
+            return await self._admit_when_open(
+                record, keys, weights, values, times, expect_frontier
+            )
+        chunk = chunk_of(keys, weights, values, times)
+        for lo in range(0, n, bound):
+            piece = _slice_chunk(chunk, lo, min(lo + bound, n))
+            if not await self._admit_when_open(
+                record, piece["keys"], piece["weights"], piece["values"],
+                piece["times"], None,
+            ):
+                return False
+        return True
+
+    def try_ingest(self, tenant: str, key, weight: float = 1.0, *,
+                   value=None, time=None,
+                   expect_frontier: int | None = None) -> bool:
+        """Non-blocking scalar admit; ``False`` means rejected-and-counted."""
+        return self.try_ingest_many(
+            tenant,
+            [key],
+            weights=None if weight == 1.0 else [weight],
+            values=None if value is None else [value],
+            times=None if time is None else [time],
+            expect_frontier=expect_frontier,
+        )
+
+    def try_ingest_many(self, tenant: str, keys, weights=None,
+                        values=None, times=None, *,
+                        expect_frontier: int | None = None) -> bool:
+        """Non-blocking batch admit with per-reason rejection accounting.
+
+        All-or-nothing: the gates run in order and the first closed one
+        refuses the block — ``expect_frontier`` (:class:`StaleFrontier`),
+        a down worker (``unavailable``: shed, no quota charged), a
+        migrating tenant (``backpressure``), the token bucket (``rate``),
+        the tenant's queue-share cap (``share``), the worker's bounded
+        buffer (``backpressure``, also in the worker's per-tenant drop
+        metrics).  A block no gate could ever admit (over ``queue_size``
+        or the tenant's share of it) raises ``ValueError``, and one
+        without a column the tenant's sampler requires ``TypeError``,
+        with nothing counted or logged.  Numpy blocks are kept by
+        reference until applied (see :meth:`StreamService.ingest_many`).
+        """
+        record, keys = self._block(tenant, keys, weights, values, times)
+        n = len(keys)
+        if not n:
+            return True
+        gate = self._try_admit(record, keys, weights, values, times,
+                               expect_frontier)
+        if gate is None:
+            return True
+        if gate == "unavailable":
+            self._shed(record, n)
+        else:
+            record.reject(
+                "backpressure" if gate in ("migrating", "capacity") else gate,
+                n,
+            )
+        if gate == "capacity":
+            self._workers[record.service].metrics.record_drop(n, tenant)
+        return False
+
+    def _block(self, tenant: str, keys, weights, values, times):
+        """The tenant's record and one ingest call's key block, a
+        non-empty block's required columns checked."""
         self._check_started()
         record = self.registry.get(tenant)  # raise early on unknown tenants
         keys = key_block(keys)
-        if not len(keys):
-            return True
-        _check_columns(record, weights, values, times)
-        self._check_frontier(record, expect_frontier)
-        if record.service in self._down:
-            self._shed(record, len(keys))
-            return False
-        gate = self._migrating.get(tenant)
-        if gate is not None:
-            await gate.wait()
-        # The in-flight token must be held across *every* await that
-        # follows the gate check (the token-bucket sleep included): a
-        # rebalance/drop quiesces on this counter with the gate closed,
-        # and a producer suspended in the bucket without the token would
-        # wake after the quiesce and ingest to a stale placement — its
-        # block either erased by the drop op or rejected as an unknown
-        # tenant.  Nothing awaits between the gate check above and this
-        # increment, so the pair is atomic on the event loop.
-        self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
-        try:
-            bucket = self.registry.bucket(tenant)
-            if bucket is not None:
-                delay = bucket.acquire_delay(len(keys))
-                if delay > 0:
-                    await asyncio.sleep(delay)
-            if expect_frontier is None:
-                return await self._admit(tenant, keys, weights, values,
-                                         times, None)
-            # Conditional admissions serialize per tenant: the lock
-            # spans the binding frontier check *and* the worker
-            # admission, so a competing conditional producer cannot
-            # pass its own check while this batch is suspended in the
-            # worker's buffer wait and then land at a stale position.
-            lock = self._conditional.setdefault(tenant, asyncio.Lock())
-            async with lock:
-                return await self._admit(tenant, keys, weights, values,
-                                         times, expect_frontier)
-        finally:
-            self._inflight[tenant] -= 1
-            if not self._inflight[tenant]:
-                del self._inflight[tenant]
+        if len(keys):
+            _check_columns(record, weights, values, times)
+        return record, keys
 
-    async def _admit(self, tenant: str, keys, weights, values, times,
-                     expect_frontier: int | None) -> bool:
-        """Resolve placement and admit the block (inflight token held):
-        the worker gets ``keys`` as they are, tagged with ``tenant``."""
-        # Resolve placement only now: a handoff that gated after our
-        # increment is still quiescing on us, so the record's service
-        # cannot move until this ingest completes.
-        record = self.registry.get(tenant)
-        if record.service in self._down:
-            self._shed(record, len(keys))
-            return False
-        # The binding frontier check: between here and the worker
-        # admission only the worker's own buffer wait can suspend us —
-        # other *conditional* producers are held off by the per-tenant
-        # lock, and a failover that rolls the frontier back while we
-        # are suspended there aborts the worker, surfacing as
-        # ServiceCrashed below, never as a misplaced admission.
-        self._check_frontier(record, expect_frontier)
-        worker = self._workers[record.service]
-        try:
-            await worker.ingest_many(keys, weights, values, times,
-                                     route=tenant)
-        except ServiceCrashed:
-            # The worker died while we were suspended in it.  Under
-            # supervision the failover is already coming: mark the
-            # worker down ourselves (idempotent, and often *the*
-            # first detection) and shed, so producers never see the
-            # crash.  Unsupervised clusters keep the historical
-            # fail-fast contract.
-            if self._supervised <= 0 and record.service not in self._down:
-                raise
+    @staticmethod
+    def _bound(record: TenantRecord, worker: StreamService) -> int:
+        """The largest block the gates could ever admit for the tenant."""
+        share = record.quota.queue_share
+        if share is None:
+            return worker.queue_size
+        return int(share * worker.queue_size)
+
+    @staticmethod
+    def _share_excess(record: TenantRecord, worker: StreamService, n):
+        """How far the tenant's in-flight events (admitted, not applied)
+        plus ``n`` overshoot its queue share; the gate is open at <= 0."""
+        share = record.quota.queue_share
+        if share is None:
+            return 0
+        mux, tenant = worker.sampler, record.tenant
+        pending = record.events_enqueued - (
+            mux.events_applied_for(tenant) if mux.has_tenant(tenant) else 0
+        )
+        return pending + n - share * worker.queue_size
+
+    def _try_admit(self, record: TenantRecord, keys, weights, values, times,
+                   expect_frontier: int | None, paid: bool = False):
+        """One synchronous admission: run the gates (see
+        :meth:`try_ingest_many`) and, when every one is open, queue the
+        block on the tenant's worker and take its rate tokens (unless
+        ``paid``); ``None`` then, else the first closed gate.
+
+        Both ingest paths admit only here, so no admission is ever in
+        progress across an await: a gated tenant's worker flush covers
+        every event it admitted, and its drop op trails all of them.
+        """
+        n, worker = len(keys), self._workers[record.service]
+        bound = self._bound(record, worker)
+        if n > bound:
+            raise ValueError(
+                f"a block of {n} events exceeds tenant {record.tenant!r}'s "
+                f"admission bound of {bound} events (queue_size="
+                f"{worker.queue_size}, queue_share="
+                f"{record.quota.queue_share})"
+            )
+        if (expect_frontier is not None
+                and record.events_enqueued != expect_frontier):
+            raise StaleFrontier(
+                f"tenant {record.tenant!r} admission frontier is "
+                f"{record.events_enqueued}, producer expected "
+                f"{expect_frontier}; re-read the frontier and re-send"
+            )
+        if worker.crashed and record.service not in self._down:
+            if self._supervised <= 0:
+                raise ServiceCrashed(
+                    f"worker {record.service!r} crashed"
+                ) from worker.error
+            # Supervised: failover is coming, so shed instead of raising.
             self.mark_service_down(record.service, "crashed")
-            self._shed(record, len(keys))
-            return False
-        record.events_enqueued += len(keys)
+        if record.service in self._down:
+            return "unavailable"
+        if record.tenant in self._migrating:
+            return "migrating"
+        bucket = None if paid else self.registry.bucket(record.tenant)
+        if bucket is not None and bucket.tokens < n:
+            return "rate"
+        if self._share_excess(record, worker, n) > 0:
+            return "share"
+        if worker.free_slots < n:
+            return "capacity"
+        worker.try_ingest_many(keys, weights, values, times,
+                               route=record.tenant)
+        if bucket is not None:
+            bucket.try_acquire(n)
+        record.events_enqueued += n
+        return None
+
+    async def _admit_when_open(self, record: TenantRecord, keys, weights,
+                               values, times,
+                               expect_frontier: int | None) -> bool:
+        """Blocking admission of one block within the bound: await each
+        closed gate's opening, then try again."""
+        tenant, n, paid = record.tenant, len(keys), False
+        while gate := self._try_admit(record, keys, weights, values, times,
+                                      expect_frontier, paid):
+            worker = self._workers[record.service]
+            if gate == "unavailable":
+                self._shed(record, n)
+                return False
+            if gate == "migrating":
+                await self._migrating[tenant].wait()
+            elif gate == "rate":
+                # Take the whole debt now: later blocks queue behind it.
+                paid = True
+                await asyncio.sleep(
+                    self.registry.bucket(tenant).acquire_delay(n)
+                )
+            elif gate == "share":
+                await worker.wait_applied(worker.events_applied + math.ceil(
+                    self._share_excess(record, worker, n)
+                ))
+            else:
+                await worker.wait_room(n)
+            if self.registry.get(tenant) is not record:
+                raise KeyError(f"tenant {tenant!r} was dropped and re-created")
         return True
 
     def _shed(self, record: TenantRecord, n: int) -> None:
@@ -751,114 +816,33 @@ class Cluster:
         if state is not None:
             state.shed_events += n
 
-    @staticmethod
-    def _check_frontier(record: TenantRecord,
-                        expect_frontier: int | None) -> None:
-        """Enforce conditional admission (see :meth:`ingest_many`)."""
-        if (expect_frontier is not None
-                and record.events_enqueued != expect_frontier):
-            raise StaleFrontier(
-                f"tenant {record.tenant!r} admission frontier is "
-                f"{record.events_enqueued}, producer expected "
-                f"{expect_frontier}; re-read the frontier and re-send"
-            )
-
-    def try_ingest(self, tenant: str, key, weight: float = 1.0, *,
-                   value=None, time=None) -> bool:
-        """Non-blocking scalar admit; ``False`` means rejected-and-counted."""
-        return self.try_ingest_many(
-            tenant,
-            [key],
-            weights=None if weight == 1.0 else [weight],
-            values=None if value is None else [value],
-            times=None if time is None else [time],
-        )
-
-    def try_ingest_many(self, tenant: str, keys, weights=None,
-                        values=None, times=None) -> bool:
-        """Non-blocking batch admit with per-reason rejection accounting.
-
-        All-or-nothing, checked in quota order: a down worker sheds
-        first (``unavailable`` — no quota is charged during an outage),
-        then the token bucket (``rate``), then the tenant's queue-share
-        cap (``share``), then the worker's bounded buffer
-        (``backpressure``, also counted per-tenant in the worker's drop
-        metrics).  A migrating tenant rejects as ``backpressure`` until
-        its handoff completes.  A block without a required column raises
-        ``TypeError``, as in :meth:`ingest_many`.
-        """
-        self._check_started()
-        record = self.registry.get(tenant)
-        keys = key_block(keys)
-        n = len(keys)
-        if not n:
-            return True
-        _check_columns(record, weights, values, times)
-        if record.service in self._down:
-            self._shed(record, n)
-            return False
-        if record.migrating:
-            record.reject("backpressure", n)
-            return False
-        bucket = self.registry.bucket(tenant)
-        if bucket is not None and not bucket.try_acquire(n):
-            record.reject("rate", n)
-            return False
-        worker = self._workers[record.service]
-        share = record.quota.queue_share
-        if share is not None:
-            mux = worker.sampler
-            applied = (
-                mux.events_applied_for(tenant) if mux.has_tenant(tenant) else 0
-            )
-            pending = record.events_enqueued - applied
-            if pending + n > share * worker.queue_size:
-                record.reject("share", n)
-                return False
-        try:
-            admitted = worker.try_ingest_many(
-                keys, weights, values, times, route=tenant
-            )
-        except ServiceCrashed:
-            if self._supervised <= 0:
-                raise
-            self.mark_service_down(record.service, "crashed")
-            self._shed(record, n)
-            return False
-        if not admitted:
-            record.reject("backpressure", n)
-            return False
-        record.events_enqueued += n
-        return True
-
     # ------------------------------------------------------------------
     # Reads (tenant-scoped, snapshot-isolated on the owning worker)
     # ------------------------------------------------------------------
-    async def _tenant_child(self, tenant: str):
-        """The owning worker plus the tenant's live child sampler.
-
-        If the child has not materialized yet (its create op is still
-        queued), flush the worker once and retry before giving up.
-        """
-        record, worker = self._locate(tenant)
-        if not worker.sampler.has_tenant(tenant):
-            await worker.flush()
-        return worker, worker.sampler.tenant_sampler(tenant)
-
-    async def sample(self, tenant: str):
-        """Snapshot-isolated ``sample()`` of one tenant's child sampler.
-
-        While the tenant's worker is down, answers from the last durable
-        snapshot (nothing in it mutates, so no isolation lock is
-        needed).
-        """
+    async def _read(self, tenant: str, read: Callable, *,
+                    stamp: bool = False):
+        """``read(child)`` under the worker's snapshot lock, flushing once
+        if the child's create op is still queued; while the worker is
+        down, on the last durable snapshot (immutable, so unlocked), the
+        result marked ``degraded`` when ``stamp``."""
         self._check_started()
         record = self.registry.get(tenant)
         if record.service in self._down:
-            return self._degraded_child(tenant, record).sample()
-        worker, child = await self._tenant_child(tenant)
+            result = read(self._degraded_child(tenant, record))
+            if stamp:
+                _stamp_degraded(result)
+            return result
+        worker = self._workers[record.service]
+        if not worker.sampler.has_tenant(tenant):
+            await worker.flush()
+        child = worker.sampler.tenant_sampler(tenant)
         async with worker.snapshot():
-            return child.sample()
+            return read(child)
+
+    async def sample(self, tenant: str):
+        """Snapshot-isolated ``sample()`` of one tenant's child sampler
+        (from the last durable snapshot while its worker is down)."""
+        return await self._read(tenant, lambda child: child.sample())
 
     async def estimate(self, tenant: str, kind: str | None = None,
                        predicate=None, **kw):
@@ -868,15 +852,10 @@ class Cluster:
         is down (the scalar return carries no flag; use :meth:`query`
         when the caller must distinguish degraded answers).
         """
-        self._check_started()
-        record = self.registry.get(tenant)
-        if record.service in self._down:
-            return self._degraded_child(tenant, record).estimate(
-                kind, predicate=predicate, **kw
-            )
-        worker, child = await self._tenant_child(tenant)
-        async with worker.snapshot():
-            return child.estimate(kind, predicate=predicate, **kw)
+        return await self._read(
+            tenant,
+            lambda child: child.estimate(kind, predicate=predicate, **kw),
+        )
 
     async def query(self, tenant: str, query=None, /, **kw):
         """Snapshot-isolated declarative query against one tenant.
@@ -888,15 +867,9 @@ class Cluster:
         durable snapshot, stamped ``degraded=True`` with the recovered
         epoch's pinned ``state_version``.
         """
-        self._check_started()
-        record = self.registry.get(tenant)
-        if record.service in self._down:
-            result = self._degraded_child(tenant, record).query(query, **kw)
-            _stamp_degraded(result)
-            return result
-        worker, child = await self._tenant_child(tenant)
-        async with worker.snapshot():
-            return child.query(query, **kw)
+        return await self._read(
+            tenant, lambda child: child.query(query, **kw), stamp=True
+        )
 
     async def flush(self) -> None:
         """Barrier: every event admitted to every *live* worker is
@@ -1120,8 +1093,8 @@ class Cluster:
         :meth:`_reconcile_worker` runs on every worker, exactly as after
         a hot restart: it drops each copy the registry does not place
         there (and strays the registry no longer lists) and recreates
-        case (c) fresh.  Only this cold path reopens every ingest gate,
-        since no handoff survives a full restart.
+        case (c) fresh.  No handoff survives a full restart: a recovered
+        registry starts with every gate open.
         """
         holders: dict[str, list[str]] = {}
         for name, worker in self._workers.items():
@@ -1136,6 +1109,4 @@ class Cluster:
                 record.service = self.ring.node_for(tenant)
         for name in self._workers:
             await self._reconcile_worker(name)
-        for tenant in self.registry.tenants():
-            self.registry.get(tenant).migrating = False
         self._save_meta()

@@ -41,7 +41,9 @@ Verbs
 ``ingest`` / ``ingest_many``
     Tenant event admission.  ``block=true`` uses the backpressure path
     (the response waits for admission), otherwise the non-blocking
-    quota-checked path (``admitted`` reports the outcome).
+    quota-checked path (``admitted`` reports the outcome).  Both honor
+    ``expect_frontier`` (a ``StaleFrontier`` error reply, nothing
+    admitted).
 ``query`` / ``estimate`` / ``sample``
     Tenant-scoped snapshot-isolated reads.  Query options are the
     JSON-able subset (``aggregate``, ``k``, ``q``, ``ci`` — callables
@@ -631,12 +633,12 @@ class ClusterFrontend:
         tenant = request["tenant"]
         kwargs = {
             "value": request.get("value"), "time": request.get("time"),
+            "expect_frontier": request.get("expect_frontier"),
         }
         weight = float(request.get("weight", 1.0))
         if request.get("block", False):
             admitted = await self.cluster.ingest(
-                tenant, request["key"], weight,
-                expect_frontier=request.get("expect_frontier"), **kwargs
+                tenant, request["key"], weight, **kwargs
             )
             if not admitted:
                 return self._shed_reply()
@@ -654,17 +656,19 @@ class ClusterFrontend:
         tenant = request["tenant"]
         keys = _array(request["keys"])
         columns = self._columns(request)
+        frontier = request.get("expect_frontier")
         if request.get("block", False):
             admitted = await self.cluster.ingest_many(
-                tenant, keys,
-                expect_frontier=request.get("expect_frontier"), **columns
+                tenant, keys, expect_frontier=frontier, **columns
             )
             if not admitted:
                 return self._shed_reply()
             return self._dedupe_store(
                 request, {"admitted": True, "n": len(keys)}
             )
-        admitted = self.cluster.try_ingest_many(tenant, keys, **columns)
+        admitted = self.cluster.try_ingest_many(
+            tenant, keys, expect_frontier=frontier, **columns
+        )
         return self._dedupe_store(
             request, {"admitted": admitted, "n": len(keys) if admitted else 0}
         )
@@ -986,8 +990,9 @@ class ClusterClient:
 
         With a retry policy set, a ``request_id`` is generated
         automatically so retries are idempotent.  ``expect_frontier``
-        makes a blocking admission conditional on the tenant's frontier
-        (a non-retryable ``StaleFrontier`` error reply otherwise)."""
+        makes the admission, blocking or not, conditional on the
+        tenant's frontier (a non-retryable ``StaleFrontier`` error reply
+        otherwise)."""
         request = {
             "verb": "ingest", "tenant": tenant, "key": _plain(key),
             "weight": _plain(weight), "block": block,
@@ -1020,8 +1025,9 @@ class ClusterClient:
 
         With a retry policy set, a ``request_id`` is generated
         automatically so retries are idempotent.  ``expect_frontier``
-        makes a blocking admission conditional on the tenant's frontier
-        (a non-retryable ``StaleFrontier`` error reply otherwise)."""
+        makes the admission, blocking or not, conditional on the
+        tenant's frontier (a non-retryable ``StaleFrontier`` error reply
+        otherwise)."""
         columns = {name: column for name, column in (
             ("weights", weights), ("values", values), ("times", times))
             if column is not None}

@@ -7,20 +7,21 @@ Tenants move because the pool changed (``add_service`` /
 worker while the rest of the cluster keeps serving.  The execution order
 is what makes it safe:
 
-1. **Gate** every moving tenant (blocking ingest suspends, non-blocking
-   rejects) and **quiesce**: wait out ingests already in flight, so every
-   event a producer was promised is admitted.
-2. **Flush + extract**: flush each source worker (the barrier now covers
-   all accepted events) and, under its snapshot lock, capture each moving
-   tenant's child state and applied count.
+1. **Gate** every moving tenant (blocking ingest waits, non-blocking
+   rejects).  Both ingest paths admit in one synchronous step, honoring
+   ``queue_share`` and ``expect_frontier`` alike, so no admission is in
+   progress across an await: a gated tenant admits nothing more.
+2. **Flush + extract**: flush each source worker (the barrier covers
+   every event the tenant admitted) and, under its snapshot lock,
+   capture each moving tenant's child state and applied count.
 3. **Install durably**: enqueue install ops on the destinations and
    flush them — the moved state is in the destination WAL *before*
    anything is removed.
 4. **Commit placement**: repoint the registry and persist the cluster
    meta.
 5. **Drop sources**: enqueue drop ops on the sources and flush.
-6. **Ungate** (in ``finally``): suspended producers resume against the
-   new placement.
+6. **Ungate** (in ``finally``): waiting producers rerun the gate
+   sequence against the new placement.
 
 A crash between (3) and (5) leaves the tenant on two workers; recovery's
 reconciliation resolves by the persisted placement, and whichever copy
@@ -106,11 +107,9 @@ async def execute(cluster, plan: RebalancePlan) -> RebalancePlan:
     states: dict[str, tuple[dict, int]] = {}
     committed = False
     try:
-        # (1) Gate, then drain in-flight ingests.
+        # (1) Gate: from here the moving tenants admit nothing.
         for move in plan.moves:
             cluster._gate(move.tenant)
-        for move in plan.moves:
-            await cluster._quiesce(move.tenant)
 
         # (2) Flush each source, extract portable state under its
         # snapshot lock (no flush can interleave with the extraction).
@@ -230,8 +229,8 @@ async def rehome_service(cluster, name: str, *,
     """Evacuate a *dead* worker's tenants onto the surviving pool.
 
     The live-handoff protocol (:func:`execute`) cannot run here — the
-    source worker's consumer is gone, so there is nothing to gate,
-    quiesce, or flush.  Instead the dead worker's **durable** state is
+    source worker's consumer is gone, so there is nothing to gate or
+    flush.  Instead the dead worker's **durable** state is
     read offline (``StreamService.recover`` on its directory: newest
     valid checkpoint + WAL-tail replay, bit-exact at the durable
     frontier, never started) and installed on the ring-chosen survivors

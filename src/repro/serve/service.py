@@ -18,7 +18,7 @@ reaches ``batch_size`` *or* the oldest pending event is ``max_latency``
 seconds old.  Each flush appends one record to the write-ahead log
 (:mod:`repro.serve.wal`), then applies the batch through the sampler's
 vectorized ``update_many`` kernel — for a sharded engine that single call
-reuses the engine's hash-partitioned (optionally pooled) shard dispatch.
+runs the engine's hash-partitioned shard dispatch.
 
 Reads are **snapshot-isolated**: mutation happens only inside the
 consumer's flush, under the service state lock, so ``async with
@@ -329,6 +329,11 @@ class StreamService:
         return self._applied
 
     @property
+    def free_slots(self) -> int:
+        """Events the bounded buffer can admit now."""
+        return self.queue_size - self._buffered
+
+    @property
     def pending_events(self) -> int:
         """Admitted events not yet applied (buffered plus micro-batched).
 
@@ -528,6 +533,8 @@ class StreamService:
         :meth:`~repro.api.StreamSampler.check_columns` refuses (a required
         column missing, a weight out of range) raises ``TypeError`` or
         ``ValueError`` here, before anything is queued or logged.
+        Numpy blocks (keys and columns) are kept by reference until
+        applied: overwrite one only after :meth:`flush`.
         """
         self._check_ingest()
         chunk = chunk_of(keys, weights, values, times, route)
@@ -541,14 +548,9 @@ class StreamService:
                 if chunk["n"] <= limit
                 else _slice_chunk(chunk, lo, min(lo + limit, chunk["n"]))
             )
-            async with self._not_full:
-                while (
-                    self._buffered + sub["n"] > self.queue_size
-                    and not self.crashed
-                ):
-                    await self._not_full.wait()
-                self._check_ingest()
-                self._admit(sub)
+            await self.wait_room(sub["n"])
+            self._check_ingest()
+            self._admit(sub)
 
     def try_ingest(self, key, weight: float = 1.0, *, value=None,
                    time=None) -> bool:
@@ -568,7 +570,8 @@ class StreamService:
         ``metrics.events_dropped_by`` — the tenant, when a cluster
         worker drops; unlabeled otherwise — so per-tenant backpressure
         drops stay distinguishable from quota rejections.  A block the
-        sampler refuses raises, as in :meth:`ingest_many`.
+        sampler refuses raises, as in :meth:`ingest_many`, and so does a
+        block over ``queue_size`` (``ValueError``, nothing counted).
 
         Synchronous — call it from the event-loop thread (e.g. inside a
         protocol callback); it never suspends.
@@ -577,12 +580,33 @@ class StreamService:
         chunk = chunk_of(keys, weights, values, times, route)
         if chunk["n"] == 0:
             return True
+        if chunk["n"] > self.queue_size:
+            raise ValueError(
+                f"a block of {chunk['n']} events exceeds queue_size="
+                f"{self.queue_size}; split it or use ingest_many"
+            )
         self._sampler.check_columns(chunk)
-        if self._buffered + chunk["n"] > self.queue_size:
+        if self.free_slots < chunk["n"]:
             self.metrics.record_drop(chunk["n"], route)
             return False
         self._admit(chunk)
         return True
+
+    async def wait_room(self, n: int) -> None:
+        """Wait until the buffer has ``n`` free slots (``n`` at most
+        ``queue_size``), or the consumer crashed."""
+        async with self._not_full:
+            while self.free_slots < n and not self.crashed:
+                await self._not_full.wait()
+
+    async def wait_applied(self, events: int, ops: int = 0) -> None:
+        """Wait until the consumer has applied ``events`` events and ``ops``
+        admin ops (counted as :attr:`events_applied`), or crashed."""
+        async with self._applied_cond:
+            while (
+                self._applied < events or self._ops_applied < ops
+            ) and not self.crashed:
+                await self._applied_cond.wait()
 
     def enqueue_admin(self, *ops) -> None:
         """Queue admin ops for the wrapped sampler's ``apply_admin``.
@@ -673,12 +697,11 @@ class StreamService:
         def behind() -> bool:
             return self._applied < target or self._ops_applied < ops
 
-        async with self._applied_cond:
-            while behind() and not self.crashed:
-                self._force_flush = True
-                self._wake.set()
-                await self._applied_cond.wait()
-        if behind() and self.crashed:
+        if behind():
+            self._force_flush = True
+            self._wake.set()
+            await self.wait_applied(target, ops)
+        if behind():
             raise ServiceCrashed(
                 "service consumer crashed before the flush barrier"
             ) from self._error

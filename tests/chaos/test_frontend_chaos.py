@@ -119,16 +119,17 @@ class TestFailoverOverTheWire:
                 host, port = frontend.address
                 client = await ClusterClient.connect(
                     host, port, retry=FAST_RETRY)
+                producers = [
+                    await ClusterClient.connect(host, port, retry=FAST_RETRY)
+                    for _ in streams
+                ]
                 async with Supervisor(cluster, **FAST_SUPERVISION) as sup:
                     pumps = [
                         asyncio.ensure_future(
                             wire_reliable_stream(client2, tenant, keys)
                         )
                         for (tenant, keys), client2 in zip(
-                            streams.items(),
-                            [await ClusterClient.connect(
-                                host, port, retry=FAST_RETRY)
-                             for _ in streams],
+                            streams.items(), producers
                         )
                     ]
                     # Kill the holder of tenant-0 while the wire
@@ -147,6 +148,8 @@ class TestFailoverOverTheWire:
                     for i, (tenant, keys) in enumerate(streams.items()):
                         assert sig_of(await cluster.sample(tenant)) == \
                             control_signature(i, keys), tenant
+                for client2 in producers:
+                    await client2.aclose()
                 await client.aclose()
 
         run_async(body())

@@ -123,21 +123,35 @@ class TestLifecycle:
     def test_conditional_admissions_serialize_per_tenant(self):
         """Two producers racing the same ``expect_frontier`` resolve
         cleanly — exactly one admits, the other sees ``StaleFrontier``
-        — even when the winner suspends inside the worker admission
-        (the per-tenant lock spans the check *and* the admission, so
-        the loser's check cannot pass during that suspension and land
-        its batch at a stale position)."""
+        — even when both pass the frontier gate and then wait on a full
+        worker buffer: each reruns the whole gate sequence when the
+        wait ends, so the loser cannot land its batch at a stale
+        position."""
         async def body():
-            async with Cluster(services=1) as cluster:
+            release = asyncio.Event()
+
+            def stall(stage):
+                if stage == "svc-0:flush.before" and not release.is_set():
+                    return release.wait()
+
+            async with Cluster(services=1, queue_size=100, batch_size=100,
+                               max_latency=30.0, fault_hook=stall) as cluster:
                 await cluster.create_tenant("acme", tenant_spec(0))
+                await cluster.create_tenant("fill", tenant_spec(1))
+                # The first block stalls the consumer in its flush, the
+                # second fills the buffer behind it.
+                assert cluster.try_ingest_many("fill", list(range(100)))
+                await asyncio.sleep(0.01)
+                assert cluster.try_ingest_many("fill", list(range(100)))
                 worker = cluster._workers["svc-0"]
-                real_ingest = worker.ingest_many
+                real_wait = worker.wait_room
 
-                async def slow_ingest(*args, **kwargs):
+                async def slow_wait_room(n):
                     await asyncio.sleep(0.05)  # a long buffer wait
-                    return await real_ingest(*args, **kwargs)
+                    return await real_wait(n)
 
-                worker.ingest_many = slow_ingest
+                worker.wait_room = slow_wait_room
+                asyncio.get_running_loop().call_later(0.02, release.set)
                 keys = tenant_stream(0, 100).tolist()
                 results = await asyncio.gather(
                     cluster.ingest_many("acme", keys, expect_frontier=0),
@@ -413,10 +427,13 @@ class TestRecovery:
     def test_stop_then_recover_preserves_rejection_history(self, tmp_path):
         async def body():
             async with Cluster(
-                services=1, dir=tmp_path, queue_size=32,
+                services=1, dir=tmp_path, queue_size=64,
                 batch_size=1000, max_latency=30.0,
             ) as cluster:
                 await cluster.create_tenant("acme", tenant_spec(0))
+                # Same turn, so the consumer has not pulled the first
+                # block: the second finds 32 free slots.
+                assert cluster.try_ingest_many("acme", list(range(32)))
                 assert not cluster.try_ingest_many("acme", list(range(40)))
                 assert cluster.registry.get("acme").rejected[
                     "backpressure"] == 40

@@ -164,10 +164,11 @@ class TestLiveMoves:
         run_async(body())
 
     def test_bucket_suspended_producer_rides_through_handoff(self):
-        """A blocking producer asleep in its token-bucket delay holds the
-        in-flight token, so a concurrent handoff quiesces on it instead
-        of extracting state out from under it — its batch lands on the
-        source before the pre-handoff flush and moves with the tenant."""
+        """A blocking producer asleep in its token-bucket delay has
+        admitted nothing, so a concurrent handoff moves the tenant
+        without waiting on it; the producer wakes, reruns the gate
+        sequence against the new placement and lands its batch on the
+        destination."""
         async def body():
             async with Cluster(services=2) as cluster:
                 keys = tenant_stream(0, 120)
@@ -181,7 +182,6 @@ class TestLiveMoves:
                 )
                 await asyncio.sleep(0.01)
                 assert not producer.done()
-                assert cluster._inflight.get("tenant-0", 0) == 1
                 source = cluster.placement()["tenant-0"]
                 destination = next(
                     name for name in cluster.services if name != source
@@ -189,21 +189,30 @@ class TestLiveMoves:
                 await execute(cluster, RebalancePlan(
                     (TenantMove("tenant-0", source, destination),)
                 ))
-                await producer
+                # The moved state holds the burst only.
+                assert not producer.done()
+                moved = cluster.service(destination).sampler
+                assert moved.events_applied_for("tenant-0") == 40
+                assert sig_of(moved.tenant_sampler("tenant-0").sample()) == \
+                    control_signature(0, keys[:40])
+                assert await producer
                 await cluster.flush()
                 assert cluster.placement()["tenant-0"] == destination
                 worker = cluster.service(destination)
                 assert worker.sampler.events_applied_for("tenant-0") == 120
+                assert not cluster.service(source).sampler.has_tenant(
+                    "tenant-0")
                 assert sig_of(await cluster.sample("tenant-0")) == \
                     control_signature(0, keys)
 
         run_async(body())
 
     def test_bucket_suspended_producer_survives_drop_tenant(self):
-        """drop_tenant must quiesce on a producer suspended in the token
-        bucket: its rows go in ahead of the drop row (then erased with
-        the tenant) instead of trailing it as unknown-tenant rows that
-        would crash the worker's consumer."""
+        """A producer asleep in its token-bucket delay when its tenant
+        is dropped raises ``KeyError`` on waking, with none of its rows
+        admitted: no unknown-tenant row trails the drop row to crash the
+        worker's consumer, and the producer is not told a block the drop
+        erased was admitted."""
         async def body():
             async with Cluster(services=2) as cluster:
                 keys = tenant_stream(0, 120)
@@ -217,9 +226,10 @@ class TestLiveMoves:
                     cluster.ingest_many("tenant-0", keys[40:])
                 )
                 await asyncio.sleep(0.01)
-                assert cluster._inflight.get("tenant-0", 0) == 1
+                assert not producer.done()
                 await cluster.drop_tenant("tenant-0")
-                await producer  # admitted before the drop row, no error
+                with pytest.raises(KeyError, match="tenant-0"):
+                    await producer
                 assert "tenant-0" not in cluster.tenants()
                 # Every worker's consumer survived (a stray post-drop row
                 # would have crashed it, failing this flush).
